@@ -7,8 +7,10 @@ import os
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .efficiency import avg_linear_transmission, total_efficiency
+from .efficiency import (avg_linear_transmission, delay_transmission,
+                         total_efficiency)
 from .model import (
+    PROTOCOL_ETA_DET,
     Detection,
     DomainError,
     PairDistribution,
@@ -23,13 +25,6 @@ from .montecarlo import RNG_ALGORITHM
 class ConfigError(Exception):
     """Invalid configuration file or sweep specification."""
 
-
-_ENUMS = {
-    "pair_dist": PairDistribution,
-    "topology": Topology,
-    "detection": Detection,
-    "selection": Selection,
-}
 
 _PARAM_KEYS = {
     "lambda": ("lam", float),
@@ -205,8 +200,7 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
 def _protocol_max(params: SourceParams, eta_sw: float, detection: Detection,
                   n_max: int, include_filter_in_d0: bool,
                   literal_exponent: bool) -> float:
-    eta_det = 0.7 if detection is Detection.SINGLE_DETECTOR else 0.8
-    swept = replace(params, eta_sw=eta_sw, eta_det=eta_det)
+    swept = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
     scheme = SchemeConfig(n_bins=1, topology=Topology.BINARY_DELAY,
                           detection=detection)
     curve = optimize_bins(swept, scheme, 1, n_max,
@@ -278,8 +272,8 @@ def _fig3ab_rows(params: SourceParams, eta_sw: float, *,
     for n in FIG3_N_RANGE:
         row = [n]
         for topology, detection in combos:
-            eta_det = 0.7 if detection is Detection.SINGLE_DETECTOR else 0.8
-            point_params = replace(params, eta_sw=eta_sw, eta_det=eta_det)
+            point_params = replace(params, eta_sw=eta_sw,
+                                   eta_det=PROTOCOL_ETA_DET[detection])
             scheme = SchemeConfig(n_bins=n, topology=topology,
                                   detection=detection)
             breakdown = total_efficiency(
@@ -290,7 +284,7 @@ def _fig3ab_rows(params: SourceParams, eta_sw: float, *,
         yield row
 
 
-def _fig3c_rows(params: SourceParams):
+def _fig3c_rows(params: SourceParams, literal_exponent: bool):
     for n in FIG3_N_RANGE:
         row = [n]
         for lam in FIG3C_LAMBDAS:
@@ -298,10 +292,13 @@ def _fig3c_rows(params: SourceParams):
                 row.append(float("nan"))
             else:
                 row.append(avg_linear_transmission(
-                    params, n, lam, Selection.LAST_PHOTON))
+                    params, n, lam, Selection.LAST_PHOTON,
+                    literal_exponent=literal_exponent))
         # control: a single occupied bin, uniformly placed
         control = math.fsum(
-            10.0 ** (-params.alpha_inc * (n - i) / 10.0) for i in range(1, n + 1)) / n
+            delay_transmission(params.alpha_inc, n - i,
+                               literal_exponent=literal_exponent)
+            for i in range(1, n + 1)) / n
         row.append(control)
         yield row
 
@@ -348,7 +345,7 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
     path = os.path.join(out_dir, "fig3c.csv")
     header = ["N"] + [f"avglin_lambda{lam:g}" for lam in FIG3C_LAMBDAS]
     header.append("avglin_control")
-    _write_csv(path, header, _fig3c_rows(params))
+    _write_csv(path, header, _fig3c_rows(params, literal_exponent))
     written.append(path)
 
     meta = {
@@ -363,7 +360,7 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
             "eta_f": params.eta_f,
             "eta_c": params.eta_c,
             "eta_sw_values": [0.87, 0.98],
-            "eta_det": {"single": 0.7, "array": 0.8},
+            "eta_det": {d.value: v for d, v in PROTOCOL_ETA_DET.items()},
             "eta_conv": params.eta_conv,
             "alpha_inc": params.alpha_inc,
             "pair_dist": params.pair_dist.value,

@@ -4,17 +4,17 @@ The per-frame success probability decomposes over the bin r that supplies the
 emitted photon:
 
     eta = sum_r B(r),
-    B(r) = D0^k(r) * sum_{i>=1} H_i * F(r, i)
+    B(r) = D0^k(r) * t_r [G'(1 - t_r) - q G'(q (1 - t_r))]
 
-where D0 is the per-bin probability that no herald fires, H_i the probability
-that i pairs are generated and at least one idler is detected, F(r, i) the
-probability that exactly one of the i signal photons survives the chip, and
-k(r) counts the bins that must stay quiet under the selection policy (the
-bins before r for first-photon selection, after r for last-photon).
-
-All formulas assume Poissonian pair statistics; the Monte Carlo engine in
-:mod:`photonmux.montecarlo` realizes the same process stochastically and is
-used as the independent cross-check.
+where G is the pair-number generating function of :mod:`photonmux.model`,
+q = 1 - eta_d the probability that one idler escapes the heralding detector,
+t_r the chip transmission of bin r, D0 = eta_f G(q) the per-bin probability
+that no herald fires, and k(r) counts the bins that must stay quiet under the
+selection policy (the bins before r for first-photon selection, after r for
+last-photon).  The bracket is the sum over pair counts i of
+P(i) (1 - q^i) i t_r (1 - t_r)^(i-1) in closed form.  The Monte Carlo engine
+in :mod:`photonmux.montecarlo` realizes the same process stochastically and
+is used as the independent cross-check.
 """
 from __future__ import annotations
 
@@ -28,11 +28,9 @@ from .model import (
     SchemeConfig,
     SourceParams,
     Topology,
+    pair_generating_derivative,
+    pair_generating_function,
 )
-
-#: Series truncation: stop once H_i drops below this weight.
-H_SERIES_EPS = 1e-15
-H_SERIES_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,6 @@ class EfficiencyBreakdown:
     per_bin_success: tuple[float, ...]
     pic_transmission: tuple[float, ...]
     d0: float
-    heralded_series: tuple[float, ...]
 
 
 def detection_efficiency(params: SourceParams, scheme: SchemeConfig) -> float:
@@ -67,50 +64,15 @@ def no_herald_probability(params: SourceParams, eta_d: float, *,
                           include_filter: bool = True) -> float:
     """Per-bin probability D0 that the heralding detector stays quiet.
 
-    The Poisson series sum_i e^-lam lam^i/i! (1-eta_d)^i collapses to
-    exp(-lam * eta_d).  ``include_filter`` keeps the filtering-efficiency
-    prefactor of the printed model; disabling it gives the bare no-detection
-    probability (see the flag discussion in the package README).
+    Every pair of the bin must escape detection: G(1 - eta_d).
+    ``include_filter`` keeps the filtering-efficiency prefactor of the printed
+    model; disabling it gives the bare no-detection probability (see the flag
+    discussion in the package README).
     """
     if not 0.0 <= eta_d <= 1.0:
         raise DomainError(f"eta_d must be in [0, 1], got {eta_d}")
-    value = math.exp(-params.lam * eta_d)
+    value = pair_generating_function(params, 1.0 - eta_d)
     return params.eta_f * value if include_filter else value
-
-
-def heralded_pair_probability(params: SourceParams, eta_d: float, i: int) -> float:
-    """H_i: probability that i pairs are generated in a bin and at least one
-    idler is detected."""
-    if i < 0:
-        raise DomainError(f"pair count must be >= 0, got {i}")
-    if i == 0:
-        return 0.0
-    lam = params.lam
-    if lam == 0.0:
-        return 0.0
-    pmf = math.exp(-lam + i * math.log(lam) - math.lgamma(i + 1))
-    return pmf * (1.0 - (1.0 - eta_d) ** i)
-
-
-def heralded_series(params: SourceParams, eta_d: float) -> tuple[float, ...]:
-    """H_1, H_2, ... truncated once terms fall below ``H_SERIES_EPS``."""
-    out = []
-    for i in range(1, H_SERIES_MAX + 1):
-        h = heralded_pair_probability(params, eta_d, i)
-        if h < H_SERIES_EPS and i > 1:
-            break
-        out.append(h)
-    return tuple(out)
-
-
-def single_survivor_probability(i: int, transmission: float) -> float:
-    """F: probability that exactly one of ``i`` photons survives a channel of
-    the given per-photon transmission."""
-    if i < 1:
-        raise DomainError(f"need at least one photon, got {i}")
-    if not 0.0 <= transmission <= 1.0:
-        raise DomainError(f"transmission must be in [0, 1], got {transmission}")
-    return i * (1.0 - transmission) ** (i - 1) * transmission
 
 
 def switch_passes(scheme: SchemeConfig, r: int) -> int:
@@ -120,27 +82,34 @@ def switch_passes(scheme: SchemeConfig, r: int) -> int:
     return scheme.n_bins - r
 
 
+def delay_transmission(alpha_inc: float, delay_bins: int, *,
+                       literal_exponent: bool = False) -> float:
+    """Transmission over ``delay_bins`` bins of delay at alpha_inc dB per bin,
+    10^(-alpha_inc * delay_bins / 10); ``literal_exponent`` drops the /10 and
+    reads alpha_inc as a bare decadic exponent per bin (a deliberately
+    non-default reading, kept for comparison)."""
+    exponent = -alpha_inc * delay_bins
+    if not literal_exponent:
+        exponent /= 10.0
+    return 10.0 ** exponent
+
+
 def pic_transmission(params: SourceParams, scheme: SchemeConfig, r: int, *,
                      literal_exponent: bool = False) -> float:
     """End-to-end on-chip transmission for a photon heralded in bin r.
 
     Binary topology: the switch count is fixed at floor(log2 N) + 1 for every
     bin; the single-delay-line comparison pays one switch pass per bin of
-    delay.  Delay loss is decibel-scaled, 10^(-alpha_inc (N - r) / 10);
-    ``literal_exponent`` drops the /10 and treats alpha_inc as a bare decadic
-    exponent per bin (a deliberately non-default reading, kept for
-    comparison).
+    delay.  The photon is delayed by N - r bins (see
+    :func:`delay_transmission`).
     """
     n = scheme.n_bins
     if not 1 <= r <= n:
         raise DomainError(f"bin index must be in [1, {n}], got {r}")
-    delay_bins = n - r
-    exponent = -params.alpha_inc * delay_bins
-    if not literal_exponent:
-        exponent /= 10.0
     return (params.eta_f * params.eta_c
             * params.eta_sw ** switch_passes(scheme, r)
-            * 10.0 ** exponent)
+            * delay_transmission(params.alpha_inc, n - r,
+                                 literal_exponent=literal_exponent))
 
 
 def bin_success(params: SourceParams, scheme: SchemeConfig, r: int, *,
@@ -149,16 +118,18 @@ def bin_success(params: SourceParams, scheme: SchemeConfig, r: int, *,
     """B(r): probability that the frame's output photon comes from bin r."""
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d, include_filter=include_filter_in_d0)
-    series = heralded_series(params, eta_d)
     pic = pic_transmission(params, scheme, r, literal_exponent=literal_exponent)
-    return _bin_success_from_parts(scheme, r, d0_val, series, pic)
+    return _bin_success_from_parts(params, scheme, r, d0_val, eta_d, pic)
 
 
-def _bin_success_from_parts(scheme: SchemeConfig, r: int, d0_val: float,
-                            series: tuple[float, ...], pic: float) -> float:
-    heralded_and_survives = sum(
-        h * single_survivor_probability(i, pic)
-        for i, h in enumerate(series, start=1))
+def _bin_success_from_parts(params: SourceParams, scheme: SchemeConfig, r: int,
+                            d0_val: float, eta_d: float, pic: float) -> float:
+    # sum_i P(i) (1 - q^i) i t (1-t)^(i-1): a herald fires in the bin and
+    # exactly one of its signal photons survives the chip
+    q = 1.0 - eta_d
+    heralded_and_survives = pic * (
+        pair_generating_derivative(params, 1.0 - pic)
+        - q * pair_generating_derivative(params, q * (1.0 - pic)))
     if scheme.selection is Selection.FIRST_PHOTON:
         quiet_bins = r - 1
     else:
@@ -172,19 +143,17 @@ def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
     """Generation efficiency eta with its full per-bin decomposition."""
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d, include_filter=include_filter_in_d0)
-    series = heralded_series(params, eta_d)
     pic = tuple(
         pic_transmission(params, scheme, r, literal_exponent=literal_exponent)
         for r in range(1, scheme.n_bins + 1))
     per_bin = tuple(
-        _bin_success_from_parts(scheme, r, d0_val, series, pic[r - 1])
+        _bin_success_from_parts(params, scheme, r, d0_val, eta_d, pic[r - 1])
         for r in range(1, scheme.n_bins + 1))
     return EfficiencyBreakdown(
         eta_total=math.fsum(per_bin),
         per_bin_success=per_bin,
         pic_transmission=pic,
         d0=d0_val,
-        heralded_series=series,
     )
 
 
@@ -192,24 +161,18 @@ def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
     """Distribution of the last occupied bin when exactly ``n_occupied`` of
     ``n_bins`` bins hold photons, uniformly at random.
 
-    Weight of bin p is the literal normalized product
-    prod_{j=1..n_occupied-1} (p - j), which vanishes for p < n_occupied;
-    the products are evaluated in exact integer arithmetic before
-    normalization.
+    Bin p is last for C(p-1, n_occupied-1) of the C(n_bins, n_occupied)
+    equally likely placements; the ratio of the exact integers is correctly
+    rounded.
     """
     if n_bins < 1:
         raise DomainError(f"n_bins must be >= 1, got {n_bins}")
     if not 1 <= n_occupied <= n_bins:
         raise DomainError(
             f"occupied-bin count must be in [1, {n_bins}], got {n_occupied}")
-    products = []
-    for p in range(1, n_bins + 1):
-        prod = 1
-        for j in range(1, n_occupied):
-            prod *= (p - j)
-        products.append(max(prod, 0))
-    total = sum(products)
-    return [p / total for p in products]
+    total = math.comb(n_bins, n_occupied)
+    return [math.comb(p - 1, n_occupied - 1) / total
+            for p in range(1, n_bins + 1)]
 
 
 def first_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
@@ -220,15 +183,16 @@ def first_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
 
 def avg_linear_transmission(params: SourceParams, n_bins: int,
                             lam: float | None = None,
-                            selection: Selection = Selection.LAST_PHOTON) -> float:
+                            selection: Selection = Selection.LAST_PHOTON, *,
+                            literal_exponent: bool = False) -> float:
     """Expected delay-line transmission of the selected photon.
 
     The expected number of occupied bins is n_occ = ceil(lam * N); the
     selected bin follows the order statistics of n_occ uniform draws without
     replacement (maximum for last-photon selection, minimum for first).  The
-    result is the dot product of the per-bin transmissions
-    10^(-alpha_inc (N - p) / 10) with those weights.  n_occ = 1 reduces to
-    the uniform-weight control curve.
+    result is the dot product of the per-bin delay transmissions
+    (:func:`delay_transmission` over N - p bins) with those weights.
+    n_occ = 1 reduces to the uniform-weight control curve.
     """
     if n_bins < 1:
         raise DomainError(f"n_bins must be >= 1, got {n_bins}")
@@ -245,7 +209,8 @@ def avg_linear_transmission(params: SourceParams, n_bins: int,
     else:
         weights = first_photon_weights(n_bins, n_occ)
     return math.fsum(
-        w * 10.0 ** (-params.alpha_inc * (n_bins - p) / 10.0)
+        w * delay_transmission(params.alpha_inc, n_bins - p,
+                               literal_exponent=literal_exponent)
         for p, w in enumerate(weights, start=1))
 
 

@@ -14,9 +14,8 @@ from enum import Enum
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Hard truncation for all pair-number series.  The pumping regimes studied
-#: keep the mean pair parameter at or below 1, where the tail mass beyond
-#: n = 200 is far below double precision.
+#: Last pair count in the Monte Carlo sampling table (:func:`pair_pmf_array`);
+#: the closed forms need no truncation.
 MAX_PAIRS = 200
 
 
@@ -42,6 +41,11 @@ class Detection(Enum):
 class Selection(Enum):
     FIRST_PHOTON = "first"
     LAST_PHOTON = "last"
+
+
+#: Raw detector efficiency matched to each detection protocol.
+PROTOCOL_ETA_DET = {Detection.SINGLE_DETECTOR: 0.7,
+                    Detection.DETECTOR_ARRAY: 0.8}
 
 
 def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
@@ -118,14 +122,22 @@ class SourceParams:
     eta_f: float = 0.99
     eta_c: float = 0.84
     eta_sw: float = 0.87
-    eta_det: float = 0.7
+    eta_det: float = PROTOCOL_ETA_DET[Detection.SINGLE_DETECTOR]
     eta_conv: float = 0.85
     alpha_inc: float = DEFAULT_ALPHA_INC
     pair_dist: PairDistribution = PairDistribution.POISSON
 
     def __post_init__(self) -> None:
+        # the unit-interval check below also rejects non-finite efficiencies
+        for name in ("lam", "period", "alpha_inc"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise DomainError(f"lam must be >= 0, got {self.lam}")
+        if self.pair_dist is PairDistribution.THERMAL_APPROX and self.lam >= 2:
+            raise DomainError(
+                f"thermal pair distribution requires lam < 2, got {self.lam}")
         if self.period <= 0:
             raise DomainError(f"period must be > 0, got {self.period}")
         if self.alpha_inc < 0:
@@ -137,9 +149,8 @@ class SourceParams:
     def table_defaults(cls, detection: Detection = Detection.SINGLE_DETECTOR,
                        **overrides) -> "SourceParams":
         """Default parameter set, with the detector efficiency matched to the
-        detection protocol (0.7 single detector, 0.8 detector array)."""
-        eta_det = 0.8 if detection is Detection.DETECTOR_ARRAY else 0.7
-        overrides.setdefault("eta_det", eta_det)
+        detection protocol (:data:`PROTOCOL_ETA_DET`)."""
+        overrides.setdefault("eta_det", PROTOCOL_ETA_DET[detection])
         return cls(**overrides)
 
     def with_(self, **changes) -> "SourceParams":
@@ -203,10 +214,28 @@ def pair_count_distribution(params: SourceParams, n: int) -> float:
     if params.pair_dist is PairDistribution.POISSON:
         return math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1))
     x = lam / 2.0
-    if x >= 1.0:
-        raise DomainError("thermal pair distribution requires lam < 2")
     # (n+1) x^n e^-lam divided by e^-lam / (1-x)^2
     return (n + 1) * x**n * (1.0 - x) ** 2
+
+
+def pair_generating_function(params: SourceParams, z: float) -> float:
+    """G(z) = sum_n P(n) z^n: e^{lam (z-1)} for Poisson pairs and
+    (1-x)^2 / (1-x z)^2 with x = lam/2 for renormalized thermal pairs."""
+    lam = params.lam
+    if params.pair_dist is PairDistribution.POISSON:
+        return math.exp(lam * (z - 1.0))
+    x = lam / 2.0
+    return ((1.0 - x) / (1.0 - x * z)) ** 2
+
+
+def pair_generating_derivative(params: SourceParams, z: float) -> float:
+    """G'(z) = sum_n n P(n) z^(n-1): lam e^{lam (z-1)} for Poisson pairs and
+    2x (1-x)^2 / (1-x z)^3 with x = lam/2 for renormalized thermal pairs."""
+    lam = params.lam
+    if params.pair_dist is PairDistribution.POISSON:
+        return lam * math.exp(lam * (z - 1.0))
+    x = lam / 2.0
+    return 2.0 * x * (1.0 - x) ** 2 / (1.0 - x * z) ** 3
 
 
 def pair_pmf_array(params: SourceParams, n_max: int = MAX_PAIRS) -> list[float]:

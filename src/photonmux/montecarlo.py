@@ -24,6 +24,7 @@ import numpy as np
 from . import efficiency
 from .control import HeraldFrame, select_first, select_last
 from .model import (
+    MAX_PAIRS,
     DomainError,
     PairDistribution,
     SchemeConfig,
@@ -39,6 +40,9 @@ from .model import (
 RNG_ALGORITHM = "numpy-pcg64/seedsequence-spawn"
 
 _CHUNK_TRIALS = 250_000
+
+#: Largest pair-number mass the herald table may drop by ending at MAX_PAIRS.
+MAX_DROPPED_MASS = 1e-12
 
 
 class Outcome(Enum):
@@ -91,8 +95,6 @@ def _sample_pairs(params: SourceParams, rng: np.random.Generator,
         return np.zeros(size, dtype=np.int64)
     if params.pair_dist is PairDistribution.POISSON:
         return rng.poisson(lam, size)
-    if lam >= 2.0:
-        raise DomainError("thermal pair distribution requires lam < 2")
     # (n+1) x^n (1-x)^2 with x = lam/2 is negative-binomial with 2 successes
     return rng.negative_binomial(2, 1.0 - lam / 2.0, size)
 
@@ -150,8 +152,14 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
 
 def _herald_tables(params: SourceParams, eta_d: float):
     """Herald probability per bin and the cumulative conditional pair-count
-    table P(i | heralded), i = 1..truncation."""
+    table P(i | heralded), i = 1..MAX_PAIRS."""
     pmf = np.array(pair_pmf_array(params))
+    dropped = 1.0 - math.fsum(pmf)
+    if dropped > MAX_DROPPED_MASS:
+        raise DomainError(
+            f"lam = {params.lam}: a pair table ending at {MAX_PAIRS} pairs "
+            f"would drop {dropped:.3g} of the {params.pair_dist.value} "
+            f"pair-number mass (limit {MAX_DROPPED_MASS:g})")
     i = np.arange(pmf.size)
     herald_weight = pmf * (1.0 - (1.0 - eta_d) ** i)
     p_herald = float(herald_weight.sum())

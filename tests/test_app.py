@@ -157,6 +157,21 @@ class TestEmitFig3:
         assert meta["code_version"]
         assert "pcg64" in meta["rng_algorithm"]
         assert meta["parameters"]["lambda"] == 0.1
+        assert meta["parameters"]["eta_det"] == {"single": 0.7, "array": 0.8}
+
+    def test_literal_loss_exponent_reaches_fig3c(self, outputs, tmp_path):
+        out, _ = outputs
+        literal = tmp_path / "literal"
+        emit_fig3(literal, SourceParams(), seed=0, literal_exponent=True)
+        meta = json.loads((literal / "fig3_metadata.json").read_text())
+        assert meta["literal_loss_exponent"] is True
+        base_rows = (out / "fig3c.csv").read_text().splitlines()[1:]
+        literal_rows = (literal / "fig3c.csv").read_text().splitlines()[1:]
+        assert base_rows[0] == literal_rows[0]  # N = 1 has no delay
+        for base, lit in zip(base_rows[1:], literal_rows[1:]):
+            # every column, the control included, loses ten times the decibels
+            assert all(float(x) < float(y) for x, y in
+                       zip(lit.split(",")[1:], base.split(",")[1:]))
 
     def test_reruns_are_byte_identical(self, outputs, tmp_path):
         out, _ = outputs

@@ -34,6 +34,18 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == EXIT_CONFIG
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,field", [("lambda = nan", "lam"),
+                                            ("alpha_inc = inf", "alpha_inc"),
+                                            ("period = -inf", "period")])
+    def test_non_finite_value_exits_domain_error(self, capsys, tmp_path,
+                                                 line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["eval", "--config", str(cfg)]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert f"{field} must be finite" in captured.err
+        assert captured.out == ""
+
     def test_model_flags_change_result(self, capsys):
         _, base = run_json(capsys, ["eval", "--json"])
         _, nofilter = run_json(capsys, ["eval", "--json", "--d0-excludes-filter"])
@@ -90,6 +102,22 @@ class TestMonteCarlo:
         assert first == second
         assert abs(first["z_score"]) < 4.0
         assert first["rng_algorithm"].startswith("numpy-pcg64")
+
+    def test_thermal_closed_form_agrees(self, capsys, tmp_path):
+        cfg = tmp_path / "thermal.cfg"
+        cfg.write_text("pair_dist = thermal\nlambda = 0.3\nn_bins = 8\n")
+        code, payload = run_json(capsys, ["mc", "--json", "--config", str(cfg),
+                                          "--trials", "400000", "--seed", "5"])
+        assert code == EXIT_OK
+        assert abs(payload["z_score"]) < 4.0
+
+    def test_truncated_pair_table_exits_domain_error(self, capsys, tmp_path):
+        cfg = tmp_path / "thermal.cfg"
+        cfg.write_text("pair_dist = thermal\nlambda = 1.9\nn_bins = 8\n")
+        code = main(["mc", "--config", str(cfg), "--trials", "1000"])
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "lam = 1.9" in err and "drop 0.000368" in err
 
     def test_workers_do_not_change_result(self, capsys):
         base = ["mc", "--json", "--trials", "600000", "--seed", "3"]

@@ -9,23 +9,25 @@ from photonmux.efficiency import (
     detection_efficiency,
     first_photon_weights,
     generation_rate,
-    heralded_pair_probability,
-    heralded_series,
     last_photon_weights,
     no_herald_probability,
     pic_transmission,
-    single_survivor_probability,
     switch_passes,
     total_efficiency,
 )
 from photonmux.model import (
     Detection,
     DomainError,
+    PairDistribution,
     SchemeConfig,
     Selection,
     SourceParams,
     Topology,
+    pair_count_distribution,
 )
+
+#: Pair counts summed by the brute-force oracles below.
+ORACLE_PAIRS = 200
 
 
 def scheme(n, topology=Topology.BINARY_DELAY, detection=Detection.SINGLE_DETECTOR,
@@ -61,47 +63,18 @@ class TestNoHeraldProbability:
         without = no_herald_probability(p, 0.5, include_filter=False)
         assert with_f == pytest.approx(p.eta_f * without, rel=1e-15)
 
-
-class TestHeraldedPairProbability:
-    def test_zero_pairs_never_herald(self):
-        assert heralded_pair_probability(SourceParams(), 0.7, 0) == 0.0
-
-    def test_single_pair_perfect_detector(self):
-        p = SourceParams(lam=0.1)
-        assert heralded_pair_probability(p, 1.0, 1) == pytest.approx(
-            0.1 * math.exp(-0.1), rel=1e-12)
-
+    @pytest.mark.parametrize("dist", list(PairDistribution))
     @pytest.mark.parametrize("lam,eta_d", [(0.05, 0.3), (0.1, 0.595),
                                            (0.5, 0.9), (1.0, 0.24)])
-    def test_partition_identity(self, lam, eta_d):
-        # algebraic identity: sum_i H_i plus the bare no-detection
-        # probability is 1
-        p = SourceParams(lam=lam)
-        total = math.fsum(heralded_series(p, eta_d))
+    def test_heralded_mass_partitions_unity(self, dist, lam, eta_d):
+        # oracle: sum_i P(i) (1 - (1-eta_d)^i), the probability that at least
+        # one idler is detected, plus the bare no-detection probability is 1
+        p = SourceParams(lam=lam, pair_dist=dist)
+        heralded = math.fsum(
+            pair_count_distribution(p, i) * (1 - (1 - eta_d) ** i)
+            for i in range(1, ORACLE_PAIRS + 1))
         bare_d0 = no_herald_probability(p, eta_d, include_filter=False)
-        assert total + bare_d0 == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSingleSurvivorProbability:
-    def test_single_photon_passes_with_channel_transmission(self):
-        assert single_survivor_probability(1, 0.37) == 0.37
-
-    def test_lossless_pair_never_leaves_one(self):
-        assert single_survivor_probability(2, 1.0) == 0.0
-
-    def test_matches_exhaustive_pattern_count(self):
-        # oracle: enumerate all 2^3 survival patterns at p = 1/2
-        p = 0.5
-        weight = 0.0
-        for pattern in itertools.product((0, 1), repeat=3):
-            if sum(pattern) == 1:
-                weight += p**sum(pattern) * (1 - p) ** (3 - sum(pattern))
-        assert weight == pytest.approx(0.375, rel=1e-15)
-        assert single_survivor_probability(3, p) == pytest.approx(weight, rel=1e-12)
-
-    def test_zero_photons_rejected(self):
-        with pytest.raises(DomainError):
-            single_survivor_probability(0, 0.5)
+        assert heralded + bare_d0 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPicTransmission:
@@ -175,6 +148,45 @@ class TestBinSuccess:
         p = SourceParams(alpha_inc=0.0)
         values = [bin_success(p, scheme(8), r) for r in range(1, 9)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_blind_detector_never_heralds(self):
+        p = SourceParams(eta_det=0.0)
+        assert all(bin_success(p, scheme(8), r) == 0.0 for r in range(1, 9))
+
+    @pytest.mark.parametrize("dist", list(PairDistribution))
+    def test_lossless_chip_keeps_only_single_pairs(self, dist):
+        # with unit transmission one photon always survives from a single
+        # pair and never from two or more
+        p = SourceParams(lam=0.4, eta_f=1.0, eta_c=1.0, eta_sw=1.0,
+                         alpha_inc=0.0, pair_dist=dist)
+        eta_d = detection_efficiency(p, scheme(1))
+        assert bin_success(p, scheme(1), 1) == pytest.approx(
+            pair_count_distribution(p, 1) * eta_d, rel=1e-12)
+
+    @pytest.mark.parametrize("dist", list(PairDistribution))
+    @pytest.mark.parametrize("detection", list(Detection))
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("filter_in_d0", [True, False])
+    def test_matches_brute_force_pair_sum(self, dist, detection, lam,
+                                          filter_in_d0):
+        # oracle: D0^k * sum_i P(i) (1 - q^i) * i t (1-t)^(i-1), with D0 and
+        # the survival term summed pair by pair
+        p = SourceParams.table_defaults(detection, lam=lam, pair_dist=dist)
+        s = scheme(12, detection=detection)
+        q = 1.0 - detection_efficiency(p, s)
+        pmf = [pair_count_distribution(p, i) for i in range(ORACLE_PAIRS + 1)]
+        d0 = math.fsum(w * q**i for i, w in enumerate(pmf))
+        if filter_in_d0:
+            d0 *= p.eta_f
+        for r in (1, 5, 12):
+            t = pic_transmission(p, s, r)
+            survives = math.fsum(
+                w * (1 - q**i) * i * t * (1 - t) ** (i - 1)
+                for i, w in enumerate(pmf) if i >= 1)
+            quiet = (r - 1 if s.selection is Selection.FIRST_PHOTON
+                     else s.n_bins - r)
+            assert bin_success(p, s, r, include_filter_in_d0=filter_in_d0) == \
+                pytest.approx(d0**quiet * survives, rel=1e-11)
 
 
 class TestTotalEfficiency:
@@ -274,6 +286,16 @@ class TestAvgLinearTransmission:
         last = avg_linear_transmission(p, 60, 0.1, Selection.LAST_PHOTON)
         first = avg_linear_transmission(p, 60, 0.1, Selection.FIRST_PHOTON)
         assert last > first  # late bins carry less delay loss
+
+    def test_literal_exponent_flag(self):
+        p = SourceParams(alpha_inc=0.03)
+        weights = last_photon_weights(40, 4)
+        expected = math.fsum(w * 10 ** (-0.03 * (40 - i))
+                             for i, w in enumerate(weights, start=1))
+        assert avg_linear_transmission(p, 40, 0.1, literal_exponent=True) == \
+            pytest.approx(expected, rel=1e-12)
+        assert avg_linear_transmission(p, 40, 0.1, literal_exponent=True) < \
+            avg_linear_transmission(p, 40, 0.1)
 
 
 class TestGenerationRate:

@@ -16,6 +16,8 @@ from photonmux.model import (
     incremental_loss_db,
     lambda_from_interaction,
     pair_count_distribution,
+    pair_generating_derivative,
+    pair_generating_function,
 )
 
 
@@ -47,6 +49,21 @@ class TestSourceParams:
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(DomainError):
             SourceParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lam", "period", "eta_f", "eta_c",
+                                       "eta_sw", "eta_det", "eta_conv",
+                                       "alpha_inc"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            SourceParams(**{field: value})
+
+    def test_thermal_pumping_bounded_at_construction(self):
+        SourceParams(lam=1.9999, pair_dist=PairDistribution.THERMAL_APPROX)
+        SourceParams(lam=2.5)  # Poisson pumping has no upper bound
+        for lam in (2.0, 2.5):
+            with pytest.raises(DomainError, match="lam < 2"):
+                SourceParams(lam=lam, pair_dist=PairDistribution.THERMAL_APPROX)
 
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -122,6 +139,39 @@ class TestPairCountDistribution:
         with pytest.raises(DomainError):
             pair_count_distribution(
                 SourceParams(lam=2.0, pair_dist=PairDistribution.THERMAL_APPROX), 0)
+
+
+class TestPairGeneratingFunction:
+    @pytest.mark.parametrize("dist", list(PairDistribution))
+    @pytest.mark.parametrize("lam", [0.0, 0.02, 0.3, 1.0, 1.5])
+    def test_normalized_with_mean_slope(self, dist, lam):
+        p = SourceParams(lam=lam, pair_dist=dist)
+        mean = math.fsum(n * pair_count_distribution(p, n) for n in range(201))
+        assert pair_generating_function(p, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert pair_generating_derivative(p, 1.0) == pytest.approx(
+            mean, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("lam", [0.02, 0.3, 1.0, 1.5])
+    def test_mean_closed_forms(self, lam):
+        poisson = SourceParams(lam=lam)
+        thermal = SourceParams(lam=lam, pair_dist=PairDistribution.THERMAL_APPROX)
+        x = lam / 2
+        assert pair_generating_derivative(poisson, 1.0) == pytest.approx(
+            lam, rel=1e-15)
+        assert pair_generating_derivative(thermal, 1.0) == pytest.approx(
+            2 * x / (1 - x), rel=1e-15)
+
+    @pytest.mark.parametrize("dist", list(PairDistribution))
+    @pytest.mark.parametrize("lam", [0.02, 0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("z", [0.0, 0.05, 0.405, 0.76, 0.999])
+    def test_matches_pmf_power_series(self, dist, lam, z):
+        # oracle: sum_n P(n) z^n and sum_n n P(n) z^(n-1) to n = 200
+        p = SourceParams(lam=lam, pair_dist=dist)
+        pmf = [pair_count_distribution(p, n) for n in range(201)]
+        g = math.fsum(w * z**n for n, w in enumerate(pmf))
+        dg = math.fsum(n * w * z ** (n - 1) for n, w in enumerate(pmf) if n)
+        assert pair_generating_function(p, z) == pytest.approx(g, abs=1e-14)
+        assert pair_generating_derivative(p, z) == pytest.approx(dg, abs=1e-14)
 
 
 class TestConditionalMultiphoton:

@@ -32,6 +32,31 @@ def scheme(n, **kw):
     return SchemeConfig(n_bins=n, **kw)
 
 
+#: Closed form against Monte Carlo: both pair distributions under both
+#: detection protocols, thermal at pumping strong enough to tell the two
+#: distributions apart.
+ORACLE_CASES = [
+    (8, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.1,
+     PairDistribution.POISSON),
+    (16, Topology.SINGLE_DELAY_LINE, Detection.SINGLE_DETECTOR, 0.02,
+     PairDistribution.POISSON),
+    (31, Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY, 0.1,
+     PairDistribution.POISSON),
+    (8, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.3,
+     PairDistribution.THERMAL_APPROX),
+    (31, Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY, 0.5,
+     PairDistribution.THERMAL_APPROX),
+    (31, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 1.0,
+     PairDistribution.THERMAL_APPROX),
+]
+
+
+def _oracle_case_id(n, topology, detection, lam, dist):
+    # only non-default (thermal) cases name their distribution
+    base = f"{n}-{topology}-{detection}-{lam}"
+    return base if dist is PairDistribution.POISSON else f"{base}-{dist.value}"
+
+
 class TestRunFrame:
     def test_fixed_seed_replays_identical_record(self):
         a = run_frame(SourceParams(), scheme(16), 1234)
@@ -99,13 +124,12 @@ class TestEstimateEta:
             math.sqrt(r.eta_hat * (1 - r.eta_hat) / r.n_trials), rel=1e-12)
         assert r.rng_algorithm == RNG_ALGORITHM
 
-    @pytest.mark.parametrize("n,topology,detection,lam", [
-        (8, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.1),
-        (16, Topology.SINGLE_DELAY_LINE, Detection.SINGLE_DETECTOR, 0.02),
-        (31, Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY, 0.1),
-    ])
-    def test_matches_analytic_within_three_sigma(self, n, topology, detection, lam):
-        p = SourceParams.table_defaults(detection, lam=lam)
+    @pytest.mark.parametrize(
+        "n,topology,detection,lam,dist", ORACLE_CASES,
+        ids=[_oracle_case_id(*case) for case in ORACLE_CASES])
+    def test_matches_analytic_within_three_sigma(self, n, topology, detection,
+                                                 lam, dist):
+        p = SourceParams.table_defaults(detection, lam=lam, pair_dist=dist)
         s = scheme(n, topology=topology, detection=detection)
         analytic = total_efficiency(p, s).eta_total
         r = estimate_eta(p, s, 400_000, seed=n * 1000 + 17)
@@ -128,6 +152,15 @@ class TestEstimateEta:
         p = SourceParams(lam=0.1, pair_dist=PairDistribution.THERMAL_APPROX)
         r = estimate_eta(p, scheme(8), 200_000, seed=3)
         assert 0.0 < r.eta_hat < 1.0
+
+    def test_thermal_pair_table_truncation_is_bounded(self):
+        # beyond n = 200 the thermal tail holds 2e-13 of the mass at
+        # lam = 1.7 and 3.7e-4 at lam = 1.9
+        near = SourceParams(lam=1.7, pair_dist=PairDistribution.THERMAL_APPROX)
+        assert 0.0 < estimate_eta(near, scheme(8), 10_000, seed=4).eta_hat < 1.0
+        far = SourceParams(lam=1.9, pair_dist=PairDistribution.THERMAL_APPROX)
+        with pytest.raises(DomainError, match=r"lam = 1\.9: .* drop 0\.000368"):
+            estimate_eta(far, scheme(8), 10_000, seed=4)
 
     def test_per_bin_histogram_matches_analytic_shape(self):
         scipy_stats = pytest.importorskip("scipy.stats")
