@@ -46,17 +46,15 @@ _SCHEME_KEYS = {
     "allow_mismatched_selection": ("allow_mismatched_selection", bool),
 }
 
-#: Parameters accepted by sweep specifications, mapped to their target.
-SWEEPABLE = {
-    "n_bins": "scheme",
-    "lambda": "params",
-    "eta_f": "params",
-    "eta_c": "params",
-    "eta_sw": "params",
-    "eta_det": "params",
-    "eta_conv": "params",
-    "alpha_inc": "params",
-}
+#: Configuration keys accepted by sweep specifications.
+SWEEPABLE = frozenset({"n_bins", "lambda", "eta_f", "eta_c", "eta_sw",
+                       "eta_det", "eta_conv", "alpha_inc"})
+
+#: Largest multiplexing depth of every default N range.
+N_MAX = 128
+
+#: Most points one sweep may hold; a grid is counted before it is built.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _parse_bool(text: str) -> bool:
@@ -118,12 +116,65 @@ def parse_config(text: str) -> tuple[SourceParams, SchemeConfig]:
     return params, scheme
 
 
-def load_config(path) -> tuple[SourceParams, SchemeConfig]:
+def load_config(path=None) -> tuple[SourceParams, SchemeConfig]:
+    """Parse the configuration file at ``path``; no path gives the defaults."""
+    if path is None:
+        return parse_config("")
     try:
         with open(path) as fh:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _sweep_key(parameter: str) -> tuple:
+    """(field name, type) of a sweepable configuration key."""
+    if parameter not in SWEEPABLE:
+        raise ConfigError(
+            f"unknown sweep parameter {parameter!r}; "
+            f"choose one of {sorted(SWEEPABLE)}")
+    return _SCHEME_KEYS.get(parameter) or _PARAM_KEYS[parameter]
+
+
+def sweep_values(parameter: str, values: str | None = None,
+                 lo: float | None = None, hi: float | None = None,
+                 step: float | None = None) -> tuple:
+    """Sweep points from ``values`` (comma-separated, each item parsed like
+    the key's config line) or from the grid ``round(lo + k*step, 12)``,
+    k = 0..floor((hi - lo + 1e-12)/step); an ``n_bins`` grid is integral and
+    defaults to 1..N_MAX step 1.  Bad input raises ConfigError, as does a
+    sweep of more than MAX_SWEEP_POINTS points.
+    """
+    _, kind = _sweep_key(parameter)
+    if values is not None:
+        if (lo, hi, step) != (None, None, None):
+            raise ConfigError("give either --values or --min/--max/--step, "
+                              "not both")
+        items = values.split(",")
+        if len(items) > MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep has {len(items)} values; "
+                              f"the limit is {MAX_SWEEP_POINTS}")
+        return tuple(_parse_value(parameter, item, kind) for item in items)
+    if kind is int:
+        lo = 1 if lo is None else lo
+        hi = N_MAX if hi is None else hi
+        step = 1 if step is None else step
+    elif None in (lo, hi, step):
+        raise ConfigError("numeric sweeps need --min, --max and --step "
+                          "(or --values)")
+    grid = f"min={lo!r} max={hi!r} step={step!r}"
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0:
+        raise ConfigError(f"sweep grid needs finite bounds and a step > 0, "
+                          f"got {grid}")
+    if kind is int and not all(float(v).is_integer() for v in (lo, hi, step)):
+        raise ConfigError(f"{parameter} grid needs integral bounds and step, "
+                          f"got {grid}")
+    last = (hi - lo + 1e-12) / step
+    if last >= MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep grid {grid} holds more than "
+                          f"{MAX_SWEEP_POINTS} points")
+    ks = range(math.floor(last) + 1) if last >= 0 else ()
+    return tuple(kind(round(lo + k * step, 12)) for k in ks)
 
 
 @dataclass(frozen=True)
@@ -136,10 +187,7 @@ class SweepSpec:
     scheme: SchemeConfig
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ConfigError(
-                f"unknown sweep parameter {self.parameter!r}; "
-                f"choose one of {sorted(SWEEPABLE)}")
+        _sweep_key(self.parameter)
         if not self.values:
             raise ConfigError("sweep needs at least one value")
 
@@ -158,12 +206,11 @@ class EfficiencyCurve:
 
 
 def _apply_sweep_value(spec: SweepSpec, value):
-    target = SWEEPABLE[spec.parameter]
-    field_name = "lam" if spec.parameter == "lambda" else spec.parameter
+    field_name, _ = _sweep_key(spec.parameter)
     try:
-        if target == "params":
-            return replace(spec.params, **{field_name: value}), spec.scheme
-        return spec.params, replace(spec.scheme, **{field_name: value})
+        if spec.parameter in _SCHEME_KEYS:
+            return spec.params, replace(spec.scheme, **{field_name: value})
+        return replace(spec.params, **{field_name: value}), spec.scheme
     except DomainError as exc:
         raise ConfigError(
             f"sweep value {value!r} out of domain for {spec.parameter!r}: {exc}"
@@ -188,7 +235,7 @@ def sweep(spec: SweepSpec, *, include_filter_in_d0: bool = True,
 
 
 def optimize_bins(params: SourceParams, scheme: SchemeConfig,
-                  n_min: int = 1, n_max: int = 128, *,
+                  n_min: int = 1, n_max: int = N_MAX, *,
                   include_filter_in_d0: bool = True,
                   literal_exponent: bool = False) -> EfficiencyCurve:
     """Sweep the multiplexing depth and report the maximizing N."""
@@ -197,11 +244,16 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
                  literal_exponent=literal_exponent)
 
 
+#: Topology on which ``protocol_gap`` compares the protocols, each at its
+#: ``PROTOCOL_ETA_DET``; the configured topology and ``eta_det`` are unused.
+CROSSING_TOPOLOGY = Topology.BINARY_DELAY
+
+
 def _protocol_max(params: SourceParams, eta_sw: float, detection: Detection,
                   n_max: int, include_filter_in_d0: bool,
                   literal_exponent: bool) -> float:
     swept = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
-    scheme = SchemeConfig(n_bins=1, topology=Topology.BINARY_DELAY,
+    scheme = SchemeConfig(n_bins=1, topology=CROSSING_TOPOLOGY,
                           detection=detection)
     curve = optimize_bins(swept, scheme, 1, n_max,
                           include_filter_in_d0=include_filter_in_d0,
@@ -209,7 +261,7 @@ def _protocol_max(params: SourceParams, eta_sw: float, detection: Detection,
     return curve.eta_max
 
 
-def protocol_gap(params: SourceParams, eta_sw: float, *, n_max: int = 128,
+def protocol_gap(params: SourceParams, eta_sw: float, *, n_max: int = N_MAX,
                  include_filter_in_d0: bool = True,
                  literal_exponent: bool = False) -> float:
     """Best single-detector efficiency minus best detector-array efficiency
@@ -221,11 +273,17 @@ def protocol_gap(params: SourceParams, eta_sw: float, *, n_max: int = 128,
 
 
 def find_crossing(params: SourceParams, lo: float, hi: float,
-                  tol: float = 1e-3, *, n_max: int = 128,
+                  tol: float = 1e-3, *, n_max: int = N_MAX,
                   include_filter_in_d0: bool = True,
                   literal_exponent: bool = False) -> float:
     """Switch transmission at which the two detection protocols reach the
-    same maximum efficiency, by bisection on the protocol gap."""
+    same maximum efficiency, by bisection on the protocol gap.
+
+    Bisection stops once the bracket is narrower than ``tol`` or its ends
+    are adjacent floats, so any finite ``tol`` > 0 ends.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if not lo <= hi:
         raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
     flags = dict(n_max=n_max, include_filter_in_d0=include_filter_in_d0,
@@ -242,6 +300,8 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
             f"gap {g_lo:+.4f} -> {g_hi:+.4f}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         g_mid = protocol_gap(params, mid, **flags)
         if g_mid == 0.0:
             return mid
@@ -254,7 +314,7 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
 
 # --- reference data emission --------------------------------------------------
 
-FIG3_N_RANGE = range(1, 129)
+FIG3_N_RANGE = range(1, N_MAX + 1)
 FIG3C_LAMBDAS = (0.02, 0.06, 0.10)
 _FIG3AB_COLUMNS = ("N", "eta_binary_single", "eta_binary_array",
                    "eta_singleline_single", "eta_singleline_array")
@@ -303,7 +363,8 @@ def _fig3c_rows(params: SourceParams, literal_exponent: bool):
         yield row
 
 
-def _write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write CSV (ints as is, other cells as float reprs) or raise ConfigError."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
@@ -336,16 +397,16 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
 
     for name, eta_sw in (("fig3a.csv", 0.87), ("fig3b.csv", 0.98)):
         path = os.path.join(out_dir, name)
-        _write_csv(path, _FIG3AB_COLUMNS,
-                   _fig3ab_rows(params, eta_sw,
-                                include_filter_in_d0=include_filter_in_d0,
-                                literal_exponent=literal_exponent))
+        write_csv(path, _FIG3AB_COLUMNS,
+                  _fig3ab_rows(params, eta_sw,
+                               include_filter_in_d0=include_filter_in_d0,
+                               literal_exponent=literal_exponent))
         written.append(path)
 
     path = os.path.join(out_dir, "fig3c.csv")
     header = ["N"] + [f"avglin_lambda{lam:g}" for lam in FIG3C_LAMBDAS]
     header.append("avglin_control")
-    _write_csv(path, header, _fig3c_rows(params, literal_exponent))
+    write_csv(path, header, _fig3c_rows(params, literal_exponent))
     written.append(path)
 
     meta = {

@@ -12,6 +12,8 @@ import sys
 
 from . import __version__, bell
 from .app import (
+    CROSSING_TOPOLOGY,
+    N_MAX,
     ConfigError,
     SweepSpec,
     emit_fig3,
@@ -19,9 +21,11 @@ from .app import (
     load_config,
     optimize_bins,
     sweep,
+    sweep_values,
+    write_csv,
 )
 from .efficiency import detection_efficiency, generation_rate, total_efficiency
-from .model import DomainError, SchemeConfig, SourceParams
+from .model import PROTOCOL_ETA_DET, DomainError
 from .montecarlo import estimate_eta
 
 EXIT_OK = 0
@@ -42,12 +46,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                              "the per-bin no-herald probability")
 
 
-def _load(args) -> tuple[SourceParams, SchemeConfig]:
-    if args.config:
-        return load_config(args.config)
-    return SourceParams(), SchemeConfig(n_bins=31)
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -64,7 +62,7 @@ def _model_flags(args) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    params, scheme = _load(args)
+    params, scheme = load_config(args.config)
     breakdown = total_efficiency(params, scheme, **_model_flags(args))
     eta_d = detection_efficiency(params, scheme)
     rate = generation_rate(params, scheme)
@@ -91,32 +89,11 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep_values(args) -> tuple:
-    if args.values:
-        out = []
-        for chunk in args.values.split(","):
-            text = chunk.strip()
-            out.append(int(text) if args.param == "n_bins" else float(text))
-        return tuple(out)
-    if args.param == "n_bins":
-        lo = int(args.min if args.min is not None else 1)
-        hi = int(args.max if args.max is not None else 128)
-        step = int(args.step or 1)
-        return tuple(range(lo, hi + 1, step))
-    if args.min is None or args.max is None or args.step is None:
-        raise ConfigError("numeric sweeps need --min, --max and --step "
-                          "(or --values)")
-    values = []
-    x = float(args.min)
-    while x <= float(args.max) + 1e-12:
-        values.append(round(x, 12))
-        x += float(args.step)
-    return tuple(values)
-
-
 def _cmd_sweep(args) -> int:
-    params, scheme = _load(args)
-    spec = SweepSpec(args.param, _parse_sweep_values(args), params, scheme)
+    params, scheme = load_config(args.config)
+    values = sweep_values(args.param, args.values, args.min, args.max,
+                          args.step)
+    spec = SweepSpec(args.param, values, params, scheme)
     curve = sweep(spec, **_model_flags(args))
     payload = {
         "parameter": args.param,
@@ -129,17 +106,14 @@ def _cmd_sweep(args) -> int:
     lines += [f"{x}\t{y:.6f}" for x, y in curve.points]
     lines.append(f"# maximum eta={curve.eta_max:.6f} at {args.param}={curve.best_x}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(f"{args.param},eta\n")
-            for x, y in curve.points:
-                fh.write(f"{x},{float(y)!r}\n")
+        write_csv(args.out, (args.param, "eta"), curve.points)
         lines.append(f"# wrote {args.out}")
     _emit(args, payload, lines)
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
-    params, scheme = _load(args)
+    params, scheme = load_config(args.config)
     curve = optimize_bins(params, scheme, args.n_min, args.n_max,
                           **_model_flags(args))
     payload = {"label": curve.label, "best_n": curve.best_x,
@@ -153,16 +127,23 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_crossing(args) -> int:
-    params, _ = _load(args)
+    params, _ = load_config(args.config)
     value = find_crossing(params, args.lo, args.hi, args.tol,
                           **_model_flags(args))
-    _emit(args, {"crossing_eta_sw": value, "lo": args.lo, "hi": args.hi},
-          [f"protocol crossing at eta_sw = {value:.4f}"])
+    eta_det = {d.value: v for d, v in PROTOCOL_ETA_DET.items()}
+    payload = {"crossing_eta_sw": value, "lo": args.lo, "hi": args.hi,
+               "topology": CROSSING_TOPOLOGY.value, "eta_det": eta_det}
+    _emit(args, payload, [
+        f"protocol crossing at eta_sw = {value:.4f}",
+        f"compared on the {CROSSING_TOPOLOGY.value} topology with eta_det "
+        + ", ".join(f"{d}={v}" for d, v in eta_det.items())
+        + " (the configured topology and eta_det are not used)",
+    ])
     return EXIT_OK
 
 
 def _cmd_mc(args) -> int:
-    params, scheme = _load(args)
+    params, scheme = load_config(args.config)
     flags = _model_flags(args)
     result = estimate_eta(params, scheme, args.trials, args.seed,
                           workers=args.workers, **flags)
@@ -225,7 +206,7 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
-    params, _ = _load(args)
+    params, _ = load_config(args.config)
     written = emit_fig3(args.out, params, seed=args.seed,
                         **_model_flags(args))
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
@@ -256,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize efficiency over N")
     _common_flags(p)
     p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=128)
+    p.add_argument("--n-max", type=int, default=N_MAX)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("crossing",

@@ -229,6 +229,8 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
     """
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     sizes = [_CHUNK_TRIALS] * (n_trials // _CHUNK_TRIALS)
     if n_trials % _CHUNK_TRIALS:
         sizes.append(n_trials % _CHUNK_TRIALS)

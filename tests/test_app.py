@@ -1,9 +1,12 @@
 import json
 import math
+import random
 
 import pytest
 
 from photonmux.app import (
+    MAX_SWEEP_POINTS,
+    N_MAX,
     ConfigError,
     SweepSpec,
     emit_fig3,
@@ -13,7 +16,10 @@ from photonmux.app import (
     parse_config,
     protocol_gap,
     sweep,
+    sweep_values,
+    write_csv,
 )
+from photonmux.efficiency import total_efficiency
 from photonmux.model import (
     Detection,
     DomainError,
@@ -96,6 +102,14 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(spec)
 
+    def test_lambda_sweeps_the_pumping_strength(self):
+        spec = SweepSpec("lambda", (0.05, 0.2), SourceParams(),
+                         SchemeConfig(n_bins=16))
+        want = [total_efficiency(SourceParams(lam=lam),
+                                 SchemeConfig(n_bins=16)).eta_total
+                for lam in (0.05, 0.2)]
+        assert [eta for _, eta in sweep(spec).points] == want
+
     def test_sweeping_other_parameters(self):
         spec = SweepSpec("eta_sw", (0.8, 0.9, 0.99), SourceParams(),
                          SchemeConfig(n_bins=16))
@@ -103,6 +117,85 @@ class TestSweep:
         etas = [eta for _, eta in curve.points]
         assert etas == sorted(etas)
         assert curve.best_x == 0.99
+
+
+def _accumulated_grid(lo, hi, step):
+    """Reference grid: the running sum that sweep grids were first built
+    with (it ends only for a step well above the float spacing)."""
+    values = []
+    x = lo
+    while x <= hi + 1e-12:
+        values.append(round(x, 12))
+        x += step
+    return tuple(values)
+
+
+class TestSweepValues:
+    def test_values_take_the_key_type(self):
+        assert sweep_values("n_bins", "8, 16,31") == (8, 16, 31)
+        assert sweep_values("lambda", "0.1,1e-2") == (0.1, 0.01)
+
+    @pytest.mark.parametrize("key,values,bad", [
+        ("n_bins", "1,x", "x"), ("n_bins", "8,,16", ""),
+        ("n_bins", "8.0", "8.0"), ("lambda", "0.1,0.1.1", "0.1.1")])
+    def test_bad_item_gets_the_config_file_message(self, key, values, bad):
+        with pytest.raises(ConfigError) as from_config:
+            parse_config(f"{key} = {bad}")
+        with pytest.raises(ConfigError) as from_sweep:
+            sweep_values(key, values)
+        assert str(from_sweep.value) == str(from_config.value)
+
+    def test_n_bins_grid_defaults(self):
+        values = sweep_values("n_bins")
+        assert values == tuple(range(1, N_MAX + 1))
+        assert all(type(n) is int for n in values)
+        assert sweep_values("n_bins", lo=4.0, hi=20.0, step=8.0) == (4, 12, 20)
+
+    def test_grid_matches_the_accumulated_reference(self):
+        rng = random.Random(2024)
+        grids = [(0.85, 0.99, 0.01), (0.01, 0.2, 0.0125), (0.5, 0.4, 0.1)]
+        for _ in range(500):
+            lo = round(rng.uniform(0.0, 1.0), rng.choice((2, 3)))
+            hi = round(rng.uniform(lo, 1.0), rng.choice((2, 3)))
+            grids.append((lo, hi, round(rng.uniform(0.001, 0.2), 4)))
+        for lo, hi, step in grids:
+            assert sweep_values("eta_sw", lo=lo, hi=hi,
+                                step=step) == _accumulated_grid(lo, hi, step)
+
+    @pytest.mark.parametrize("key,lo,hi,step,match", [
+        ("eta_sw", 0.5, 0.6, 0.0, "step > 0"),
+        ("eta_sw", 0.5, 0.6, -0.1, "step > 0"),
+        ("eta_sw", 0.5, 0.6, math.nan, "step > 0"),
+        ("eta_sw", 0.5, math.inf, 0.1, "finite bounds"),
+        ("eta_sw", 0.5, None, 0.1, "need --min, --max and --step"),
+        ("n_bins", None, None, 0.0, "step > 0"),
+        ("n_bins", None, None, 0.5, "integral"),
+        ("n_bins", 1.5, None, None, "integral"),
+    ])
+    def test_bad_grid_rejected(self, key, lo, hi, step, match):
+        with pytest.raises(ConfigError, match=match):
+            sweep_values(key, lo=lo, hi=hi, step=step)
+
+    def test_point_cap(self):
+        # Grids far over the cap run in a subprocess (test_cli.TestEndsInTime),
+        # where a missing cap fails on a timeout instead of filling memory.
+        assert len(sweep_values("n_bins", hi=float(MAX_SWEEP_POINTS))) \
+            == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match="limit"):
+            sweep_values("eta_sw", ",".join(["0.5"] * (MAX_SWEEP_POINTS + 1)))
+
+    def test_values_and_grid_are_exclusive(self):
+        with pytest.raises(ConfigError, match="not both"):
+            sweep_values("n_bins", "8,16", lo=1.0)
+
+    def test_unknown_parameter(self):
+        with pytest.raises(ConfigError, match="period"):
+            sweep_values("period", "1")
+
+
+def test_write_csv_turns_os_errors_into_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="cannot write"):
+        write_csv(tmp_path / "absent" / "x.csv", ("n_bins", "eta"), [(1, 0.5)])
 
 
 class TestCrossing:
@@ -113,6 +206,11 @@ class TestCrossing:
     def test_degenerate_bracket_is_error(self):
         with pytest.raises(DomainError):
             find_crossing(SourceParams(), 0.9, 0.9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite"):
+            find_crossing(SourceParams(), 0.85, 0.99, tol)
 
     def test_gap_is_monotone_decreasing_on_bracket(self):
         params = SourceParams()

@@ -113,6 +113,12 @@ class TestEstimateEta:
         c = estimate_eta(p, s, 300_000, seed=5, workers=3)
         assert a == b == c
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            estimate_eta(SourceParams(), scheme(8), 10_000, seed=1,
+                         workers=workers)
+
     def test_no_pumping_estimates_zero(self):
         r = estimate_eta(SourceParams(lam=0.0), scheme(8), 10_000, seed=1)
         assert r.eta_hat == 0.0
