@@ -24,11 +24,21 @@ from .efficiency import (  # noqa: F401
     generation_rate,
     total_efficiency,
 )
-from .montecarlo import (  # noqa: F401
-    EstimatorResult,
-    Outcome,
-    TrialRecord,
-    estimate_avg_lin,
-    estimate_eta,
-    run_frame,
-)
+
+#: Names re-exported from :mod:`photonmux.montecarlo`.  They resolve on first
+#: access, so importing the package does not load numpy.
+_MONTECARLO_NAMES = frozenset({
+    "EstimatorResult",
+    "Outcome",
+    "TrialRecord",
+    "estimate_avg_lin",
+    "estimate_eta",
+    "run_frame",
+})
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

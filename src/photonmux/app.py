@@ -10,7 +10,9 @@ from . import __version__
 from .efficiency import (avg_linear_transmission, delay_transmission,
                          total_efficiency)
 from .model import (
+    MAX_BINS,
     PROTOCOL_ETA_DET,
+    RNG_ALGORITHM,
     Detection,
     DomainError,
     PairDistribution,
@@ -19,7 +21,6 @@ from .model import (
     SourceParams,
     Topology,
 )
-from .montecarlo import RNG_ALGORITHM
 
 
 class ConfigError(Exception):
@@ -179,7 +180,11 @@ def sweep_values(parameter: str, values: str | None = None,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter sweep around a fixed baseline."""
+    """One-parameter sweep around a fixed baseline.
+
+    An ``n_bins`` value over MAX_BINS raises DomainError here, before any
+    point is evaluated.
+    """
 
     parameter: str
     values: tuple
@@ -190,6 +195,9 @@ class SweepSpec:
         _sweep_key(self.parameter)
         if not self.values:
             raise ConfigError("sweep needs at least one value")
+        if self.parameter == "n_bins" and max(self.values) > MAX_BINS:
+            raise DomainError(f"n_bins must be <= {MAX_BINS}, "
+                              f"got sweep value {max(self.values)}")
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,9 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
                   include_filter_in_d0: bool = True,
                   literal_exponent: bool = False) -> EfficiencyCurve:
     """Sweep the multiplexing depth and report the maximizing N."""
+    if n_min < 1 or n_max > MAX_BINS:
+        raise DomainError(f"need 1 <= n_min and n_max <= {MAX_BINS}, "
+                          f"got n_min={n_min}, n_max={n_max}")
     spec = SweepSpec("n_bins", tuple(range(n_min, n_max + 1)), params, scheme)
     return sweep(spec, include_filter_in_d0=include_filter_in_d0,
                  literal_exponent=literal_exponent)

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .model import DomainError
 
 H, V = 0, 1
@@ -44,19 +42,26 @@ def mode_index(port: int, pol: int) -> int:
 class CircuitElement:
     """A linear-optics element: a unitary acting on a few modes.
 
-    ``matrix[i, j]`` is the amplitude with which input mode ``modes[j]``
+    ``matrix[i][j]`` is the amplitude with which input mode ``modes[j]``
     feeds output mode ``modes[i]`` (as a map on creation operators).
     """
 
     def __init__(self, label: str, modes: tuple[int, ...], matrix) -> None:
         self.label = label
         self.modes = tuple(modes)
-        self.matrix = np.asarray(matrix, dtype=complex)
         k = len(self.modes)
-        if self.matrix.shape != (k, k):
-            raise ValueError(f"{label}: matrix shape {self.matrix.shape} "
-                             f"does not match {k} modes")
-        deviation = np.abs(self.matrix.conj().T @ self.matrix - np.eye(k)).max()
+        shape_error = f"{label}: matrix is not {k} rows of {k} numbers"
+        try:
+            self.matrix = tuple(tuple(complex(u) for u in row) for row in matrix)
+        except TypeError as exc:
+            raise ValueError(shape_error) from exc
+        if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
+            raise ValueError(shape_error)
+        # largest entry of U^dagger U - I
+        deviation = max(
+            (abs(sum(row[i].conjugate() * row[j] for row in self.matrix)
+                 - (i == j))
+             for i in range(k) for j in range(k)), default=0.0)
         if deviation > UNITARITY_TOL:
             raise ValueError(f"{label}: element is not unitary "
                              f"(deviation {deviation:.2e})")
@@ -144,14 +149,14 @@ class FockState:
         out: dict[tuple[int, ...], complex] = {}
         for occ, amp in self.amplitudes.items():
             inside = [occ[m] for m in element.modes]
-            # expand prod_j (sum_i U[i,j] a_i^dag)^(n_j) as monomials
+            # expand prod_j (sum_i U[i][j] a_i^dag)^(n_j) as monomials
             poly: dict[tuple[int, ...], complex] = {(0,) * k: 1.0 + 0j}
             for j, n_j in enumerate(inside):
                 for _ in range(n_j):
                     nxt: dict[tuple[int, ...], complex] = {}
                     for mono, coef in poly.items():
                         for i in range(k):
-                            u = U[i, j]
+                            u = U[i][j]
                             if u == 0:
                                 continue
                             key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]

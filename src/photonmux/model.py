@@ -18,6 +18,15 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: the closed forms need no truncation.
 MAX_PAIRS = 200
 
+#: Largest multiplexing depth a scheme may have.  One evaluation costs O(N)
+#: and an optimization over 1..N costs O(N^2), so this bounds every answer.
+MAX_BINS = 1024
+
+#: Bit-stream generator behind every simulation, recorded in output metadata
+#: so runs can be replayed: independent streams are spawned per chunk from a
+#: single master SeedSequence.
+RNG_ALGORITHM = "numpy-pcg64/seedsequence-spawn"
+
 
 class DomainError(ValueError):
     """A numeric argument lies outside the modeled domain."""
@@ -185,6 +194,9 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.n_bins < 1:
             raise DomainError(f"n_bins must be >= 1, got {self.n_bins}")
+        if self.n_bins > MAX_BINS:
+            raise DomainError(
+                f"n_bins must be <= {MAX_BINS}, got {self.n_bins}")
         canonical = CANONICAL_SELECTION[self.detection]
         if self.selection is None:
             object.__setattr__(self, "selection", canonical)

@@ -25,6 +25,7 @@ from . import efficiency
 from .control import HeraldFrame, select_first, select_last
 from .model import (
     MAX_PAIRS,
+    RNG_ALGORITHM,
     DomainError,
     PairDistribution,
     SchemeConfig,
@@ -33,11 +34,6 @@ from .model import (
     pair_count_distribution,
     pair_pmf_array,
 )
-
-#: Bit-stream generator behind every simulation, recorded in output metadata
-#: so runs can be replayed: independent streams are spawned per chunk from a
-#: single master SeedSequence.
-RNG_ALGORITHM = "numpy-pcg64/seedsequence-spawn"
 
 _CHUNK_TRIALS = 250_000
 

@@ -21,6 +21,7 @@ from photonmux.app import (
 )
 from photonmux.efficiency import total_efficiency
 from photonmux.model import (
+    MAX_BINS,
     Detection,
     DomainError,
     SchemeConfig,
@@ -191,6 +192,27 @@ class TestSweepValues:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError, match="period"):
             sweep_values("period", "1")
+
+
+class TestDepthCap:
+    """N over MAX_BINS is rejected before any point is evaluated."""
+
+    @pytest.mark.parametrize("n_min,n_max", [(1, 10**12), (1, MAX_BINS + 1),
+                                             (-10**12, 8), (0, 8)])
+    def test_optimize_rejects_the_range_before_building_it(self, n_min, n_max):
+        with pytest.raises(DomainError, match=f"n_max <= {MAX_BINS}"):
+            optimize_bins(SourceParams(), SchemeConfig(n_bins=1), n_min, n_max)
+
+    def test_n_bins_sweep_rejected_before_evaluation(self, monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr("photonmux.app.total_efficiency", evaluated)
+        for values in (sweep_values("n_bins", "8,2000"),
+                       sweep_values("n_bins", hi=float(MAX_BINS + 1))):
+            with pytest.raises(DomainError, match=f"<= {MAX_BINS}"):
+                sweep(SweepSpec("n_bins", values, SourceParams(),
+                                SchemeConfig(n_bins=1)))
 
 
 def test_write_csv_turns_os_errors_into_config_errors(tmp_path):

@@ -40,8 +40,18 @@ class TestCircuitElements:
         for elem in (polarization_rotator(0, 0.3),
                      polarizing_coupler(0, 1),
                      nonpolarizing_coupler(2, 3)):
-            U = elem.matrix
+            U = np.asarray(elem.matrix)
             assert np.abs(U.conj().T @ U - np.eye(len(elem.modes))).max() < 1e-12
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0], [0]],
+        [[1, 0]],
+        [1, 0],
+    ], ids=["too-large", "ragged", "too-few-rows", "flat"])
+    def test_wrong_shape_rejected_at_construction(self, matrix):
+        with pytest.raises(ValueError, match="2 rows of 2"):
+            CircuitElement("bad", (0, 1), matrix)
 
     def test_polarizing_coupler_transmits_horizontal(self):
         state = single_photon(0, H, 4).apply(polarizing_coupler(0, 1))

@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import photonmux
+import photonmux.cli
+import photonmux.montecarlo
 from photonmux.app import protocol_gap
-from photonmux.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, main
-from photonmux.model import SourceParams
+from photonmux.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, _z_score, main
+from photonmux.model import MAX_BINS, SourceParams
 
 
 def run_json(capsys, argv):
@@ -26,14 +28,20 @@ def assert_rejected(capsys, argv, code):
     assert len(captured.err.splitlines()) == 1
 
 
-def run_cli(*argv):
-    """``python -m photonmux.cli ARGV`` in a fresh interpreter; a run that
-    does not end within 60 s fails the test instead of hanging the suite."""
+def _fresh_python(*args):
+    """``python ARGS`` in a fresh interpreter that imports this photonmux; a
+    run that does not end within 60 s fails the test instead of hanging the
+    suite."""
     src = os.path.dirname(os.path.dirname(photonmux.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "photonmux.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_cli(*argv):
+    """``python -m photonmux.cli ARGV`` in a fresh interpreter."""
+    return _fresh_python("-m", "photonmux.cli", *argv)
 
 
 class TestEval:
@@ -188,6 +196,37 @@ class TestMonteCarlo:
         assert_rejected(capsys, ["mc", "--trials", "1000", "--workers",
                                  workers], EXIT_DOMAIN)
 
+    def test_z_score_uses_the_closed_form_spread(self, capsys):
+        # three trials see no success; std_err is 0 but the closed form's
+        # binomial spread is not, so the disagreement shows
+        code, payload = run_json(capsys, ["mc", "--json", "--trials", "3",
+                                          "--seed", "1"])
+        assert code == EXIT_OK
+        assert payload["eta_hat"] == 0.0 and payload["std_err"] == 0.0
+        eta = payload["analytic_eta"]
+        assert payload["z_score"] == pytest.approx(
+            -eta / math.sqrt(eta * (1 - eta) / 3))
+        assert payload["z_score"] == pytest.approx(-1.08, abs=0.01)
+
+    def test_z_score_without_spread(self):
+        assert _z_score(0.0, 0.0, 10) == 0.0
+        assert _z_score(1.0, 1.0, 10) == 0.0
+        assert _z_score(0.1, 0.0, 10) is None
+        assert _z_score(0.9, 1.0, 10) is None
+
+    def test_undefined_z_score_prints_null_and_n_a(self, capsys,
+                                                    monkeypatch):
+        class Exact:
+            eta_total = 1.0
+
+        monkeypatch.setattr(photonmux.cli, "total_efficiency",
+                            lambda *args, **kwargs: Exact)
+        code, payload = run_json(capsys, ["mc", "--json", "--trials", "100"])
+        assert code == EXIT_OK
+        assert payload["z_score"] is None
+        assert main(["mc", "--trials", "100"]) == EXIT_OK
+        assert "(z = n/a)" in capsys.readouterr().out
+
     def test_workers_do_not_change_result(self, capsys):
         base = ["mc", "--json", "--trials", "600000", "--seed", "3"]
         _, one = run_json(capsys, base + ["--workers", "1"])
@@ -245,3 +284,75 @@ class TestEndsInTime:
         neighbours = (protocol_gap(params, math.nextafter(x, toward))
                       for toward in (0.0, 1.0))
         assert any(gap * g <= 0 for g in neighbours)
+
+
+class TestDepthCap:
+    """Depths over MAX_BINS exit 3 at once instead of running for hours."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--n-max", "1000000000000"],
+        ["optimize", "--n-max", str(MAX_BINS + 1)],
+        ["optimize", "--n-min", "-1000000000000"],
+        ["sweep", "--param", "n_bins", "--values", "8,2000"],
+        ["sweep", "--param", "n_bins", "--min", "1",
+         "--max", str(MAX_BINS + 1)],
+    ], ids=["optimize-huge", "optimize-over-cap", "optimize-n-min-huge",
+            "sweep-values", "sweep-grid"])
+    def test_rejected_with_one_line(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert str(MAX_BINS) in proc.stderr
+
+    def test_config_n_bins_over_cap(self, tmp_path):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("n_bins = 100000\n")
+        proc = run_cli("eval", "--config", str(cfg))
+        assert proc.returncode == EXIT_DOMAIN
+        assert len(proc.stderr.splitlines()) == 1
+
+
+class TestColdStart:
+    """Only ``mc`` loads numpy; every other subcommand runs without it."""
+
+    def test_import_does_not_load_numpy(self):
+        proc = _fresh_python("-c", "import sys, photonmux.cli; "
+                                   "print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval"],
+        ["sweep", "--values", "8,16"],
+        ["optimize", "--n-max", "16"],
+        ["crossing", "--tol", "0.01"],
+        ["bell", "--eta", "0.59"],
+    ], ids=["eval", "sweep", "optimize", "crossing", "bell"])
+    def test_subcommand_does_not_load_numpy(self, argv):
+        script = ("import contextlib, io, sys\n"
+                  "from photonmux import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = cli.main({argv!r})\n"
+                  "print(code, 'numpy' in sys.modules)\n")
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{EXIT_OK} False"
+
+    def test_mc_loads_numpy(self):
+        proc = _fresh_python("-c", "import sys; from photonmux import cli; "
+                                   "cli.main(['mc', '--trials', '10']); "
+                                   "print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+
+    def test_monte_carlo_names_still_resolve(self):
+        from photonmux import estimate_eta
+
+        assert estimate_eta is photonmux.montecarlo.estimate_eta
+        assert photonmux.estimate_eta is photonmux.montecarlo.estimate_eta
+        assert photonmux.run_frame is photonmux.montecarlo.run_frame
+        assert photonmux.cli.estimate_eta is photonmux.montecarlo.estimate_eta
+        for module in (photonmux, photonmux.cli):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name

@@ -6,6 +6,7 @@ import pytest
 from photonmux.model import (
     ArrayGeometry,
     DEFAULT_ALPHA_INC,
+    MAX_BINS,
     Detection,
     DomainError,
     PairDistribution,
@@ -86,6 +87,11 @@ class TestSchemeConfig:
     def test_rejects_empty_frame(self):
         with pytest.raises(DomainError):
             SchemeConfig(n_bins=0)
+
+    def test_depth_is_capped(self):
+        assert SchemeConfig(n_bins=MAX_BINS).n_bins == MAX_BINS
+        with pytest.raises(DomainError, match=f"<= {MAX_BINS}"):
+            SchemeConfig(n_bins=MAX_BINS + 1)
 
     def test_array_geometry_path_counts_must_sum(self):
         with pytest.raises(DomainError):
