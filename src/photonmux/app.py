@@ -20,6 +20,7 @@ from .model import (
     Selection,
     SourceParams,
     Topology,
+    with_readings,
 )
 
 
@@ -225,16 +226,15 @@ def _apply_sweep_value(spec: SweepSpec, value):
         ) from exc
 
 
-def sweep(spec: SweepSpec, *, include_filter_in_d0: bool = True,
-          literal_exponent: bool = False) -> EfficiencyCurve:
+def sweep(spec: SweepSpec, *, include_filter_in_d0: bool | None = None,
+          literal_exponent: bool | None = None) -> EfficiencyCurve:
     """Evaluate the total efficiency at every sweep point."""
+    spec = replace(spec, params=with_readings(
+        spec.params, include_filter_in_d0, literal_exponent))
     points = []
     for value in spec.values:
         params, scheme = _apply_sweep_value(spec, value)
-        breakdown = total_efficiency(
-            params, scheme, include_filter_in_d0=include_filter_in_d0,
-            literal_exponent=literal_exponent)
-        points.append((value, breakdown.eta_total))
+        points.append((value, total_efficiency(params, scheme).eta_total))
     best_x, eta_max = max(points, key=lambda p: (p[1], -p[0]))
     label = (f"{spec.scheme.topology.value}/{spec.scheme.detection.value}"
              f"/{spec.scheme.selection.value}")
@@ -244,15 +244,15 @@ def sweep(spec: SweepSpec, *, include_filter_in_d0: bool = True,
 
 def optimize_bins(params: SourceParams, scheme: SchemeConfig,
                   n_min: int = 1, n_max: int = N_MAX, *,
-                  include_filter_in_d0: bool = True,
-                  literal_exponent: bool = False) -> EfficiencyCurve:
+                  include_filter_in_d0: bool | None = None,
+                  literal_exponent: bool | None = None) -> EfficiencyCurve:
     """Sweep the multiplexing depth and report the maximizing N."""
     if n_min < 1 or n_max > MAX_BINS:
         raise DomainError(f"need 1 <= n_min and n_max <= {MAX_BINS}, "
                           f"got n_min={n_min}, n_max={n_max}")
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
     spec = SweepSpec("n_bins", tuple(range(n_min, n_max + 1)), params, scheme)
-    return sweep(spec, include_filter_in_d0=include_filter_in_d0,
-                 literal_exponent=literal_exponent)
+    return sweep(spec)
 
 
 #: Topology on which ``protocol_gap`` compares the protocols, each at its
@@ -261,32 +261,27 @@ CROSSING_TOPOLOGY = Topology.BINARY_DELAY
 
 
 def _protocol_max(params: SourceParams, eta_sw: float, detection: Detection,
-                  n_max: int, include_filter_in_d0: bool,
-                  literal_exponent: bool) -> float:
+                  n_max: int) -> float:
     swept = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
     scheme = SchemeConfig(n_bins=1, topology=CROSSING_TOPOLOGY,
                           detection=detection)
-    curve = optimize_bins(swept, scheme, 1, n_max,
-                          include_filter_in_d0=include_filter_in_d0,
-                          literal_exponent=literal_exponent)
-    return curve.eta_max
+    return optimize_bins(swept, scheme, 1, n_max).eta_max
 
 
 def protocol_gap(params: SourceParams, eta_sw: float, *, n_max: int = N_MAX,
-                 include_filter_in_d0: bool = True,
-                 literal_exponent: bool = False) -> float:
+                 include_filter_in_d0: bool | None = None,
+                 literal_exponent: bool | None = None) -> float:
     """Best single-detector efficiency minus best detector-array efficiency
     at one switch transmission (both on the binary topology)."""
-    return (_protocol_max(params, eta_sw, Detection.SINGLE_DETECTOR,
-                          n_max, include_filter_in_d0, literal_exponent)
-            - _protocol_max(params, eta_sw, Detection.DETECTOR_ARRAY,
-                            n_max, include_filter_in_d0, literal_exponent))
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    return (_protocol_max(params, eta_sw, Detection.SINGLE_DETECTOR, n_max)
+            - _protocol_max(params, eta_sw, Detection.DETECTOR_ARRAY, n_max))
 
 
 def find_crossing(params: SourceParams, lo: float, hi: float,
                   tol: float = 1e-3, *, n_max: int = N_MAX,
-                  include_filter_in_d0: bool = True,
-                  literal_exponent: bool = False) -> float:
+                  include_filter_in_d0: bool | None = None,
+                  literal_exponent: bool | None = None) -> float:
     """Switch transmission at which the two detection protocols reach the
     same maximum efficiency, by bisection on the protocol gap.
 
@@ -297,10 +292,9 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if not lo <= hi:
         raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
-    flags = dict(n_max=n_max, include_filter_in_d0=include_filter_in_d0,
-                 literal_exponent=literal_exponent)
-    g_lo = protocol_gap(params, lo, **flags)
-    g_hi = protocol_gap(params, hi, **flags)
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    g_lo = protocol_gap(params, lo, n_max=n_max)
+    g_hi = protocol_gap(params, hi, n_max=n_max)
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -313,7 +307,7 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        g_mid = protocol_gap(params, mid, **flags)
+        g_mid = protocol_gap(params, mid, n_max=n_max)
         if g_mid == 0.0:
             return mid
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
@@ -331,9 +325,7 @@ _FIG3AB_COLUMNS = ("N", "eta_binary_single", "eta_binary_array",
                    "eta_singleline_single", "eta_singleline_array")
 
 
-def _fig3ab_rows(params: SourceParams, eta_sw: float, *,
-                 include_filter_in_d0: bool = True,
-                 literal_exponent: bool = False):
+def _fig3ab_rows(params: SourceParams, eta_sw: float):
     combos = (
         (Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR),
         (Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY),
@@ -347,15 +339,11 @@ def _fig3ab_rows(params: SourceParams, eta_sw: float, *,
                                    eta_det=PROTOCOL_ETA_DET[detection])
             scheme = SchemeConfig(n_bins=n, topology=topology,
                                   detection=detection)
-            breakdown = total_efficiency(
-                point_params, scheme,
-                include_filter_in_d0=include_filter_in_d0,
-                literal_exponent=literal_exponent)
-            row.append(breakdown.eta_total)
+            row.append(total_efficiency(point_params, scheme).eta_total)
         yield row
 
 
-def _fig3c_rows(params: SourceParams, literal_exponent: bool):
+def _fig3c_rows(params: SourceParams):
     for n in FIG3_N_RANGE:
         row = [n]
         for lam in FIG3C_LAMBDAS:
@@ -363,13 +351,10 @@ def _fig3c_rows(params: SourceParams, literal_exponent: bool):
                 row.append(float("nan"))
             else:
                 row.append(avg_linear_transmission(
-                    params, n, lam, Selection.LAST_PHOTON,
-                    literal_exponent=literal_exponent))
+                    params, n, lam, Selection.LAST_PHOTON))
         # control: a single occupied bin, uniformly placed
         control = math.fsum(
-            delay_transmission(params.alpha_inc, n - i,
-                               literal_exponent=literal_exponent)
-            for i in range(1, n + 1)) / n
+            delay_transmission(params, n - i) for i in range(1, n + 1)) / n
         row.append(control)
         yield row
 
@@ -392,8 +377,8 @@ def _format_cell(value) -> str:
 
 
 def emit_fig3(out_dir, params: SourceParams | None = None, *,
-              include_filter_in_d0: bool = True, literal_exponent: bool = False,
-              seed=None) -> list[str]:
+              include_filter_in_d0: bool | None = None,
+              literal_exponent: bool | None = None, seed=None) -> list[str]:
     """Write the three reference-curve CSV files plus a metadata sidecar.
 
     fig3a/fig3b: efficiency versus N for every topology and protocol at
@@ -402,30 +387,28 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
     against the single-photon control curve.  Output is byte-stable for a
     fixed configuration.
     """
-    params = params or SourceParams()
+    params = with_readings(params or SourceParams(), include_filter_in_d0,
+                           literal_exponent)
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     for name, eta_sw in (("fig3a.csv", 0.87), ("fig3b.csv", 0.98)):
         path = os.path.join(out_dir, name)
-        write_csv(path, _FIG3AB_COLUMNS,
-                  _fig3ab_rows(params, eta_sw,
-                               include_filter_in_d0=include_filter_in_d0,
-                               literal_exponent=literal_exponent))
+        write_csv(path, _FIG3AB_COLUMNS, _fig3ab_rows(params, eta_sw))
         written.append(path)
 
     path = os.path.join(out_dir, "fig3c.csv")
     header = ["N"] + [f"avglin_lambda{lam:g}" for lam in FIG3C_LAMBDAS]
     header.append("avglin_control")
-    write_csv(path, header, _fig3c_rows(params, literal_exponent))
+    write_csv(path, header, _fig3c_rows(params))
     written.append(path)
 
     meta = {
         "code_version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
         "seed": seed,
-        "include_filter_in_d0": include_filter_in_d0,
-        "literal_loss_exponent": literal_exponent,
+        "include_filter_in_d0": params.include_filter_in_d0,
+        "literal_loss_exponent": params.literal_exponent,
         "parameters": {
             "lambda": params.lam,
             "period": params.period,

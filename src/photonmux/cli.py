@@ -54,16 +54,16 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _model_flags(args) -> dict:
-    return {
-        "include_filter_in_d0": not args.d0_excludes_filter,
-        "literal_exponent": args.literal_loss_exponent,
-    }
+def _load(args):
+    """``load_config``, with the two model flags set on the params."""
+    params, scheme = load_config(args.config)
+    return params.with_(include_filter_in_d0=not args.d0_excludes_filter,
+                        literal_exponent=args.literal_loss_exponent), scheme
 
 
 def _cmd_eval(args) -> int:
-    params, scheme = load_config(args.config)
-    breakdown = total_efficiency(params, scheme, **_model_flags(args))
+    params, scheme = _load(args)
+    breakdown = total_efficiency(params, scheme)
     eta_d = detection_efficiency(params, scheme)
     rate = generation_rate(params, scheme)
     payload = {
@@ -90,11 +90,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    params, scheme = load_config(args.config)
+    params, scheme = _load(args)
     values = sweep_values(args.param, args.values, args.min, args.max,
                           args.step)
     spec = SweepSpec(args.param, values, params, scheme)
-    curve = sweep(spec, **_model_flags(args))
+    curve = sweep(spec)
     payload = {
         "parameter": args.param,
         "label": curve.label,
@@ -113,9 +113,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    params, scheme = load_config(args.config)
-    curve = optimize_bins(params, scheme, args.n_min, args.n_max,
-                          **_model_flags(args))
+    params, scheme = _load(args)
+    curve = optimize_bins(params, scheme, args.n_min, args.n_max)
     payload = {"label": curve.label, "best_n": curve.best_x,
                "eta_max": curve.eta_max}
     _emit(args, payload, [
@@ -127,9 +126,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_crossing(args) -> int:
-    params, _ = load_config(args.config)
-    value = find_crossing(params, args.lo, args.hi, args.tol,
-                          **_model_flags(args))
+    params, _ = _load(args)
+    value = find_crossing(params, args.lo, args.hi, args.tol)
     eta_det = {d.value: v for d, v in PROTOCOL_ETA_DET.items()}
     payload = {"crossing_eta_sw": value, "lo": args.lo, "hi": args.hi,
                "topology": CROSSING_TOPOLOGY.value, "eta_det": eta_det}
@@ -155,11 +153,10 @@ def _z_score(eta_hat: float, eta: float, n_trials: int) -> float | None:
 def _cmd_mc(args) -> int:
     from . import montecarlo  # loads numpy, which no other subcommand needs
 
-    params, scheme = load_config(args.config)
-    flags = _model_flags(args)
+    params, scheme = _load(args)
     result = montecarlo.estimate_eta(params, scheme, args.trials, args.seed,
-                                     workers=args.workers, **flags)
-    analytic = total_efficiency(params, scheme, **flags).eta_total
+                                     workers=args.workers)
+    analytic = total_efficiency(params, scheme).eta_total
     z = _z_score(result.eta_hat, analytic, result.n_trials)
     payload = {
         "eta_hat": result.eta_hat,
@@ -220,9 +217,8 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
-    params, _ = load_config(args.config)
-    written = emit_fig3(args.out, params, seed=args.seed,
-                        **_model_flags(args))
+    params, _ = _load(args)
+    written = emit_fig3(args.out, params, seed=args.seed)
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
     return EXIT_OK
 

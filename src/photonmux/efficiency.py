@@ -30,6 +30,7 @@ from .model import (
     Topology,
     pair_generating_derivative,
     pair_generating_function,
+    with_readings,
 )
 
 
@@ -60,19 +61,18 @@ def detection_efficiency(params: SourceParams, scheme: SchemeConfig) -> float:
     return base * routing * params.eta_c**2 * g.blanking
 
 
-def no_herald_probability(params: SourceParams, eta_d: float, *,
-                          include_filter: bool = True) -> float:
+def no_herald_probability(params: SourceParams, eta_d: float) -> float:
     """Per-bin probability D0 that the heralding detector stays quiet.
 
     Every pair of the bin must escape detection: G(1 - eta_d).
-    ``include_filter`` keeps the filtering-efficiency prefactor of the printed
-    model; disabling it gives the bare no-detection probability (see the flag
-    discussion in the package README).
+    ``params.include_filter_in_d0`` keeps the filtering-efficiency prefactor
+    of the printed model; without it D0 is the bare no-detection probability
+    (see the flag discussion in the package README).
     """
     if not 0.0 <= eta_d <= 1.0:
         raise DomainError(f"eta_d must be in [0, 1], got {eta_d}")
     value = pair_generating_function(params, 1.0 - eta_d)
-    return params.eta_f * value if include_filter else value
+    return params.eta_f * value if params.include_filter_in_d0 else value
 
 
 def switch_passes(scheme: SchemeConfig, r: int) -> int:
@@ -82,20 +82,19 @@ def switch_passes(scheme: SchemeConfig, r: int) -> int:
     return scheme.n_bins - r
 
 
-def delay_transmission(alpha_inc: float, delay_bins: int, *,
-                       literal_exponent: bool = False) -> float:
+def delay_transmission(params: SourceParams, delay_bins: int) -> float:
     """Transmission over ``delay_bins`` bins of delay at alpha_inc dB per bin,
-    10^(-alpha_inc * delay_bins / 10); ``literal_exponent`` drops the /10 and
-    reads alpha_inc as a bare decadic exponent per bin (a deliberately
+    10^(-alpha_inc * delay_bins / 10); ``params.literal_exponent`` drops the
+    /10 and reads alpha_inc as a bare decadic exponent per bin (a deliberately
     non-default reading, kept for comparison)."""
-    exponent = -alpha_inc * delay_bins
-    if not literal_exponent:
+    exponent = -params.alpha_inc * delay_bins
+    if not params.literal_exponent:
         exponent /= 10.0
     return 10.0 ** exponent
 
 
-def pic_transmission(params: SourceParams, scheme: SchemeConfig, r: int, *,
-                     literal_exponent: bool = False) -> float:
+def pic_transmission(params: SourceParams, scheme: SchemeConfig,
+                     r: int) -> float:
     """End-to-end on-chip transmission for a photon heralded in bin r.
 
     Binary topology: the switch count is fixed at floor(log2 N) + 1 for every
@@ -108,17 +107,14 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig, r: int, *,
         raise DomainError(f"bin index must be in [1, {n}], got {r}")
     return (params.eta_f * params.eta_c
             * params.eta_sw ** switch_passes(scheme, r)
-            * delay_transmission(params.alpha_inc, n - r,
-                                 literal_exponent=literal_exponent))
+            * delay_transmission(params, n - r))
 
 
-def bin_success(params: SourceParams, scheme: SchemeConfig, r: int, *,
-                include_filter_in_d0: bool = True,
-                literal_exponent: bool = False) -> float:
+def bin_success(params: SourceParams, scheme: SchemeConfig, r: int) -> float:
     """B(r): probability that the frame's output photon comes from bin r."""
     eta_d = detection_efficiency(params, scheme)
-    d0_val = no_herald_probability(params, eta_d, include_filter=include_filter_in_d0)
-    pic = pic_transmission(params, scheme, r, literal_exponent=literal_exponent)
+    d0_val = no_herald_probability(params, eta_d)
+    pic = pic_transmission(params, scheme, r)
     return _bin_success_from_parts(params, scheme, r, d0_val, eta_d, pic)
 
 
@@ -138,14 +134,15 @@ def _bin_success_from_parts(params: SourceParams, scheme: SchemeConfig, r: int,
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
-                     include_filter_in_d0: bool = True,
-                     literal_exponent: bool = False) -> EfficiencyBreakdown:
+                     include_filter_in_d0: bool | None = None,
+                     literal_exponent: bool | None = None
+                     ) -> EfficiencyBreakdown:
     """Generation efficiency eta with its full per-bin decomposition."""
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
     eta_d = detection_efficiency(params, scheme)
-    d0_val = no_herald_probability(params, eta_d, include_filter=include_filter_in_d0)
-    pic = tuple(
-        pic_transmission(params, scheme, r, literal_exponent=literal_exponent)
-        for r in range(1, scheme.n_bins + 1))
+    d0_val = no_herald_probability(params, eta_d)
+    pic = tuple(pic_transmission(params, scheme, r)
+                for r in range(1, scheme.n_bins + 1))
     per_bin = tuple(
         _bin_success_from_parts(params, scheme, r, d0_val, eta_d, pic[r - 1])
         for r in range(1, scheme.n_bins + 1))
@@ -183,8 +180,8 @@ def first_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
 
 def avg_linear_transmission(params: SourceParams, n_bins: int,
                             lam: float | None = None,
-                            selection: Selection = Selection.LAST_PHOTON, *,
-                            literal_exponent: bool = False) -> float:
+                            selection: Selection = Selection.LAST_PHOTON
+                            ) -> float:
     """Expected delay-line transmission of the selected photon.
 
     The expected number of occupied bins is n_occ = ceil(lam * N); the
@@ -208,10 +205,8 @@ def avg_linear_transmission(params: SourceParams, n_bins: int,
         weights = last_photon_weights(n_bins, n_occ)
     else:
         weights = first_photon_weights(n_bins, n_occ)
-    return math.fsum(
-        w * delay_transmission(params.alpha_inc, n_bins - p,
-                               literal_exponent=literal_exponent)
-        for p, w in enumerate(weights, start=1))
+    return math.fsum(w * delay_transmission(params, n_bins - p)
+                     for p, w in enumerate(weights, start=1))
 
 
 def generation_rate(params: SourceParams, scheme: SchemeConfig) -> float:

@@ -124,6 +124,8 @@ class SourceParams:
     eta_conv      up-conversion efficiency
     alpha_inc     waveguide loss per bin of delay, in dB
     pair_dist     pair-number distribution sampled per bin
+    include_filter_in_d0  reading: eta_f multiplies the no-herald probability
+    literal_exponent      reading: alpha_inc is a bare decadic exponent, not dB
     """
 
     lam: float = 0.1
@@ -135,6 +137,8 @@ class SourceParams:
     eta_conv: float = 0.85
     alpha_inc: float = DEFAULT_ALPHA_INC
     pair_dist: PairDistribution = PairDistribution.POISSON
+    include_filter_in_d0: bool = True
+    literal_exponent: bool = False
 
     def __post_init__(self) -> None:
         # the unit-interval check below also rejects non-finite efficiencies
@@ -164,6 +168,17 @@ class SourceParams:
 
     def with_(self, **changes) -> "SourceParams":
         return replace(self, **changes)
+
+
+def with_readings(params: SourceParams, include_filter_in_d0: bool | None,
+                  literal_exponent: bool | None) -> SourceParams:
+    """``params`` with the readings given (not None) set; ``params`` itself
+    when they match its fields.  Exists only for the keywords that perfbench
+    passes to eight entry points; it goes once perfbench sets the fields."""
+    changes = {k: v for k, v in (("include_filter_in_d0", include_filter_in_d0),
+                                 ("literal_exponent", literal_exponent))
+               if v is not None and v != getattr(params, k)}
+    return replace(params, **changes) if changes else params
 
 
 #: Canonical selection policy for each detection protocol: a single detector

@@ -14,6 +14,7 @@ merge by summation, so results are identical for any worker count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,9 +34,14 @@ from .model import (
     SourceParams,
     pair_count_distribution,
     pair_pmf_array,
+    with_readings,
 )
 
 _CHUNK_TRIALS = 250_000
+
+#: Largest trial count one estimate may ask for, about 19 s at one worker;
+#: it also bounds the chunk list at 400 entries.
+MAX_TRIALS = 10**8
 
 #: Largest pair-number mass the herald table may drop by ending at MAX_PAIRS.
 MAX_DROPPED_MASS = 1e-12
@@ -96,13 +102,14 @@ def _sample_pairs(params: SourceParams, rng: np.random.Generator,
 
 
 def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
-              include_filter_in_d0: bool = True,
-              literal_exponent: bool = False) -> TrialRecord:
+              include_filter_in_d0: bool | None = None,
+              literal_exponent: bool | None = None) -> TrialRecord:
     """Simulate one frame and return its full record.
 
     Deterministic for a given integer seed.  Pass a ``numpy.random.Generator``
     to draw consecutive frames from one stream.
     """
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
     rng = _as_rng(rng_seed)
     n = scheme.n_bins
     eta_d = efficiency.detection_efficiency(params, scheme)
@@ -123,12 +130,11 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
         else:
             quiet = range(selected, n)
         vetoed = False
-        if include_filter_in_d0 and params.eta_f < 1.0:
+        if params.include_filter_in_d0 and params.eta_f < 1.0:
             coins = rng.random(len(quiet))
             vetoed = bool(np.any(coins >= params.eta_f))
         if not vetoed:
-            pic = efficiency.pic_transmission(
-                params, scheme, selected, literal_exponent=literal_exponent)
+            pic = efficiency.pic_transmission(params, scheme, selected)
             survivors = int(rng.binomial(int(pairs[selected - 1]), pic))
 
     if survivors == 0:
@@ -166,8 +172,7 @@ def _herald_tables(params: SourceParams, eta_d: float):
 
 
 def _chunk_counts(params: SourceParams, scheme: SchemeConfig, n_trials: int,
-                  child_seed, include_filter_in_d0: bool,
-                  literal_exponent: bool):
+                  child_seed):
     rng = np.random.default_rng(child_seed)
     n = scheme.n_bins
     eta_d = efficiency.detection_efficiency(params, scheme)
@@ -194,15 +199,13 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, n_trials: int,
 
     quiet = r_idx - 1 if scheme.selection is Selection.FIRST_PHOTON else n - r_idx
     veto_u = rng.random(n_trials)
-    if include_filter_in_d0:
+    if params.include_filter_in_d0:
         kept = veto_u < params.eta_f ** quiet
     else:
         kept = np.ones(n_trials, dtype=bool)
 
-    pic = np.array([
-        efficiency.pic_transmission(params, scheme, b,
-                                    literal_exponent=literal_exponent)
-        for b in range(1, n + 1)])
+    pic = np.array([efficiency.pic_transmission(params, scheme, b)
+                    for b in range(1, n + 1)])
     active = heralded & kept
     survivors = rng.binomial(np.where(active, pairs, 0), pic[r_idx - 1])
 
@@ -216,32 +219,28 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, n_trials: int,
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
                  seed, *, workers: int = 1,
-                 include_filter_in_d0: bool = True,
-                 literal_exponent: bool = False) -> EstimatorResult:
+                 include_filter_in_d0: bool | None = None,
+                 literal_exponent: bool | None = None) -> EstimatorResult:
     """Monte Carlo estimate of the generation efficiency.
 
     The chunk layout depends only on ``n_trials``, so the result is
     bit-stable across worker counts.
     """
-    if n_trials < 1:
-        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise DomainError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     sizes = [_CHUNK_TRIALS] * (n_trials // _CHUNK_TRIALS)
     if n_trials % _CHUNK_TRIALS:
         sizes.append(n_trials % _CHUNK_TRIALS)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def job(args):
-        size, child = args
-        return _chunk_counts(params, scheme, size, child,
-                             include_filter_in_d0, literal_exponent)
-
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    job = functools.partial(_chunk_counts, params, scheme)
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, zip(sizes, children)))
+            results = list(pool.map(job, sizes, children))
     else:
-        results = [job(a) for a in zip(sizes, children)]
+        results = list(map(job, sizes, children))
 
     n_single = sum(r[0] for r in results)
     n_multi = sum(r[1] for r in results)
@@ -277,8 +276,9 @@ def estimate_avg_lin(params: SourceParams, n_bins: int, lam: float,
     if occupancy not in ("fixed", "poisson"):
         raise DomainError(f"unknown occupancy mode {occupancy!r}")
     rng = np.random.default_rng(seed)
-    trans = 10.0 ** (-params.alpha_inc
-                     * (n_bins - np.arange(1, n_bins + 1)) / 10.0)
+    # an oracle for avg_linear_transmission keeps its own delay-loss formula
+    exponent = -params.alpha_inc * (n_bins - np.arange(1, n_bins + 1))
+    trans = 10.0 ** (exponent if params.literal_exponent else exponent / 10.0)
 
     total = 0.0
     count = 0

@@ -79,12 +79,36 @@ class TestEval:
         assert f"{field} must be finite" in captured.err
         assert captured.out == ""
 
-    def test_model_flags_change_result(self, capsys):
+    def test_model_flags_change_result(self, capsys, tmp_path):
         _, base = run_json(capsys, ["eval", "--json"])
         _, nofilter = run_json(capsys, ["eval", "--json", "--d0-excludes-filter"])
         _, literal = run_json(capsys, ["eval", "--json", "--literal-loss-exponent"])
         assert nofilter["eta_total"] > base["eta_total"]
         assert literal["eta_total"] < base["eta_total"]
+        # every other subcommand that evaluates the model honours both flags
+        answers = {
+            ("sweep", "--values", "8,16,31"): "eta_max",
+            ("optimize",): "eta_max",
+            ("crossing",): "crossing_eta_sw",
+            ("mc", "--trials", "20000"): "eta_hat",
+        }
+        for argv, key in answers.items():
+            _, base = run_json(capsys, [*argv, "--json"])
+            for flag in ("--d0-excludes-filter", "--literal-loss-exponent"):
+                code, flagged = run_json(capsys, [*argv, "--json", flag])
+                assert code == EXIT_OK
+                assert flagged[key] != base[key], (argv, flag)
+        fig3 = {}
+        for flag in ("", "--d0-excludes-filter", "--literal-loss-exponent"):
+            out = tmp_path / f"fig3{flag}"
+            assert main(["fig3", "--out", str(out), *flag.split()]) == EXIT_OK
+            fig3[flag] = [(out / name).read_bytes() for name in
+                          ("fig3a.csv", "fig3b.csv", "fig3c.csv")]
+        capsys.readouterr()
+        base, nofilter = fig3[""], fig3["--d0-excludes-filter"]
+        # the filter reading moves fig3a and fig3b; fig3c has no D0
+        assert [a != b for a, b in zip(nofilter, base)] == [True, True, False]
+        assert all(a != b for a, b in zip(fig3["--literal-loss-exponent"], base))
 
 
 class TestSweepAndOptimize:
@@ -267,8 +291,9 @@ class TestEndsInTime:
         (["sweep", "--param", "n_bins", "--max", "1e12"], EXIT_CONFIG),
         (["crossing", "--tol", "0"], EXIT_DOMAIN),
         (["crossing", "--tol", "-1"], EXIT_DOMAIN),
+        (["mc", "--trials", "10000000000"], EXIT_DOMAIN),
     ], ids=["step-zero", "step-negative", "step-below-spacing",
-            "n_bins-over-cap", "tol-zero", "tol-negative"])
+            "n_bins-over-cap", "tol-zero", "tol-negative", "mc-trials-over-cap"])
     def test_rejected_with_one_line(self, argv, code):
         proc = run_cli(*argv)
         assert proc.returncode == code

@@ -60,7 +60,8 @@ class TestNoHeraldProbability:
     def test_filter_flag_drops_prefactor(self):
         p = SourceParams(lam=0.1)
         with_f = no_herald_probability(p, 0.5)
-        without = no_herald_probability(p, 0.5, include_filter=False)
+        without = no_herald_probability(p.with_(include_filter_in_d0=False),
+                                        0.5)
         assert with_f == pytest.approx(p.eta_f * without, rel=1e-15)
 
     @pytest.mark.parametrize("dist", list(PairDistribution))
@@ -73,7 +74,8 @@ class TestNoHeraldProbability:
         heralded = math.fsum(
             pair_count_distribution(p, i) * (1 - (1 - eta_d) ** i)
             for i in range(1, ORACLE_PAIRS + 1))
-        bare_d0 = no_herald_probability(p, eta_d, include_filter=False)
+        bare_d0 = no_herald_probability(p.with_(include_filter_in_d0=False),
+                                        eta_d)
         assert heralded + bare_d0 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -106,7 +108,7 @@ class TestPicTransmission:
 
     def test_literal_exponent_flag(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0, alpha_inc=0.03)
-        assert pic_transmission(p, scheme(2), 1, literal_exponent=True) == \
+        assert pic_transmission(p.with_(literal_exponent=True), scheme(2), 1) == \
             pytest.approx(10 ** (-0.03), rel=1e-12)
 
     def test_bin_out_of_range(self):
@@ -185,7 +187,8 @@ class TestBinSuccess:
                 for i, w in enumerate(pmf) if i >= 1)
             quiet = (r - 1 if s.selection is Selection.FIRST_PHOTON
                      else s.n_bins - r)
-            assert bin_success(p, s, r, include_filter_in_d0=filter_in_d0) == \
+            reading = p.with_(include_filter_in_d0=filter_in_d0)
+            assert bin_success(reading, s, r) == \
                 pytest.approx(d0**quiet * survives, rel=1e-11)
 
 
@@ -292,9 +295,10 @@ class TestAvgLinearTransmission:
         weights = last_photon_weights(40, 4)
         expected = math.fsum(w * 10 ** (-0.03 * (40 - i))
                              for i, w in enumerate(weights, start=1))
-        assert avg_linear_transmission(p, 40, 0.1, literal_exponent=True) == \
+        literal = p.with_(literal_exponent=True)
+        assert avg_linear_transmission(literal, 40, 0.1) == \
             pytest.approx(expected, rel=1e-12)
-        assert avg_linear_transmission(p, 40, 0.1, literal_exponent=True) < \
+        assert avg_linear_transmission(literal, 40, 0.1) < \
             avg_linear_transmission(p, 40, 0.1)
 
 

@@ -17,6 +17,7 @@ from photonmux.model import (
     Topology,
 )
 from photonmux.montecarlo import (
+    MAX_TRIALS,
     Outcome,
     RNG_ALGORITHM,
     estimate_avg_lin,
@@ -34,27 +35,34 @@ def scheme(n, **kw):
 
 #: Closed form against Monte Carlo: both pair distributions under both
 #: detection protocols, thermal at pumping strong enough to tell the two
-#: distributions apart.
+#: distributions apart, and each non-default reading of the model.
 ORACLE_CASES = [
     (8, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.1,
-     PairDistribution.POISSON),
+     PairDistribution.POISSON, {}),
     (16, Topology.SINGLE_DELAY_LINE, Detection.SINGLE_DETECTOR, 0.02,
-     PairDistribution.POISSON),
+     PairDistribution.POISSON, {}),
     (31, Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY, 0.1,
-     PairDistribution.POISSON),
+     PairDistribution.POISSON, {}),
     (8, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.3,
-     PairDistribution.THERMAL_APPROX),
+     PairDistribution.THERMAL_APPROX, {}),
     (31, Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY, 0.5,
-     PairDistribution.THERMAL_APPROX),
+     PairDistribution.THERMAL_APPROX, {}),
     (31, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 1.0,
-     PairDistribution.THERMAL_APPROX),
+     PairDistribution.THERMAL_APPROX, {}),
+    (31, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.1,
+     PairDistribution.POISSON, {"include_filter_in_d0": False}),
+    (16, Topology.SINGLE_DELAY_LINE, Detection.DETECTOR_ARRAY, 0.1,
+     PairDistribution.POISSON, {"literal_exponent": True}),
 ]
 
 
-def _oracle_case_id(n, topology, detection, lam, dist):
-    # only non-default (thermal) cases name their distribution
+def _oracle_case_id(n, topology, detection, lam, dist, readings):
+    # only non-default (thermal) cases name their distribution, and only
+    # non-default readings are named
     base = f"{n}-{topology}-{detection}-{lam}"
-    return base if dist is PairDistribution.POISSON else f"{base}-{dist.value}"
+    if dist is not PairDistribution.POISSON:
+        base = f"{base}-{dist.value}"
+    return "-".join([base, *(f"{k}={v}" for k, v in readings.items())])
 
 
 class TestRunFrame:
@@ -131,11 +139,12 @@ class TestEstimateEta:
         assert r.rng_algorithm == RNG_ALGORITHM
 
     @pytest.mark.parametrize(
-        "n,topology,detection,lam,dist", ORACLE_CASES,
+        "n,topology,detection,lam,dist,readings", ORACLE_CASES,
         ids=[_oracle_case_id(*case) for case in ORACLE_CASES])
     def test_matches_analytic_within_three_sigma(self, n, topology, detection,
-                                                 lam, dist):
-        p = SourceParams.table_defaults(detection, lam=lam, pair_dist=dist)
+                                                 lam, dist, readings):
+        p = SourceParams.table_defaults(detection, lam=lam, pair_dist=dist,
+                                        **readings)
         s = scheme(n, topology=topology, detection=detection)
         analytic = total_efficiency(p, s).eta_total
         r = estimate_eta(p, s, 400_000, seed=n * 1000 + 17)
@@ -193,9 +202,10 @@ class TestEstimateEta:
         sigma = math.sqrt(analytic * (1 - analytic) / n)
         assert abs(mean - analytic) < 3 * sigma / math.sqrt(50)
 
-    def test_rejects_empty_run(self):
-        with pytest.raises(DomainError):
-            estimate_eta(SourceParams(), scheme(4), 0, seed=0)
+    @pytest.mark.parametrize("n_trials", [0, MAX_TRIALS + 1])
+    def test_rejects_empty_run(self, n_trials):
+        with pytest.raises(DomainError, match="n_trials must be in"):
+            estimate_eta(SourceParams(), scheme(4), n_trials, seed=0)
 
 
 class TestEstimateAvgLin:
@@ -205,7 +215,8 @@ class TestEstimateAvgLin:
 
     def _sigma(self, params, n, n_occ, trials):
         weights = last_photon_weights(n, n_occ)
-        values = [10 ** (-params.alpha_inc * (n - p) / 10)
+        per_db = 1 if params.literal_exponent else 10
+        values = [10 ** (-params.alpha_inc * (n - p) / per_db)
                   for p in range(1, n + 1)]
         mean = sum(w * v for w, v in zip(weights, values))
         var = sum(w * (v - mean) ** 2 for w, v in zip(weights, values))
@@ -218,8 +229,10 @@ class TestEstimateAvgLin:
         got = estimate_avg_lin(p, n, 0.01, trials, seed=4)
         assert abs(got - mean) < 3 * sigma
 
-    def test_fixed_occupancy_matches_order_statistic_weights(self):
-        p = SourceParams()
+    @pytest.mark.parametrize("literal_exponent", [False, True])
+    def test_fixed_occupancy_matches_order_statistic_weights(
+            self, literal_exponent):
+        p = SourceParams(literal_exponent=literal_exponent)
         n, lam, trials = 60, 0.1, 200_000
         mean, sigma = self._sigma(p, n, math.ceil(lam * n), trials)
         got = estimate_avg_lin(p, n, lam, trials, seed=9)
