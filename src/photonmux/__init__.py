@@ -4,7 +4,6 @@ time-multiplexed heralded single-photon source on a photonic chip."""
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    ArrayGeometry,
     Detection,
     DomainError,
     PairDistribution,

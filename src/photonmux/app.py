@@ -107,10 +107,7 @@ def parse_config(text: str) -> tuple[SourceParams, SchemeConfig]:
     scheme_values.setdefault("n_bins", 31)
     try:
         scheme = SchemeConfig(**scheme_values)
-        if "eta_det" in param_values:
-            params = SourceParams(**param_values)
-        else:
-            params = SourceParams.table_defaults(scheme.detection, **param_values)
+        params = SourceParams.table_defaults(scheme.detection, **param_values)
     except DomainError:
         raise
     except (TypeError, ValueError) as exc:
@@ -123,10 +120,11 @@ def load_config(path=None) -> tuple[SourceParams, SchemeConfig]:
     if path is None:
         return parse_config("")
     try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def _sweep_key(parameter: str) -> tuple:
@@ -247,8 +245,8 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
                   include_filter_in_d0: bool | None = None,
                   literal_exponent: bool | None = None) -> EfficiencyCurve:
     """Sweep the multiplexing depth and report the maximizing N."""
-    if n_min < 1 or n_max > MAX_BINS:
-        raise DomainError(f"need 1 <= n_min and n_max <= {MAX_BINS}, "
+    if not 1 <= n_min <= n_max <= MAX_BINS:
+        raise DomainError(f"need 1 <= n_min <= n_max <= {MAX_BINS}, "
                           f"got n_min={n_min}, n_max={n_max}")
     params = with_readings(params, include_filter_in_d0, literal_exponent)
     spec = SweepSpec("n_bins", tuple(range(n_min, n_max + 1)), params, scheme)
@@ -389,7 +387,10 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
     """
     params = with_readings(params or SourceParams(), include_filter_in_d0,
                            literal_exponent)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
     written = []
 
     for name, eta_sw in (("fig3a.csv", 0.87), ("fig3b.csv", 0.98)):

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (
+    DETECTOR_ARRAY_SIZE,
     Detection,
     DomainError,
     Selection,
@@ -48,17 +49,21 @@ def detection_efficiency(params: SourceParams, scheme: SchemeConfig) -> float:
     """Effective heralding efficiency eta_d of the detection unit.
 
     Single detector: up-conversion times raw detector efficiency.  Detector
-    array: additionally the average transmission of the binary routing tree
-    (mixing 4-pass and 5-pass paths), two chip-coupling passes, and the
-    blanking duty factor.
+    array of M = DETECTOR_ARRAY_SIZE detectors: additionally the average
+    transmission of the minimal-depth binary routing tree, two chip-coupling
+    passes, and the blanking duty factor (M - 1)/M left after a fired
+    detector is blanked for the following output period.  With
+    L = floor(log2 M), the tree has 2^(L+1) - M leaves at L switch passes
+    and 2(M - 2^L) at L + 1 (7 and 18 for M = 25).
     """
     base = params.eta_conv * params.eta_det
     if scheme.detection is Detection.SINGLE_DETECTOR:
         return base
-    g = scheme.array_geometry
-    routing = (g.four_switch_paths * params.eta_sw**4
-               + g.five_switch_paths * params.eta_sw**5) / g.array_size
-    return base * routing * params.eta_c**2 * g.blanking
+    m = DETECTOR_ARRAY_SIZE
+    depth = m.bit_length() - 1
+    routing = ((2 ** (depth + 1) - m) * params.eta_sw**depth
+               + 2 * (m - 2**depth) * params.eta_sw ** (depth + 1)) / m
+    return base * routing * params.eta_c**2 * ((m - 1) / m)
 
 
 def no_herald_probability(params: SourceParams, eta_d: float) -> float:
@@ -78,7 +83,7 @@ def no_herald_probability(params: SourceParams, eta_d: float) -> float:
 def switch_passes(scheme: SchemeConfig, r: int) -> int:
     """Number of switch passes for a photon heralded in bin r."""
     if scheme.topology is Topology.BINARY_DELAY:
-        return int(math.floor(math.log2(scheme.n_bins))) + 1
+        return scheme.n_bins.bit_length()  # floor(log2 N) + 1
     return scheme.n_bins - r
 
 
@@ -110,42 +115,26 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig,
             * delay_transmission(params, n - r))
 
 
-def bin_success(params: SourceParams, scheme: SchemeConfig, r: int) -> float:
-    """B(r): probability that the frame's output photon comes from bin r."""
-    eta_d = detection_efficiency(params, scheme)
-    d0_val = no_herald_probability(params, eta_d)
-    pic = pic_transmission(params, scheme, r)
-    return _bin_success_from_parts(params, scheme, r, d0_val, eta_d, pic)
-
-
-def _bin_success_from_parts(params: SourceParams, scheme: SchemeConfig, r: int,
-                            d0_val: float, eta_d: float, pic: float) -> float:
-    # sum_i P(i) (1 - q^i) i t (1-t)^(i-1): a herald fires in the bin and
-    # exactly one of its signal photons survives the chip
-    q = 1.0 - eta_d
-    heralded_and_survives = pic * (
-        pair_generating_derivative(params, 1.0 - pic)
-        - q * pair_generating_derivative(params, q * (1.0 - pic)))
-    if scheme.selection is Selection.FIRST_PHOTON:
-        quiet_bins = r - 1
-    else:
-        quiet_bins = scheme.n_bins - r
-    return d0_val**quiet_bins * heralded_and_survives
-
-
 def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
                      include_filter_in_d0: bool | None = None,
                      literal_exponent: bool | None = None
                      ) -> EfficiencyBreakdown:
-    """Generation efficiency eta with its full per-bin decomposition."""
+    """Generation efficiency eta with its full per-bin decomposition; B(r) is
+    ``per_bin_success[r - 1]``."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
+    n = scheme.n_bins
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d)
-    pic = tuple(pic_transmission(params, scheme, r)
-                for r in range(1, scheme.n_bins + 1))
+    q = 1.0 - eta_d
+    first = scheme.selection is Selection.FIRST_PHOTON
+    pic = tuple(pic_transmission(params, scheme, r) for r in range(1, n + 1))
+    # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
+    # of its signal photons survives the chip (see the module docstring)
     per_bin = tuple(
-        _bin_success_from_parts(params, scheme, r, d0_val, eta_d, pic[r - 1])
-        for r in range(1, scheme.n_bins + 1))
+        d0_val ** (r - 1 if first else n - r)
+        * (t * (pair_generating_derivative(params, 1.0 - t)
+                - q * pair_generating_derivative(params, q * (1.0 - t))))
+        for r, t in enumerate(pic, start=1))
     return EfficiencyBreakdown(
         eta_total=math.fsum(per_bin),
         per_bin_success=per_bin,

@@ -52,6 +52,10 @@ class Selection(Enum):
     LAST_PHOTON = "last"
 
 
+#: Number of detectors in the heralding array; the routing tree and the
+#: blanking factor of ``efficiency.detection_efficiency`` derive from it.
+DETECTOR_ARRAY_SIZE = 25
+
 #: Raw detector efficiency matched to each detection protocol.
 PROTOCOL_ETA_DET = {Detection.SINGLE_DETECTOR: 0.7,
                     Detection.DETECTOR_ARRAY: 0.8}
@@ -75,34 +79,6 @@ def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
 #: Default per-bin delay loss: 0.1 dB/cm ridge waveguide, group index 4,
 #: 40 ps bins -> about 0.03 dB per bin of delay.
 DEFAULT_ALPHA_INC = incremental_loss_db()
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Routing geometry of the heralding detector array.
-
-    A binary switch tree fanning out to ``array_size`` detectors has
-    ``four_switch_paths`` leaves reached through 4 switch passes and
-    ``five_switch_paths`` through 5.  ``blanking`` is the duty-cycle factor
-    left after a fired detector is blanked for the following output period.
-    These are data, not constants, so alternative array geometries can be
-    studied.
-    """
-
-    array_size: int = 25
-    four_switch_paths: int = 7
-    five_switch_paths: int = 18
-    blanking: float = 24.0 / 25.0
-
-    def __post_init__(self) -> None:
-        if self.array_size < 1:
-            raise DomainError("array_size must be >= 1")
-        if self.four_switch_paths < 0 or self.five_switch_paths < 0:
-            raise DomainError("path counts must be non-negative")
-        if self.four_switch_paths + self.five_switch_paths != self.array_size:
-            raise DomainError("path counts must sum to array_size")
-        if not 0.0 <= self.blanking <= 1.0:
-            raise DomainError("blanking must be in [0, 1]")
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -203,7 +179,6 @@ class SchemeConfig:
     topology: Topology = Topology.BINARY_DELAY
     detection: Detection = Detection.SINGLE_DETECTOR
     selection: Selection | None = None
-    array_geometry: ArrayGeometry = ArrayGeometry()
     allow_mismatched_selection: bool = False
 
     def __post_init__(self) -> None:

@@ -84,9 +84,16 @@ class EstimatorResult:
         return self.n_multi / emitted if emitted else 0.0
 
 
+def _check_seed(seed) -> None:
+    # numpy's SeedSequence raises a bare ValueError for a negative entropy
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def _as_rng(rng_seed) -> np.random.Generator:
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed
+    _check_seed(rng_seed)
     return np.random.default_rng(rng_seed)
 
 
@@ -230,6 +237,7 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
         raise DomainError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    _check_seed(seed)
     sizes = [_CHUNK_TRIALS] * (n_trials // _CHUNK_TRIALS)
     if n_trials % _CHUNK_TRIALS:
         sizes.append(n_trials % _CHUNK_TRIALS)

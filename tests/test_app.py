@@ -78,6 +78,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
 
+    def test_load_config_undecodable_file(self, tmp_path):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(cfg)
+
 
 class TestSweep:
     def test_zero_pumping_gives_flat_zero_curve(self):
@@ -198,7 +204,7 @@ class TestDepthCap:
     """N over MAX_BINS is rejected before any point is evaluated."""
 
     @pytest.mark.parametrize("n_min,n_max", [(1, 10**12), (1, MAX_BINS + 1),
-                                             (-10**12, 8), (0, 8)])
+                                             (-10**12, 8), (0, 8), (5, 3)])
     def test_optimize_rejects_the_range_before_building_it(self, n_min, n_max):
         with pytest.raises(DomainError, match=f"n_max <= {MAX_BINS}"):
             optimize_bins(SourceParams(), SchemeConfig(n_bins=1), n_min, n_max)
@@ -250,6 +256,12 @@ def outputs(tmp_path_factory):
 
 
 class TestEmitFig3:
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_out_dir_blocked_by_a_file(self, tmp_path, target):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ConfigError, match="cannot create"):
+            emit_fig3(tmp_path / target)
+
     def test_files_and_headers(self, outputs):
         out, written = outputs
         names = [p.split("/")[-1] for p in written]

@@ -311,6 +311,26 @@ class TestEndsInTime:
         assert any(gap * g <= 0 for g in neighbours)
 
 
+class TestNoTraceback:
+    """Inputs that once ended in a traceback exit 2 or 3 with one line."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["mc", "--trials", "100", "--seed", "-1"], EXIT_DOMAIN),
+        (["fig3", "--out", "{tmp}/file"], EXIT_CONFIG),
+        (["fig3", "--out", "{tmp}/file/sub"], EXIT_CONFIG),
+        (["eval", "--config", "{tmp}/binary.cfg"], EXIT_CONFIG),
+        (["optimize", "--n-min", "5", "--n-max", "3"], EXIT_DOMAIN),
+    ], ids=["mc-negative-seed", "fig3-out-is-a-file", "fig3-out-under-a-file",
+            "config-not-utf8", "optimize-empty-range"])
+    def test_rejected_with_one_line(self, tmp_path, argv, code):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe")
+        proc = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+
+
 class TestDepthCap:
     """Depths over MAX_BINS exit 3 at once instead of running for hours."""
 

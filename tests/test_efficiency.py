@@ -5,7 +5,6 @@ import pytest
 
 from photonmux.efficiency import (
     avg_linear_transmission,
-    bin_success,
     detection_efficiency,
     first_photon_weights,
     generation_rate,
@@ -16,6 +15,7 @@ from photonmux.efficiency import (
     total_efficiency,
 )
 from photonmux.model import (
+    MAX_BINS,
     Detection,
     DomainError,
     PairDistribution,
@@ -88,6 +88,8 @@ class TestPicTransmission:
         s = scheme(8)
         assert switch_passes(s, 1) == 4
         assert switch_passes(s, 8) == 4
+        for n in range(1, MAX_BINS + 1):
+            assert switch_passes(scheme(n), 1) == math.floor(math.log2(n)) + 1
         p_unit = SourceParams(eta_f=1.0, eta_c=1.0, alpha_inc=0.0)
         assert pic_transmission(p_unit, s, 5) == pytest.approx(0.87**4, rel=1e-12)
 
@@ -134,26 +136,38 @@ class TestDetectionEfficiency:
         assert detection_efficiency(p, s) == pytest.approx(
             0.85 * 0.8 * (24 / 25), rel=1e-12)
 
+    def test_array_routing_is_the_minimal_binary_tree(self):
+        # a 25-detector tree: 7 leaves behind 4 switch passes, 18 behind 5
+        p = SourceParams.table_defaults(Detection.DETECTOR_ARRAY,
+                                        eta_sw=0.5, eta_c=1.0)
+        s = scheme(8, detection=Detection.DETECTOR_ARRAY)
+        assert detection_efficiency(p, s) == pytest.approx(
+            p.eta_conv * p.eta_det * (7 * 0.5**4 + 18 * 0.5**5) / 25
+            * (24 / 25), rel=1e-14)
+
 
 class TestBinSuccess:
     def test_no_pumping_never_succeeds(self):
         p = SourceParams(lam=0.0)
-        assert all(bin_success(p, scheme(8), r) == 0.0 for r in range(1, 9))
+        b = total_efficiency(p, scheme(8))
+        assert all(x == 0.0 for x in b.per_bin_success)
 
     def test_single_bin_policies_agree(self):
         p = SourceParams()
-        first = bin_success(p, scheme(1), 1)
-        last = bin_success(p, scheme(1, selection=Selection.LAST_PHOTON), 1)
+        first, = total_efficiency(p, scheme(1)).per_bin_success
+        last, = total_efficiency(
+            p, scheme(1, selection=Selection.LAST_PHOTON)).per_bin_success
         assert first == last > 0.0
 
     def test_first_photon_weights_early_bins_without_delay_loss(self):
         p = SourceParams(alpha_inc=0.0)
-        values = [bin_success(p, scheme(8), r) for r in range(1, 9)]
+        values = total_efficiency(p, scheme(8)).per_bin_success
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_blind_detector_never_heralds(self):
         p = SourceParams(eta_det=0.0)
-        assert all(bin_success(p, scheme(8), r) == 0.0 for r in range(1, 9))
+        b = total_efficiency(p, scheme(8))
+        assert all(x == 0.0 for x in b.per_bin_success)
 
     @pytest.mark.parametrize("dist", list(PairDistribution))
     def test_lossless_chip_keeps_only_single_pairs(self, dist):
@@ -162,7 +176,8 @@ class TestBinSuccess:
         p = SourceParams(lam=0.4, eta_f=1.0, eta_c=1.0, eta_sw=1.0,
                          alpha_inc=0.0, pair_dist=dist)
         eta_d = detection_efficiency(p, scheme(1))
-        assert bin_success(p, scheme(1), 1) == pytest.approx(
+        b = total_efficiency(p, scheme(1))
+        assert b.per_bin_success[0] == pytest.approx(
             pair_count_distribution(p, 1) * eta_d, rel=1e-12)
 
     @pytest.mark.parametrize("dist", list(PairDistribution))
@@ -188,7 +203,7 @@ class TestBinSuccess:
             quiet = (r - 1 if s.selection is Selection.FIRST_PHOTON
                      else s.n_bins - r)
             reading = p.with_(include_filter_in_d0=filter_in_d0)
-            assert bin_success(reading, s, r) == \
+            assert total_efficiency(reading, s).per_bin_success[r - 1] == \
                 pytest.approx(d0**quiet * survives, rel=1e-11)
 
 

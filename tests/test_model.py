@@ -4,7 +4,6 @@ import math
 import pytest
 
 from photonmux.model import (
-    ArrayGeometry,
     DEFAULT_ALPHA_INC,
     MAX_BINS,
     Detection,
@@ -92,10 +91,6 @@ class TestSchemeConfig:
         assert SchemeConfig(n_bins=MAX_BINS).n_bins == MAX_BINS
         with pytest.raises(DomainError, match=f"<= {MAX_BINS}"):
             SchemeConfig(n_bins=MAX_BINS + 1)
-
-    def test_array_geometry_path_counts_must_sum(self):
-        with pytest.raises(DomainError):
-            ArrayGeometry(array_size=25, four_switch_paths=7, five_switch_paths=17)
 
 
 class TestPairCountDistribution:

@@ -127,6 +127,13 @@ class TestEstimateEta:
             estimate_eta(SourceParams(), scheme(8), 10_000, seed=1,
                          workers=workers)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            estimate_eta(SourceParams(), scheme(4), 100, seed=seed)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            run_frame(SourceParams(), scheme(4), seed)
+
     def test_no_pumping_estimates_zero(self):
         r = estimate_eta(SourceParams(lam=0.0), scheme(8), 10_000, seed=1)
         assert r.eta_hat == 0.0
