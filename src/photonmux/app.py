@@ -258,12 +258,13 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
 CROSSING_TOPOLOGY = Topology.BINARY_DELAY
 
 
-def _protocol_max(params: SourceParams, eta_sw: float, detection: Detection,
-                  n_max: int) -> float:
-    swept = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
-    scheme = SchemeConfig(n_bins=1, topology=CROSSING_TOPOLOGY,
-                          detection=detection)
-    return optimize_bins(swept, scheme, 1, n_max).eta_max
+def _protocol_curve(params: SourceParams, eta_sw: float, topology: Topology,
+                    detection: Detection, n_max: int) -> EfficiencyCurve:
+    """Efficiency versus N = 1..n_max of the protocol-matched design: switch
+    transmission ``eta_sw`` and the protocol's ``PROTOCOL_ETA_DET``."""
+    matched = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
+    scheme = SchemeConfig(n_bins=1, topology=topology, detection=detection)
+    return optimize_bins(matched, scheme, 1, n_max)
 
 
 def protocol_gap(params: SourceParams, eta_sw: float, *, n_max: int = N_MAX,
@@ -272,8 +273,10 @@ def protocol_gap(params: SourceParams, eta_sw: float, *, n_max: int = N_MAX,
     """Best single-detector efficiency minus best detector-array efficiency
     at one switch transmission (both on the binary topology)."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    return (_protocol_max(params, eta_sw, Detection.SINGLE_DETECTOR, n_max)
-            - _protocol_max(params, eta_sw, Detection.DETECTOR_ARRAY, n_max))
+    single, array = (
+        _protocol_curve(params, eta_sw, CROSSING_TOPOLOGY, detection, n_max)
+        for detection in (Detection.SINGLE_DETECTOR, Detection.DETECTOR_ARRAY))
+    return single.eta_max - array.eta_max
 
 
 def find_crossing(params: SourceParams, lo: float, hi: float,
@@ -321,35 +324,28 @@ FIG3_N_RANGE = range(1, N_MAX + 1)
 FIG3C_LAMBDAS = (0.02, 0.06, 0.10)
 _FIG3AB_COLUMNS = ("N", "eta_binary_single", "eta_binary_array",
                    "eta_singleline_single", "eta_singleline_array")
+#: (topology, detection) of each fig3a/fig3b efficiency column, in order.
+_FIG3AB_PROTOCOLS = (
+    (Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR),
+    (Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY),
+    (Topology.SINGLE_DELAY_LINE, Detection.SINGLE_DETECTOR),
+    (Topology.SINGLE_DELAY_LINE, Detection.DETECTOR_ARRAY),
+)
 
 
 def _fig3ab_rows(params: SourceParams, eta_sw: float):
-    combos = (
-        (Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR),
-        (Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY),
-        (Topology.SINGLE_DELAY_LINE, Detection.SINGLE_DETECTOR),
-        (Topology.SINGLE_DELAY_LINE, Detection.DETECTOR_ARRAY),
-    )
-    for n in FIG3_N_RANGE:
-        row = [n]
-        for topology, detection in combos:
-            point_params = replace(params, eta_sw=eta_sw,
-                                   eta_det=PROTOCOL_ETA_DET[detection])
-            scheme = SchemeConfig(n_bins=n, topology=topology,
-                                  detection=detection)
-            row.append(total_efficiency(point_params, scheme).eta_total)
-        yield row
+    curves = [_protocol_curve(params, eta_sw, topology, detection,
+                              FIG3_N_RANGE[-1])
+              for topology, detection in _FIG3AB_PROTOCOLS]
+    for points in zip(*(curve.points for curve in curves)):
+        yield [points[0][0]] + [eta for _, eta in points]
 
 
 def _fig3c_rows(params: SourceParams):
     for n in FIG3_N_RANGE:
-        row = [n]
-        for lam in FIG3C_LAMBDAS:
-            if math.ceil(lam * n) > n:
-                row.append(float("nan"))
-            else:
-                row.append(avg_linear_transmission(
-                    params, n, lam, Selection.LAST_PHOTON))
+        row = [n] + [avg_linear_transmission(params, n, lam,
+                                             Selection.LAST_PHOTON)
+                     for lam in FIG3C_LAMBDAS]
         # control: a single occupied bin, uniformly placed
         control = math.fsum(
             delay_transmission(params, n - i) for i in range(1, n + 1)) / n
@@ -376,14 +372,14 @@ def _format_cell(value) -> str:
 
 def emit_fig3(out_dir, params: SourceParams | None = None, *,
               include_filter_in_d0: bool | None = None,
-              literal_exponent: bool | None = None, seed=None) -> list[str]:
+              literal_exponent: bool | None = None) -> list[str]:
     """Write the three reference-curve CSV files plus a metadata sidecar.
 
     fig3a/fig3b: efficiency versus N for every topology and protocol at
     switch transmissions 0.87 and 0.98.  fig3c: expected delay-line
     transmission under last-photon selection for several pumping strengths,
-    against the single-photon control curve.  Output is byte-stable for a
-    fixed configuration.
+    against the single-photon control curve.  Nothing is random, so the
+    output is byte-stable for a fixed configuration.
     """
     params = with_readings(params or SourceParams(), include_filter_in_d0,
                            literal_exponent)
@@ -407,7 +403,6 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
     meta = {
         "code_version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
-        "seed": seed,
         "include_filter_in_d0": params.include_filter_in_d0,
         "literal_loss_exponent": params.literal_exponent,
         "parameters": {

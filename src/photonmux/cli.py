@@ -218,7 +218,7 @@ def _cmd_bell(args) -> int:
 
 def _cmd_fig3(args) -> int:
     params, _ = _load(args)
-    written = emit_fig3(args.out, params, seed=args.seed)
+    written = emit_fig3(args.out, params)
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
     return EXIT_OK
 
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig3", help="emit the reference-curve CSV files")
     _common_flags(p)
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fig3)
 
     return parser

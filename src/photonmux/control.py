@@ -25,22 +25,13 @@ from .model import DomainError
 PHASE_PI = math.pi
 
 
-def _stage_bits(n_bins: int, bin_index: int) -> list[int]:
-    """Phase bits (0 -> phase 0, 1 -> phase pi) for one bin, entry to exit."""
-    m = n_bins.bit_length() - 1
-    d = n_bins - bin_index
-    msb_bits = [(d >> (m - 1 - s)) & 1 for s in range(m)]
-    cols = []
-    for s in range(m + 1):
-        if s == 0:
-            cols.append(msb_bits[0])
-        elif s == m:
-            cols.append(msb_bits[m - 1])
-        elif s == 1:
-            cols.append(1 - msb_bits[1])
-        else:
-            cols.append(msb_bits[s - 1] ^ msb_bits[s])
-    return cols
+def _exit_stage(n_bins: int) -> int:
+    """log2(n_bins), the index of the exit switch; DomainError unless
+    n_bins is a power of two >= 2."""
+    if n_bins < 2 or n_bins & (n_bins - 1):
+        raise DomainError(
+            f"switch phases need a power-of-two n_bins >= 2, got {n_bins}")
+    return n_bins.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -115,14 +106,13 @@ def phase_schedule(n_bins: int) -> PhaseSchedule:
     """Switch-phase matrix for a full frame; requires n_bins a power of two.
 
     Bin r's row routes its photon through delay (n_bins - r) T.  Each column
-    is a square wave in the bin index, which is what allows clock-division
-    drive (see :func:`drive_waveforms`).
+    is one stage's divided-clock square wave sampled at the bin rate (see
+    :func:`drive_waveforms`); :meth:`PhaseSchedule.decode_delay` inverts it.
     """
-    if n_bins < 2 or n_bins & (n_bins - 1):
-        raise DomainError(
-            f"phase schedule needs a power-of-two n_bins >= 2, got {n_bins}")
+    m = _exit_stage(n_bins)
     rows = tuple(
-        tuple(PHASE_PI if b else 0.0 for b in _stage_bits(n_bins, r))
+        tuple(PHASE_PI if _waveform_bit(n_bins, s, r) else 0.0
+              for s in range(m + 1))
         for r in range(1, n_bins + 1))
     return PhaseSchedule(n_bins=n_bins, phases=rows)
 
@@ -130,10 +120,7 @@ def phase_schedule(n_bins: int) -> PhaseSchedule:
 def clock_divisions(n_bins: int) -> tuple[int, ...]:
     """Clock division factor per stage: the full period, in bins, of each
     stage's drive square wave."""
-    if n_bins < 2 or n_bins & (n_bins - 1):
-        raise DomainError(
-            f"clock divisions need a power-of-two n_bins >= 2, got {n_bins}")
-    m = n_bins.bit_length() - 1
+    m = _exit_stage(n_bins)
     divisions = [n_bins]
     for s in range(1, m + 1):
         if s == 1 and m >= 2:
@@ -144,8 +131,8 @@ def clock_divisions(n_bins: int) -> tuple[int, ...]:
 
 
 def _waveform_bit(n_bins: int, stage: int, r: int) -> int:
-    """Square-wave construction of stage phases, independent of the routing
-    bits; cross-checked against :func:`phase_schedule` by the test suite."""
+    """Phase bit (1 -> pi) of one stage in bin r: a square wave at the
+    stage's clock division with a fixed per-stage offset."""
     m = n_bins.bit_length() - 1
     if stage == 0:
         return ((r - 1) // (n_bins // 2) + 1) % 2
@@ -158,26 +145,12 @@ def _waveform_bit(n_bins: int, stage: int, r: int) -> int:
 
 
 def drive_waveforms(n_bins: int, n_frames: int) -> tuple[tuple[float, ...], ...]:
-    """Per-stage drive waveforms sampled at the bin rate over ``n_frames``.
-
-    Each stage is a 50 percent duty square wave at its clock division (with a
-    fixed per-stage offset), built directly from the divided-clock rule; in
-    every frame the samples reproduce the phase-schedule rows.
-    """
+    """Per-stage drive waveforms sampled at the bin rate over ``n_frames``:
+    each stage's phase-schedule column, repeated once per frame."""
     if n_frames < 1:
         raise DomainError(f"n_frames must be >= 1, got {n_frames}")
-    if n_bins < 2 or n_bins & (n_bins - 1):
-        raise DomainError(
-            f"drive waveforms need a power-of-two n_bins >= 2, got {n_bins}")
-    m = n_bins.bit_length() - 1
-    waves = []
-    for stage in range(m + 1):
-        samples = []
-        for _ in range(n_frames):
-            for r in range(1, n_bins + 1):
-                samples.append(PHASE_PI if _waveform_bit(n_bins, stage, r) else 0.0)
-        waves.append(tuple(samples))
-    return tuple(waves)
+    return tuple(column * n_frames
+                 for column in zip(*phase_schedule(n_bins).phases))
 
 
 @dataclass(frozen=True)

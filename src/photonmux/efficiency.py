@@ -199,5 +199,12 @@ def avg_linear_transmission(params: SourceParams, n_bins: int,
 
 
 def generation_rate(params: SourceParams, scheme: SchemeConfig) -> float:
-    """Output rate in Hz: one emission slot every N pump periods."""
-    return 1.0 / (scheme.n_bins * params.period)
+    """Output rate in Hz: one emission slot every N pump periods.
+
+    A rate that overflows to infinity (a subnormal period) raises DomainError.
+    """
+    rate = 1.0 / (scheme.n_bins * params.period)
+    if not math.isfinite(rate):
+        raise DomainError(f"generation rate 1/(N*period) is not finite for "
+                          f"N={scheme.n_bins}, period={params.period!r}")
+    return rate

@@ -32,7 +32,6 @@ from .model import (
     SchemeConfig,
     Selection,
     SourceParams,
-    pair_count_distribution,
     pair_pmf_array,
     with_readings,
 )
@@ -267,56 +266,34 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
 
 
 def estimate_avg_lin(params: SourceParams, n_bins: int, lam: float,
-                     n_trials: int, seed, *,
-                     occupancy: str = "fixed") -> float:
+                     n_trials: int, seed) -> float:
     """Empirical mean delay-line transmission under last-photon selection.
 
-    ``occupancy="fixed"`` places exactly ceil(lam * n_bins) photons in bins
-    drawn uniformly without replacement (the order-statistics reading checked
-    against the closed-form weights); ``occupancy="poisson"`` occupies each
-    bin independently with the pair distribution's non-vacuum probability and
-    conditions on at least one occupied bin.
+    Exactly ceil(lam * n_bins) photons occupy bins drawn uniformly without
+    replacement (the order-statistics reading checked against the
+    closed-form weights).
     """
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
     if lam <= 0:
         raise DomainError(f"lam must be > 0, got {lam}")
-    if occupancy not in ("fixed", "poisson"):
-        raise DomainError(f"unknown occupancy mode {occupancy!r}")
+    n_occ = math.ceil(lam * n_bins)
+    if n_occ > n_bins:
+        raise DomainError(
+            f"expected occupied bins {n_occ} exceeds n_bins {n_bins}")
     rng = np.random.default_rng(seed)
     # an oracle for avg_linear_transmission keeps its own delay-loss formula
     exponent = -params.alpha_inc * (n_bins - np.arange(1, n_bins + 1))
     trans = 10.0 ** (exponent if params.literal_exponent else exponent / 10.0)
 
     total = 0.0
-    count = 0
     chunk = max(1, min(n_trials, 4_000_000 // max(n_bins, 1)))
     remaining = n_trials
-    if occupancy == "fixed":
-        n_occ = math.ceil(lam * n_bins)
-        if n_occ > n_bins:
-            raise DomainError(
-                f"expected occupied bins {n_occ} exceeds n_bins {n_bins}")
-        while remaining:
-            m = min(chunk, remaining)
-            remaining -= m
-            keys = rng.random((m, n_bins))
-            occupied = np.argpartition(keys, n_occ - 1, axis=1)[:, :n_occ]
-            last = occupied.max(axis=1)
-            total += float(trans[last].sum())
-            count += m
-    else:
-        p_occ = 1.0 - pair_count_distribution(params.with_(lam=lam), 0)
-        while remaining:
-            m = min(chunk, remaining)
-            remaining -= m
-            occ = rng.random((m, n_bins)) < p_occ
-            any_row = occ.any(axis=1)
-            if not any_row.any():
-                continue
-            last = n_bins - 1 - np.argmax(occ[any_row, ::-1], axis=1)
-            total += float(trans[last].sum())
-            count += int(any_row.sum())
-    if count == 0:
-        raise DomainError("no occupied frames sampled; increase n_trials")
-    return total / count
+    while remaining:
+        m = min(chunk, remaining)
+        remaining -= m
+        keys = rng.random((m, n_bins))
+        occupied = np.argpartition(keys, n_occ - 1, axis=1)[:, :n_occ]
+        last = occupied.max(axis=1)
+        total += float(trans[last].sum())
+    return total / n_trials

@@ -260,12 +260,12 @@ def test_criterion_09_selected_transmission_shape():
 def test_criterion_10_reproducibility(tmp_path):
     first = tmp_path / "run1"
     second = tmp_path / "run2"
-    emit_fig3(first, SourceParams(), seed=123)
-    emit_fig3(second, SourceParams(), seed=123)
+    emit_fig3(first, SourceParams())
+    emit_fig3(second, SourceParams())
     names = ("fig3a.csv", "fig3b.csv", "fig3c.csv", "fig3_metadata.json")
     identical = all(
         (first / name).read_bytes() == (second / name).read_bytes()
         for name in names)
-    report(10, identical, "two runs with identical config and seed emit "
+    report(10, identical, "two runs with identical config emit "
                           "byte-identical files")
     assert identical

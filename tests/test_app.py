@@ -27,6 +27,7 @@ from photonmux.model import (
     SchemeConfig,
     Selection,
     SourceParams,
+    Topology,
 )
 
 GOOD_CONFIG = """
@@ -251,7 +252,7 @@ class TestCrossing:
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig3")
-    written = emit_fig3(out, SourceParams(), seed=0)
+    written = emit_fig3(out, SourceParams())
     return out, written
 
 
@@ -283,6 +284,33 @@ class TestEmitFig3:
                 for cell in row.split(",")[1:]:
                     assert 0.0 <= float(cell) <= 1.0
 
+    @pytest.mark.parametrize("name,eta_sw", [("fig3a.csv", 0.87),
+                                             ("fig3b.csv", 0.98)])
+    def test_cells_are_protocol_matched_total_efficiency(self, outputs, name,
+                                                         eta_sw):
+        protocols = {
+            "eta_binary_single": (Topology.BINARY_DELAY,
+                                  Detection.SINGLE_DETECTOR, 0.7),
+            "eta_binary_array": (Topology.BINARY_DELAY,
+                                 Detection.DETECTOR_ARRAY, 0.8),
+            "eta_singleline_single": (Topology.SINGLE_DELAY_LINE,
+                                      Detection.SINGLE_DETECTOR, 0.7),
+            "eta_singleline_array": (Topology.SINGLE_DELAY_LINE,
+                                     Detection.DETECTOR_ARRAY, 0.8),
+        }
+        out, _ = outputs
+        header, *rows = (out / name).read_text().splitlines()
+        columns = header.split(",")[1:]
+        assert sorted(columns) == sorted(protocols)
+        for row in rows:
+            n, *cells = row.split(",")
+            for column, cell in zip(columns, cells, strict=True):
+                topology, detection, eta_det = protocols[column]
+                params = SourceParams(eta_sw=eta_sw, eta_det=eta_det)
+                scheme = SchemeConfig(n_bins=int(n), topology=topology,
+                                      detection=detection)
+                assert cell == repr(total_efficiency(params, scheme).eta_total)
+
     def test_metadata_records_provenance_fields(self, outputs):
         out, _ = outputs
         meta = json.loads((out / "fig3_metadata.json").read_text())
@@ -290,11 +318,12 @@ class TestEmitFig3:
         assert "pcg64" in meta["rng_algorithm"]
         assert meta["parameters"]["lambda"] == 0.1
         assert meta["parameters"]["eta_det"] == {"single": 0.7, "array": 0.8}
+        assert "seed" not in meta
 
     def test_literal_loss_exponent_reaches_fig3c(self, outputs, tmp_path):
         out, _ = outputs
         literal = tmp_path / "literal"
-        emit_fig3(literal, SourceParams(), seed=0, literal_exponent=True)
+        emit_fig3(literal, SourceParams(), literal_exponent=True)
         meta = json.loads((literal / "fig3_metadata.json").read_text())
         assert meta["literal_loss_exponent"] is True
         base_rows = (out / "fig3c.csv").read_text().splitlines()[1:]
@@ -308,7 +337,7 @@ class TestEmitFig3:
     def test_reruns_are_byte_identical(self, outputs, tmp_path):
         out, _ = outputs
         again = tmp_path / "again"
-        emit_fig3(again, SourceParams(), seed=0)
+        emit_fig3(again, SourceParams())
         for name in ("fig3a.csv", "fig3b.csv", "fig3c.csv",
                      "fig3_metadata.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()

@@ -277,6 +277,13 @@ class TestFig3:
         assert (out / "fig3a.csv").exists()
         assert (out / "fig3_metadata.json").exists()
 
+    def test_takes_no_seed(self, capsys, tmp_path):
+        # fig3 draws no random numbers, so a seed flag would change nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", "--out", str(tmp_path), "--seed", "5"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
 
 class TestEndsInTime:
     """Inputs that once looped without end or exhausted memory."""
@@ -320,11 +327,14 @@ class TestNoTraceback:
         (["fig3", "--out", "{tmp}/file/sub"], EXIT_CONFIG),
         (["eval", "--config", "{tmp}/binary.cfg"], EXIT_CONFIG),
         (["optimize", "--n-min", "5", "--n-max", "3"], EXIT_DOMAIN),
+        (["eval", "--json", "--config", "{tmp}/tiny-period.cfg"], EXIT_DOMAIN),
     ], ids=["mc-negative-seed", "fig3-out-is-a-file", "fig3-out-under-a-file",
-            "config-not-utf8", "optimize-empty-range"])
+            "config-not-utf8", "optimize-empty-range",
+            "eval-rate-not-finite"])
     def test_rejected_with_one_line(self, tmp_path, argv, code):
         (tmp_path / "file").write_text("")
         (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe")
+        (tmp_path / "tiny-period.cfg").write_text("period = 5e-324\n")
         proc = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
         assert proc.returncode == code
         assert proc.stdout == ""

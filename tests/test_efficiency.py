@@ -323,3 +323,7 @@ class TestGenerationRate:
         assert generation_rate(p, scheme(31)) == pytest.approx(806.45e6, rel=1e-3)
         assert generation_rate(p, scheme(63)) == pytest.approx(396.8e6, rel=1e-3)
         assert generation_rate(p, scheme(1)) == pytest.approx(25e9, rel=1e-12)
+
+    def test_overflowing_rate_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            generation_rate(SourceParams(period=5e-324), scheme(31))

@@ -245,13 +245,3 @@ class TestEstimateAvgLin:
         got = estimate_avg_lin(p, n, lam, trials, seed=9)
         assert abs(got - mean) < 3 * sigma
         assert mean == pytest.approx(avg_linear_transmission(p, n, lam), rel=1e-12)
-
-    def test_poisson_occupancy_mode_runs_and_conditions(self):
-        p = SourceParams()
-        got = estimate_avg_lin(p, 60, 0.1, 50_000, seed=2, occupancy="poisson")
-        assert 0.0 < got <= 1.0
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(DomainError):
-            estimate_avg_lin(SourceParams(), 10, 0.1, 100, seed=0,
-                             occupancy="bogus")

@@ -7,6 +7,7 @@ evaluation it can reach (see its docstring).
 """
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -130,7 +131,7 @@ SUBCOMMAND_FLAGS = {
     "mc": ({"--trials": _count(1, 2000)},
            {"--seed": _count(0, 2**32), "--workers": _count(1, 2)}),
     "bell": ({}, {"--eta": _flag(st.floats(0, 1).map(repr))}),
-    "fig3": ({"--out": OUT_PATH}, {"--seed": _count(0, 2**32)}),
+    "fig3": ({"--out": OUT_PATH}, {}),
 }
 SWITCHES = ("--json", "--literal-loss-exponent", "--d0-excludes-filter")
 
@@ -159,22 +160,31 @@ def cli_argv(draw):
 @example(["fig3", "--out", "{tmp}/file"], b"")
 @example(["fig3", "--out", "{tmp}/file/sub"], b"")
 @example(["eval", "--config", "{tmp}/config.cfg"], b"\xff\xfe")
+@example(["eval", "--json", "--config", "{tmp}/config.cfg"], b"period = 5e-324\n")
 def test_cli_exits_0_2_or_3(argv, config):
     """``cli.main`` on any generated command line returns 0, 2 or 3 (an
     argparse rejection, ``SystemExit(2)``, counts as 2) and raises nothing
-    else.  Every evaluation is capped so that the test stays fast: at most
-    2,000 trials, N <= 64 (in a config, a sweep or an optimize range), at
-    most 8 sweep points and ``--tol`` >= 1e-3; flag text holds no digit, so
-    it cannot lift a cap."""
+    else; on exit 0 with ``--json`` its output is strict JSON, with no NaN
+    or infinity.  Every evaluation is capped so that the test stays fast:
+    at most 2,000 trials, N <= 64 (in a config, a sweep or an optimize
+    range), at most 8 sweep points and ``--tol`` >= 1e-3; flag text holds
+    no digit, so it cannot lift a cap."""
     with tempfile.TemporaryDirectory() as tmp:
         open(os.path.join(tmp, "file"), "w").close()
         with open(os.path.join(tmp, "config.cfg"), "wb") as fh:
             fh.write(config)
         argv = [arg.replace("{tmp}", tmp) for arg in argv]
-        with contextlib.redirect_stdout(io.StringIO()), \
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 2, 3)
+    if code == 0 and "--json" in argv:
+        json.loads(stdout.getvalue(), parse_constant=_reject_non_finite)
+
+
+def _reject_non_finite(name):
+    raise AssertionError(f"--json output holds {name}, which is not JSON")

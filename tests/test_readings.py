@@ -14,7 +14,7 @@ SCHEME = SchemeConfig(n_bins=8)
 
 
 def _fig3_bytes(params, out_dir, **readings):
-    written = app.emit_fig3(out_dir, params, seed=0, **readings)
+    written = app.emit_fig3(out_dir, params, **readings)
     return [Path(path).read_bytes() for path in written]
 
 
