@@ -12,7 +12,6 @@ from .efficiency import (avg_linear_transmission, delay_transmission,
 from .model import (
     MAX_BINS,
     PROTOCOL_ETA_DET,
-    RNG_ALGORITHM,
     Detection,
     DomainError,
     PairDistribution,
@@ -83,12 +82,14 @@ def _parse_value(key: str, text: str, kind):
 def parse_config(text: str) -> tuple[SourceParams, SchemeConfig]:
     """Parse a flat key-value configuration.
 
-    One ``key = value`` pair per line, ``#`` starts a comment, unknown keys
-    are rejected.  ``eta_det`` defaults to the protocol-matched value when
-    omitted (0.7 single detector, 0.8 array); ``n_bins`` defaults to 31.
+    One ``key = value`` pair per line, ``#`` starts a comment, unknown and
+    repeated keys are rejected.  ``eta_det`` defaults to the protocol-matched
+    value when omitted (0.7 single detector, 0.8 array); ``n_bins`` defaults
+    to 31.
     """
     param_values: dict = {}
     scheme_values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,6 +97,10 @@ def parse_config(text: str) -> tuple[SourceParams, SchemeConfig]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: repeated configuration key "
+                              f"{key!r} (first set on line {first_line[key]})")
+        first_line[key] = lineno
         if key in _PARAM_KEYS:
             field_name, kind = _PARAM_KEYS[key]
             param_values[field_name] = _parse_value(key, value, kind)
@@ -402,7 +407,6 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
 
     meta = {
         "code_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
         "include_filter_in_d0": params.include_filter_in_d0,
         "literal_loss_exponent": params.literal_exponent,
         "parameters": {

@@ -128,13 +128,8 @@ class FockState:
     def overlap(self, other: "FockState") -> complex:
         if self.n_modes != other.n_modes:
             raise ValueError("mode counts differ")
-        small, large = self.amplitudes, other.amplitudes
-        if len(large) < len(small):
-            small, large = large, small
-            return sum(large.get(occ, 0j).conjugate() * a
-                       for occ, a in small.items()).conjugate()
-        return sum(small.get(occ, 0j).conjugate() * large.get(occ, 0j)
-                   for occ in small)
+        return sum(a.conjugate() * other.amplitudes.get(occ, 0j)
+                   for occ, a in self.amplitudes.items())
 
     def fidelity(self, other: "FockState") -> float:
         denom = self.norm_squared() * other.norm_squared()
@@ -180,6 +175,19 @@ class FockState:
         return state
 
 
+def _output_pair(occ: tuple[int, ...], ports: tuple[int, int]
+                 ) -> tuple[int, int] | None:
+    """(polarization in the first port, in the second) when each of the two
+    output ports holds exactly one photon, else None."""
+    pols = []
+    for port in ports:
+        counts = (occ[mode_index(port, H)], occ[mode_index(port, V)])
+        if sum(counts) != 1:
+            return None
+        pols.append(counts.index(1))
+    return tuple(pols)
+
+
 # --- heralded Bell generation from four sources -----------------------------
 
 #: Output ports carrying the generated pair and ports feeding the heralding
@@ -205,6 +213,7 @@ HERALD_PATTERNS = {
     "D1H,D1V": (1, 1, 0, 0),
     "D2H,D2V": (0, 0, 1, 1),
 }
+_PATTERN_NAMES = {pattern: name for name, pattern in HERALD_PATTERNS.items()}
 BELL_PATTERN_LABELS = {
     "D1H,D2H": "phi_plus",
     "D1V,D2V": "phi_plus",
@@ -254,11 +263,6 @@ def hbs_circuit(include_middle_rotation: bool = True) -> list[CircuitElement]:
     return elements
 
 
-def _hbs_final_state(include_middle_rotation: bool = True) -> FockState:
-    start = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0))
-    return start.apply_all(hbs_circuit(include_middle_rotation))
-
-
 def hbs_enumeration(include_middle_rotation: bool = True,
                     number_resolving: bool = True) -> HbsEnumeration:
     """Enumerate every detector pattern of the four-source circuit.
@@ -270,33 +274,26 @@ def hbs_enumeration(include_middle_rotation: bool = True,
     cross-port patterns the output pair, conditioned on one photon in each
     output port, is compared against the matching Bell state.
     """
-    state = _hbs_final_state(include_middle_rotation)
-    d1h, d1v = mode_index(HBS_DETECTOR_PORTS[0], H), mode_index(HBS_DETECTOR_PORTS[0], V)
-    d2h, d2v = mode_index(HBS_DETECTOR_PORTS[1], H), mode_index(HBS_DETECTOR_PORTS[1], V)
-    out_a, out_b = HBS_OUTPUT_PORTS
+    start = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0))
+    state = start.apply_all(hbs_circuit(include_middle_rotation))
+    detector_modes = [mode_index(port, pol) for port in HBS_DETECTOR_PORTS
+                      for pol in (H, V)]
 
     totals = {name: 0.0 for name in HERALD_PATTERNS}
     conditionals: dict[str, dict[tuple[int, int], complex]] = {
         name: {} for name in BELL_PATTERN_LABELS}
     for occ, amp in state.amplitudes.items():
-        det = (occ[d1h], occ[d1v], occ[d2h], occ[d2v])
-        if number_resolving:
-            matches = [n for n, pat in HERALD_PATTERNS.items() if det == pat]
-        else:
-            clicked = tuple(int(k >= 1) for k in det)
-            matches = [n for n, pat in HERALD_PATTERNS.items()
-                       if clicked == pat and sum(det) >= 2]
-        if not matches:
+        det = tuple(occ[m] for m in detector_modes)
+        if not number_resolving:
+            det = tuple(int(k >= 1) for k in det)
+        name = _PATTERN_NAMES.get(det)
+        if name is None:
             continue
-        name = matches[0]
         totals[name] += abs(amp) ** 2
-        if name in conditionals:
-            a_occ = (occ[mode_index(out_a, H)], occ[mode_index(out_a, V)])
-            b_occ = (occ[mode_index(out_b, H)], occ[mode_index(out_b, V)])
-            if sum(a_occ) == 1 and sum(b_occ) == 1:
-                key = (a_occ.index(1), b_occ.index(1))
-                cond = conditionals[name]
-                cond[key] = cond.get(key, 0j) + amp
+        pair = _output_pair(occ, HBS_OUTPUT_PORTS)
+        if name in conditionals and pair is not None:
+            cond = conditionals[name]
+            cond[pair] = cond.get(pair, 0j) + amp
 
     patterns: dict[str, PatternOutcome] = {}
     bell_yield = 0.0
@@ -326,12 +323,6 @@ def hbs_enumeration(include_middle_rotation: bool = True,
     )
 
 
-def hbs_herald_probability() -> float:
-    """Probability that two distinct heralding detectors fire in the
-    four-source circuit (ideal photons, number-resolving detectors)."""
-    return hbs_enumeration().herald_probability
-
-
 # --- two-source post-selected entanglement ----------------------------------
 
 def two_source_circuit() -> list[CircuitElement]:
@@ -352,17 +343,11 @@ def two_source_enumeration(second_pol: int = H):
     state = start.apply_all(two_source_circuit())
     cond: dict[tuple[int, int], complex] = {}
     for occ, amp in state.amplitudes.items():
-        a_occ, b_occ = (occ[0], occ[1]), (occ[2], occ[3])
-        if sum(a_occ) == 1 and sum(b_occ) == 1:
-            cond[(a_occ.index(1), b_occ.index(1))] = amp
+        pair = _output_pair(occ, (0, 1))
+        if pair is not None:
+            cond[pair] = amp
     probability = math.fsum(abs(a) ** 2 for a in cond.values())
     return probability, cond
-
-
-def two_source_probability() -> float:
-    """Probability of one photon in each output port of the two-source
-    circuit (exactly 1/2 for orthogonal inputs)."""
-    return two_source_enumeration()[0]
 
 
 class BellScheme(Enum):

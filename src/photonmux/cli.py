@@ -186,6 +186,7 @@ def _cmd_mc(args) -> int:
 def _cmd_bell(args) -> int:
     from . import bell  # the Fock-space code no other subcommand needs
 
+    _load(args)  # a bad config exits 2; the results do not depend on it
     enum = bell.hbs_enumeration()
     two_prob, _ = bell.two_source_enumeration()
     payload = {

@@ -102,6 +102,19 @@ def delay_decompose(delay_bins: int, n_bins: int) -> list[int]:
     return [(delay_bins >> j) & 1 for j in range(n_stages)]
 
 
+def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:
+    """(half period, offset) in bins of each stage's drive square wave, entry
+    stage first: the stage's phase bit in bin r is
+    ((r - 1 + offset) // half) % 2, 1 meaning pi."""
+    m = _exit_stage(n_bins)
+    clocks = [(n_bins // 2, n_bins // 2)]
+    if m >= 2:
+        clocks.append((n_bins // 4, 0))
+    clocks += [(2 ** (m - s), 2 ** (m - s - 1)) for s in range(2, m)]
+    clocks.append((1, 1))
+    return tuple(clocks)
+
+
 def phase_schedule(n_bins: int) -> PhaseSchedule:
     """Switch-phase matrix for a full frame; requires n_bins a power of two.
 
@@ -109,10 +122,10 @@ def phase_schedule(n_bins: int) -> PhaseSchedule:
     is one stage's divided-clock square wave sampled at the bin rate (see
     :func:`drive_waveforms`); :meth:`PhaseSchedule.decode_delay` inverts it.
     """
-    m = _exit_stage(n_bins)
+    clocks = _stage_clocks(n_bins)
     rows = tuple(
-        tuple(PHASE_PI if _waveform_bit(n_bins, s, r) else 0.0
-              for s in range(m + 1))
+        tuple(PHASE_PI if ((r - 1 + offset) // half) % 2 else 0.0
+              for half, offset in clocks)
         for r in range(1, n_bins + 1))
     return PhaseSchedule(n_bins=n_bins, phases=rows)
 
@@ -120,28 +133,7 @@ def phase_schedule(n_bins: int) -> PhaseSchedule:
 def clock_divisions(n_bins: int) -> tuple[int, ...]:
     """Clock division factor per stage: the full period, in bins, of each
     stage's drive square wave."""
-    m = _exit_stage(n_bins)
-    divisions = [n_bins]
-    for s in range(1, m + 1):
-        if s == 1 and m >= 2:
-            divisions.append(n_bins // 2)
-        else:
-            divisions.append(2 ** (m - s + 1))
-    return tuple(divisions)
-
-
-def _waveform_bit(n_bins: int, stage: int, r: int) -> int:
-    """Phase bit (1 -> pi) of one stage in bin r: a square wave at the
-    stage's clock division with a fixed per-stage offset."""
-    m = n_bins.bit_length() - 1
-    if stage == 0:
-        return ((r - 1) // (n_bins // 2) + 1) % 2
-    if stage == m:
-        return r % 2
-    if stage == 1:
-        return ((r - 1) // (n_bins // 4)) % 2
-    half = 2 ** (m - stage)
-    return ((r - 1 + half // 2) // half) % 2
+    return tuple(2 * half for half, _ in _stage_clocks(n_bins))
 
 
 def drive_waveforms(n_bins: int, n_frames: int) -> tuple[tuple[float, ...], ...]:

@@ -80,13 +80,6 @@ def no_herald_probability(params: SourceParams, eta_d: float) -> float:
     return params.eta_f * value if params.include_filter_in_d0 else value
 
 
-def switch_passes(scheme: SchemeConfig, r: int) -> int:
-    """Number of switch passes for a photon heralded in bin r."""
-    if scheme.topology is Topology.BINARY_DELAY:
-        return scheme.n_bins.bit_length()  # floor(log2 N) + 1
-    return scheme.n_bins - r
-
-
 def delay_transmission(params: SourceParams, delay_bins: int) -> float:
     """Transmission over ``delay_bins`` bins of delay at alpha_inc dB per bin,
     10^(-alpha_inc * delay_bins / 10); ``params.literal_exponent`` drops the
@@ -98,21 +91,23 @@ def delay_transmission(params: SourceParams, delay_bins: int) -> float:
     return 10.0 ** exponent
 
 
-def pic_transmission(params: SourceParams, scheme: SchemeConfig,
-                     r: int) -> float:
-    """End-to-end on-chip transmission for a photon heralded in bin r.
+def pic_transmission(params: SourceParams, scheme: SchemeConfig
+                     ) -> tuple[float, ...]:
+    """End-to-end on-chip transmission of every bin; bin r at index r - 1.
 
     Binary topology: the switch count is fixed at floor(log2 N) + 1 for every
     bin; the single-delay-line comparison pays one switch pass per bin of
-    delay.  The photon is delayed by N - r bins (see
+    delay.  The photon of bin r is delayed by N - r bins (see
     :func:`delay_transmission`).
     """
     n = scheme.n_bins
-    if not 1 <= r <= n:
-        raise DomainError(f"bin index must be in [1, {n}], got {r}")
-    return (params.eta_f * params.eta_c
-            * params.eta_sw ** switch_passes(scheme, r)
-            * delay_transmission(params, n - r))
+    fixed = params.eta_f * params.eta_c
+    delays = range(n - 1, -1, -1)
+    if scheme.topology is Topology.BINARY_DELAY:
+        fixed *= params.eta_sw ** n.bit_length()
+        return tuple(fixed * delay_transmission(params, d) for d in delays)
+    return tuple(fixed * params.eta_sw ** d * delay_transmission(params, d)
+                 for d in delays)
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
@@ -127,7 +122,7 @@ def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
     d0_val = no_herald_probability(params, eta_d)
     q = 1.0 - eta_d
     first = scheme.selection is Selection.FIRST_PHOTON
-    pic = tuple(pic_transmission(params, scheme, r) for r in range(1, n + 1))
+    pic = pic_transmission(params, scheme)
     # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
     # of its signal photons survives the chip (see the module docstring)
     per_bin = tuple(

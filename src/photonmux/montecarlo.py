@@ -140,7 +140,7 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
             coins = rng.random(len(quiet))
             vetoed = bool(np.any(coins >= params.eta_f))
         if not vetoed:
-            pic = efficiency.pic_transmission(params, scheme, selected)
+            pic = efficiency.pic_transmission(params, scheme)[selected - 1]
             survivors = int(rng.binomial(int(pairs[selected - 1]), pic))
 
     if survivors == 0:
@@ -177,12 +177,12 @@ def _herald_tables(params: SourceParams, eta_d: float):
     return p_herald, np.cumsum(cond)
 
 
-def _chunk_counts(params: SourceParams, scheme: SchemeConfig, n_trials: int,
-                  child_seed):
+def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
+                  cond_cum, pic: np.ndarray, n_trials: int, child_seed):
+    """Sample one chunk of trials from the herald tables and the
+    transmission frame that :func:`estimate_eta` builds once."""
     rng = np.random.default_rng(child_seed)
     n = scheme.n_bins
-    eta_d = efficiency.detection_efficiency(params, scheme)
-    p_herald, cond_cum = _herald_tables(params, eta_d)
     per_bin = np.zeros(n, dtype=np.int64)
     if p_herald == 0.0:
         return 0, 0, n_trials, per_bin
@@ -210,8 +210,6 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, n_trials: int,
     else:
         kept = np.ones(n_trials, dtype=bool)
 
-    pic = np.array([efficiency.pic_transmission(params, scheme, b)
-                    for b in range(1, n + 1)])
     active = heralded & kept
     survivors = rng.binomial(np.where(active, pairs, 0), pic[r_idx - 1])
 
@@ -242,7 +240,10 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
         sizes.append(n_trials % _CHUNK_TRIALS)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    job = functools.partial(_chunk_counts, params, scheme)
+    eta_d = efficiency.detection_efficiency(params, scheme)
+    pic = np.array(efficiency.pic_transmission(params, scheme))
+    job = functools.partial(_chunk_counts, params, scheme,
+                            *_herald_tables(params, eta_d), pic)
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, sizes, children))

@@ -59,6 +59,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="wombat"):
             parse_config("wombat = 3")
 
+    def test_repeated_key_rejected_with_both_line_numbers(self):
+        with pytest.raises(ConfigError,
+                           match=r"line 3: .*'lambda'.* line 1\)"):
+            parse_config("lambda = 0.1\n# stronger pumping\nlambda = 0.3")
+        # a repeat is rejected even when it restates the same value
+        with pytest.raises(ConfigError, match="repeated"):
+            parse_config("n_bins=8\nn_bins = 8")
+
     def test_bad_enum_value(self):
         with pytest.raises(ConfigError, match="topology"):
             parse_config("topology = hexagonal")
@@ -315,7 +323,7 @@ class TestEmitFig3:
         out, _ = outputs
         meta = json.loads((out / "fig3_metadata.json").read_text())
         assert meta["code_version"]
-        assert "pcg64" in meta["rng_algorithm"]
+        assert "rng_algorithm" not in meta
         assert meta["parameters"]["lambda"] == 0.1
         assert meta["parameters"]["eta_det"] == {"single": 0.7, "array": 0.8}
         assert "seed" not in meta

@@ -15,13 +15,11 @@ from photonmux.bell import (
     composed_success,
     hbs_circuit,
     hbs_enumeration,
-    hbs_herald_probability,
     mode_index,
     nonpolarizing_coupler,
     polarization_rotator,
     polarizing_coupler,
     two_source_enumeration,
-    two_source_probability,
 )
 
 
@@ -100,7 +98,8 @@ class TestFockState:
 
 class TestHeraldedBellCircuit:
     def test_herald_probability_is_three_sixteenths(self):
-        assert hbs_herald_probability() == pytest.approx(3 / 16, abs=1e-10)
+        assert hbs_enumeration().herald_probability == pytest.approx(
+            3 / 16, abs=1e-10)
 
     def test_pattern_split_and_heralded_states(self):
         enum = hbs_enumeration()
@@ -184,7 +183,7 @@ class TestHeraldedBellCircuit:
 
 class TestTwoSourceCircuit:
     def test_coincidence_probability_is_half(self):
-        assert two_source_probability() == pytest.approx(0.5, abs=1e-10)
+        assert two_source_enumeration()[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_conditional_state_is_the_singlet(self):
         prob, cond = two_source_enumeration()

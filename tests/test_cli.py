@@ -67,6 +67,15 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == EXIT_CONFIG
         assert "nonsense" in capsys.readouterr().err
 
+    def test_repeated_key_exits_config_error(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("lambda = 0.1\nn_bins = 8\nlambda = 0.3\n")
+        proc = run_cli("eval", "--json", "--config", str(cfg))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        [message] = proc.stderr.splitlines()
+        assert "line 3" in message and "line 1" in message
+
     @pytest.mark.parametrize("line,field", [("lambda = nan", "lam"),
                                             ("alpha_inc = inf", "alpha_inc"),
                                             ("period = -inf", "period")])
@@ -266,6 +275,29 @@ class TestBell:
         assert payload["two_source_coincidence"] == pytest.approx(0.5, abs=1e-10)
         assert payload["composed"]["hbs4"] == pytest.approx(
             3 / 16 * 0.59**4, rel=1e-9)
+
+    @pytest.mark.parametrize("text", [None, "nonsense = 1\n",
+                                      "n_bins = 8\nn_bins = 8\n"],
+                             ids=["missing", "unknown-key", "repeated-key"])
+    def test_bad_config_exits_config_error(self, tmp_path, text):
+        cfg = tmp_path / "bell.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        proc = run_cli("bell", "--config", str(cfg))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_valid_config_and_flags_leave_the_output_unchanged(self, tmp_path):
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text("lambda = 0.3\npair_dist = thermal\ndetection = array\n")
+        argv = ("bell", "--json", "--eta", "0.59")
+        base = run_cli(*argv)
+        assert base.returncode == EXIT_OK
+        for extra in (("--config", str(cfg)), ("--d0-excludes-filter",),
+                      ("--literal-loss-exponent",)):
+            proc = run_cli(*argv, *extra)
+            assert (proc.returncode, proc.stdout) == (EXIT_OK, base.stdout)
 
 
 class TestFig3:

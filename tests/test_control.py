@@ -15,6 +15,8 @@ from photonmux.control import (
 from photonmux.model import MAX_BINS, DomainError
 
 PI = math.pi
+#: Every frame size the switch phases support.
+POWERS_OF_TWO = [2 ** m for m in range(1, MAX_BINS.bit_length())]
 
 # Reference phase table for an 8-bin frame: bin, delay (in pump periods),
 # stage phases entry-to-exit.  This is the conformance oracle for the
@@ -59,8 +61,7 @@ class TestPhaseSchedule:
             assert sched.row(bin_index) == pytest.approx(phases)
             assert sched.decode_delay(bin_index) == delay
 
-    @pytest.mark.parametrize(
-        "n", [2 ** m for m in range(1, MAX_BINS.bit_length())])
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
     def test_round_trip_delay(self, n):
         sched = phase_schedule(n)
         for r in range(1, n + 1):
@@ -109,13 +110,16 @@ class TestDriveWaveforms:
         assert clock_divisions(4) == (4, 2, 2)
         assert clock_divisions(8) == (8, 4, 4, 2)
         assert clock_divisions(16) == (16, 8, 8, 4, 2)
-        # every waveform is periodic with its declared division
-        for n in (2, 4, 8, 16):
+        # each division is the least period of its stage's waveform
+        for n in POWERS_OF_TWO:
             waves = drive_waveforms(n, 2)
-            for div, wave in zip(clock_divisions(n), waves):
-                assert wave[:n] * 2 == list(wave) or tuple(wave[:n]) * 2 == wave
-                for i in range(n - div):
-                    assert wave[i] == wave[i + div]
+            divisions = clock_divisions(n)
+            assert len(divisions) == len(waves) == n.bit_length()
+            for div, wave in zip(divisions, waves):
+                assert wave == wave[:n] * 2
+                least = next(p for p in range(1, len(wave))
+                             if wave[p:] == wave[:-p])
+                assert least == div
 
 
 class TestSelection:

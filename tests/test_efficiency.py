@@ -11,7 +11,6 @@ from photonmux.efficiency import (
     last_photon_weights,
     no_herald_probability,
     pic_transmission,
-    switch_passes,
     total_efficiency,
 )
 from photonmux.model import (
@@ -82,40 +81,43 @@ class TestNoHeraldProbability:
 class TestPicTransmission:
     def test_single_line_last_bin_is_lossless(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0)
-        assert pic_transmission(p, scheme(8, Topology.SINGLE_DELAY_LINE), 8) == 1.0
+        assert pic_transmission(p, scheme(8, Topology.SINGLE_DELAY_LINE))[7] == 1.0
 
     def test_binary_pass_count_is_depth_plus_one(self):
-        s = scheme(8)
-        assert switch_passes(s, 1) == 4
-        assert switch_passes(s, 8) == 4
+        # with every other loss at 1, each entry is eta_sw^(passes) exactly
+        half = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=0.5, alpha_inc=0.0)
         for n in range(1, MAX_BINS + 1):
-            assert switch_passes(scheme(n), 1) == math.floor(math.log2(n)) + 1
+            passes = math.floor(math.log2(n)) + 1
+            assert pic_transmission(half, scheme(n)) == (0.5**passes,) * n
         p_unit = SourceParams(eta_f=1.0, eta_c=1.0, alpha_inc=0.0)
-        assert pic_transmission(p_unit, s, 5) == pytest.approx(0.87**4, rel=1e-12)
+        assert pic_transmission(p_unit, scheme(8))[4] == pytest.approx(
+            0.87**4, rel=1e-12)
+
+    def test_single_line_passes_equal_the_delay(self):
+        half = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=0.5, alpha_inc=0.0)
+        for n in (1, 2, 7, 64):
+            frame = pic_transmission(half, scheme(n, Topology.SINGLE_DELAY_LINE))
+            assert frame == tuple(0.5 ** (n - r) for r in range(1, n + 1))
 
     def test_binary_beats_single_line_for_early_bins(self):
         p = SourceParams(alpha_inc=0.0)
-        binary = pic_transmission(p, scheme(32), 1)
-        line = pic_transmission(p, scheme(32, Topology.SINGLE_DELAY_LINE), 1)
-        assert binary / line == pytest.approx(0.87**6 / 0.87**31, rel=1e-9)
+        binary = pic_transmission(p, scheme(32))
+        line = pic_transmission(p, scheme(32, Topology.SINGLE_DELAY_LINE))
+        assert binary[0] / line[0] == pytest.approx(0.87**6 / 0.87**31,
+                                                    rel=1e-9)
         # the binary topology dominates whenever fewer passes are needed
         for r in range(1, 32 - 6):
-            assert pic_transmission(p, scheme(32), r) > pic_transmission(
-                p, scheme(32, Topology.SINGLE_DELAY_LINE), r)
+            assert binary[r - 1] > line[r - 1]
 
     def test_decibel_convention(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0, alpha_inc=3.0)
-        assert pic_transmission(p, scheme(2), 1) == pytest.approx(
+        assert pic_transmission(p, scheme(2))[0] == pytest.approx(
             10 ** (-3.0 / 10.0), rel=1e-12)
 
     def test_literal_exponent_flag(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0, alpha_inc=0.03)
-        assert pic_transmission(p.with_(literal_exponent=True), scheme(2), 1) == \
-            pytest.approx(10 ** (-0.03), rel=1e-12)
-
-    def test_bin_out_of_range(self):
-        with pytest.raises(DomainError):
-            pic_transmission(SourceParams(), scheme(8), 9)
+        assert pic_transmission(p.with_(literal_exponent=True), scheme(2))[0] \
+            == pytest.approx(10 ** (-0.03), rel=1e-12)
 
 
 class TestDetectionEfficiency:
@@ -196,7 +198,7 @@ class TestBinSuccess:
         if filter_in_d0:
             d0 *= p.eta_f
         for r in (1, 5, 12):
-            t = pic_transmission(p, s, r)
+            t = pic_transmission(p, s)[r - 1]
             survives = math.fsum(
                 w * (1 - q**i) * i * t * (1 - t) ** (i - 1)
                 for i, w in enumerate(pmf) if i >= 1)
