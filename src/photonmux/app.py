@@ -219,19 +219,15 @@ class EfficiencyCurve:
 
 def _apply_sweep_value(spec: SweepSpec, value):
     field_name, _ = _sweep_key(spec.parameter)
-    try:
-        if spec.parameter in _SCHEME_KEYS:
-            return spec.params, replace(spec.scheme, **{field_name: value})
-        return replace(spec.params, **{field_name: value}), spec.scheme
-    except DomainError as exc:
-        raise ConfigError(
-            f"sweep value {value!r} out of domain for {spec.parameter!r}: {exc}"
-        ) from exc
+    if spec.parameter in _SCHEME_KEYS:
+        return spec.params, replace(spec.scheme, **{field_name: value})
+    return replace(spec.params, **{field_name: value}), spec.scheme
 
 
 def sweep(spec: SweepSpec, *, include_filter_in_d0: bool | None = None,
           literal_exponent: bool | None = None) -> EfficiencyCurve:
-    """Evaluate the total efficiency at every sweep point."""
+    """Evaluate the total efficiency at every sweep point; a value outside
+    the modeled domain raises DomainError."""
     spec = replace(spec, params=with_readings(
         spec.params, include_filter_in_d0, literal_exponent))
     points = []
@@ -264,28 +260,29 @@ CROSSING_TOPOLOGY = Topology.BINARY_DELAY
 
 
 def _protocol_curve(params: SourceParams, eta_sw: float, topology: Topology,
-                    detection: Detection, n_max: int) -> EfficiencyCurve:
-    """Efficiency versus N = 1..n_max of the protocol-matched design: switch
+                    detection: Detection) -> EfficiencyCurve:
+    """Efficiency versus N = 1..N_MAX of the protocol-matched design: switch
     transmission ``eta_sw`` and the protocol's ``PROTOCOL_ETA_DET``."""
     matched = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
     scheme = SchemeConfig(n_bins=1, topology=topology, detection=detection)
-    return optimize_bins(matched, scheme, 1, n_max)
+    return optimize_bins(matched, scheme)
 
 
-def protocol_gap(params: SourceParams, eta_sw: float, *, n_max: int = N_MAX,
+def protocol_gap(params: SourceParams, eta_sw: float, *,
                  include_filter_in_d0: bool | None = None,
                  literal_exponent: bool | None = None) -> float:
     """Best single-detector efficiency minus best detector-array efficiency
-    at one switch transmission (both on the binary topology)."""
+    over N = 1..N_MAX at one switch transmission (both on the binary
+    topology)."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
     single, array = (
-        _protocol_curve(params, eta_sw, CROSSING_TOPOLOGY, detection, n_max)
+        _protocol_curve(params, eta_sw, CROSSING_TOPOLOGY, detection)
         for detection in (Detection.SINGLE_DETECTOR, Detection.DETECTOR_ARRAY))
     return single.eta_max - array.eta_max
 
 
 def find_crossing(params: SourceParams, lo: float, hi: float,
-                  tol: float = 1e-3, *, n_max: int = N_MAX,
+                  tol: float = 1e-3, *,
                   include_filter_in_d0: bool | None = None,
                   literal_exponent: bool | None = None) -> float:
     """Switch transmission at which the two detection protocols reach the
@@ -299,8 +296,8 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
     if not lo <= hi:
         raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    g_lo = protocol_gap(params, lo, n_max=n_max)
-    g_hi = protocol_gap(params, hi, n_max=n_max)
+    g_lo = protocol_gap(params, lo)
+    g_hi = protocol_gap(params, hi)
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -313,7 +310,7 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        g_mid = protocol_gap(params, mid, n_max=n_max)
+        g_mid = protocol_gap(params, mid)
         if g_mid == 0.0:
             return mid
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
@@ -339,8 +336,7 @@ _FIG3AB_PROTOCOLS = (
 
 
 def _fig3ab_rows(params: SourceParams, eta_sw: float):
-    curves = [_protocol_curve(params, eta_sw, topology, detection,
-                              FIG3_N_RANGE[-1])
+    curves = [_protocol_curve(params, eta_sw, topology, detection)
               for topology, detection in _FIG3AB_PROTOCOLS]
     for points in zip(*(curve.points for curve in curves)):
         yield [points[0][0]] + [eta for _, eta in points]
@@ -348,8 +344,7 @@ def _fig3ab_rows(params: SourceParams, eta_sw: float):
 
 def _fig3c_rows(params: SourceParams):
     for n in FIG3_N_RANGE:
-        row = [n] + [avg_linear_transmission(params, n, lam,
-                                             Selection.LAST_PHOTON)
+        row = [n] + [avg_linear_transmission(params, n, lam)
                      for lam in FIG3C_LAMBDAS]
         # control: a single occupied bin, uniformly placed
         control = math.fsum(

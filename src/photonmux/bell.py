@@ -125,16 +125,6 @@ class FockState:
             raise ValueError("state mixes photon-number sectors")
         return totals.pop()
 
-    def overlap(self, other: "FockState") -> complex:
-        if self.n_modes != other.n_modes:
-            raise ValueError("mode counts differ")
-        return sum(a.conjugate() * other.amplitudes.get(occ, 0j)
-                   for occ, a in self.amplitudes.items())
-
-    def fidelity(self, other: "FockState") -> float:
-        denom = self.norm_squared() * other.norm_squared()
-        return abs(self.overlap(other)) ** 2 / denom
-
     def apply(self, element: CircuitElement) -> "FockState":
         """Transform by the element's creation-operator substitution."""
         if any(m >= self.n_modes for m in element.modes):

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .app import (
@@ -26,7 +27,7 @@ from .app import (
     write_csv,
 )
 from .efficiency import detection_efficiency, generation_rate, total_efficiency
-from .model import PROTOCOL_ETA_DET, DomainError
+from .model import PROTOCOL_ETA_DET, RNG_ALGORITHM, DomainError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,8 +58,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _load(args):
     """``load_config``, with the two model flags set on the params."""
     params, scheme = load_config(args.config)
-    return params.with_(include_filter_in_d0=not args.d0_excludes_filter,
-                        literal_exponent=args.literal_loss_exponent), scheme
+    return replace(params, include_filter_in_d0=not args.d0_excludes_filter,
+                   literal_exponent=args.literal_loss_exponent), scheme
 
 
 def _cmd_eval(args) -> int:
@@ -170,7 +171,7 @@ def _cmd_mc(args) -> int:
         "multi_given_emission": result.multi_given_emission,
         "per_bin_hist": list(result.per_bin_hist),
         "seed": args.seed,
-        "rng_algorithm": result.rng_algorithm,
+        "rng_algorithm": RNG_ALGORITHM,
     }
     _emit(args, payload, [
         f"eta_hat    {result.eta_hat:.6f} +/- {result.std_err:.6f}",
@@ -178,7 +179,7 @@ def _cmd_mc(args) -> int:
         f"(z = {'n/a' if z is None else format(z, '+.2f')})",
         f"outcomes   single={result.n_single} multi={result.n_multi} "
         f"vacuum={result.n_vacuum}",
-        f"rng        {result.rng_algorithm} seed={args.seed}",
+        f"rng        {RNG_ALGORITHM} seed={args.seed}",
     ])
     return EXIT_OK
 

@@ -16,7 +16,6 @@ and the exit switch folds the final rail onto the output port.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -74,32 +73,6 @@ class PhaseSchedule:
             raise DomainError(
                 f"inconsistent exit phase in row for bin {bin_index}")
         return sum(bits[s] << (m - 1 - s) for s in range(m))
-
-    def to_csv(self, path) -> None:
-        """Write the schedule as CSV: bin, delay_bins, one column per stage."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["bin", "delay_bins"]
-            header += [f"phi_stage{s}" for s in range(self.stage_count)]
-            writer.writerow(header)
-            for r in range(1, self.n_bins + 1):
-                row = [r, self.n_bins - r]
-                row += ["pi" if p == PHASE_PI else "0" for p in self.row(r)]
-                writer.writerow(row)
-
-
-def delay_decompose(delay_bins: int, n_bins: int) -> list[int]:
-    """Binary expansion of a delay, least-significant stage first.
-
-    Coefficient j set means the photon is routed through the 2^j T delay.
-    """
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    if not 0 <= delay_bins <= n_bins - 1:
-        raise DomainError(
-            f"delay must be in [0, {n_bins - 1}], got {delay_bins}")
-    n_stages = max(1, (n_bins - 1).bit_length())
-    return [(delay_bins >> j) & 1 for j in range(n_stages)]
 
 
 def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:

@@ -110,6 +110,15 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig
                  for d in delays)
 
 
+def quiet_bins(scheme: SchemeConfig) -> range:
+    """k(r), the number of bins that must stay quiet when bin r is selected,
+    at index r - 1: r - 1 for first-photon selection, N - r for last."""
+    n = scheme.n_bins
+    if scheme.selection is Selection.FIRST_PHOTON:
+        return range(n)
+    return range(n - 1, -1, -1)
+
+
 def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
                      include_filter_in_d0: bool | None = None,
                      literal_exponent: bool | None = None
@@ -117,19 +126,17 @@ def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
     """Generation efficiency eta with its full per-bin decomposition; B(r) is
     ``per_bin_success[r - 1]``."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    n = scheme.n_bins
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d)
     q = 1.0 - eta_d
-    first = scheme.selection is Selection.FIRST_PHOTON
     pic = pic_transmission(params, scheme)
     # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
     # of its signal photons survives the chip (see the module docstring)
     per_bin = tuple(
-        d0_val ** (r - 1 if first else n - r)
+        d0_val ** k
         * (t * (pair_generating_derivative(params, 1.0 - t)
                 - q * pair_generating_derivative(params, q * (1.0 - t))))
-        for r, t in enumerate(pic, start=1))
+        for k, t in zip(quiet_bins(scheme), pic))
     return EfficiencyBreakdown(
         eta_total=math.fsum(per_bin),
         per_bin_success=per_bin,
@@ -156,41 +163,26 @@ def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
             for p in range(1, n_bins + 1)]
 
 
-def first_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
-    """Distribution of the first occupied bin; mirror image of
-    :func:`last_photon_weights`."""
-    return list(reversed(last_photon_weights(n_bins, n_occupied)))
-
-
 def avg_linear_transmission(params: SourceParams, n_bins: int,
-                            lam: float | None = None,
-                            selection: Selection = Selection.LAST_PHOTON
-                            ) -> float:
-    """Expected delay-line transmission of the selected photon.
+                            lam: float) -> float:
+    """Expected delay-line transmission of the photon that last-photon
+    selection picks.
 
     The expected number of occupied bins is n_occ = ceil(lam * N); the
-    selected bin follows the order statistics of n_occ uniform draws without
-    replacement (maximum for last-photon selection, minimum for first).  The
-    result is the dot product of the per-bin delay transmissions
+    selected bin is the maximum of n_occ uniform draws without replacement.
+    The result is the dot product of the per-bin delay transmissions
     (:func:`delay_transmission` over N - p bins) with those weights.
-    n_occ = 1 reduces to the uniform-weight control curve.
+    n_occ = 1 reduces to the uniform-weight control curve.  A mean pair
+    parameter above 1 would occupy more bins than the frame has.
     """
     if n_bins < 1:
         raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    lam = params.lam if lam is None else lam
-    if lam <= 0:
-        raise DomainError(f"lam must be > 0, got {lam}")
+    if not 0 < lam <= 1:
+        raise DomainError(f"lam must be in (0, 1], got {lam}")
     n_occ = math.ceil(lam * n_bins)
-    if n_occ > n_bins:
-        raise DomainError(
-            f"expected occupied bins {n_occ} exceeds n_bins {n_bins} "
-            "(mean pair parameter above 1 is not modeled)")
-    if selection is Selection.LAST_PHOTON:
-        weights = last_photon_weights(n_bins, n_occ)
-    else:
-        weights = first_photon_weights(n_bins, n_occ)
     return math.fsum(w * delay_transmission(params, n_bins - p)
-                     for p, w in enumerate(weights, start=1))
+                     for p, w in enumerate(last_photon_weights(n_bins, n_occ),
+                                           start=1))
 
 
 def generation_rate(params: SourceParams, scheme: SchemeConfig) -> float:

@@ -142,9 +142,6 @@ class SourceParams:
         overrides.setdefault("eta_det", PROTOCOL_ETA_DET[detection])
         return cls(**overrides)
 
-    def with_(self, **changes) -> "SourceParams":
-        return replace(self, **changes)
-
 
 def with_readings(params: SourceParams, include_filter_in_d0: bool | None,
                   literal_exponent: bool | None) -> SourceParams:
@@ -196,9 +193,6 @@ class SchemeConfig:
                 f"{canonical.value}-photon selection; pass "
                 "allow_mismatched_selection=True to override")
 
-    def with_(self, **changes) -> "SchemeConfig":
-        return replace(self, **changes)
-
 
 def pair_count_distribution(params: SourceParams, n: int) -> float:
     """Probability of generating exactly ``n`` photon pairs in one bin.
@@ -240,9 +234,9 @@ def pair_generating_derivative(params: SourceParams, z: float) -> float:
     return 2.0 * x * (1.0 - x) ** 2 / (1.0 - x * z) ** 3
 
 
-def pair_pmf_array(params: SourceParams, n_max: int = MAX_PAIRS) -> list[float]:
-    """pmf values for n = 0..n_max, used for table-driven sampling."""
-    return [pair_count_distribution(params, n) for n in range(n_max + 1)]
+def pair_pmf_array(params: SourceParams) -> list[float]:
+    """pmf values for n = 0..MAX_PAIRS, used for table-driven sampling."""
+    return [pair_count_distribution(params, n) for n in range(MAX_PAIRS + 1)]
 
 
 def conditional_multiphoton(params: SourceParams) -> float:

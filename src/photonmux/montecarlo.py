@@ -26,7 +26,6 @@ from . import efficiency
 from .control import HeraldFrame, select_first, select_last
 from .model import (
     MAX_PAIRS,
-    RNG_ALGORITHM,
     DomainError,
     PairDistribution,
     SchemeConfig,
@@ -74,7 +73,6 @@ class EstimatorResult:
     n_single: int
     n_multi: int
     n_vacuum: int
-    rng_algorithm: str = RNG_ALGORITHM
 
     @property
     def multi_given_emission(self) -> float:
@@ -107,6 +105,14 @@ def _sample_pairs(params: SourceParams, rng: np.random.Generator,
     return rng.negative_binomial(2, 1.0 - lam / 2.0, size)
 
 
+@functools.lru_cache(maxsize=1)
+def _frame_setup(params: SourceParams, scheme: SchemeConfig):
+    """eta_d and the transmission frame of one design, which consecutive
+    frames and estimates of that design share."""
+    return (efficiency.detection_efficiency(params, scheme),
+            efficiency.pic_transmission(params, scheme))
+
+
 def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
               include_filter_in_d0: bool | None = None,
               literal_exponent: bool | None = None) -> TrialRecord:
@@ -117,10 +123,9 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
     """
     params = with_readings(params, include_filter_in_d0, literal_exponent)
     rng = _as_rng(rng_seed)
-    n = scheme.n_bins
-    eta_d = efficiency.detection_efficiency(params, scheme)
+    eta_d, pic = _frame_setup(params, scheme)
 
-    pairs = _sample_pairs(params, rng, n)
+    pairs = _sample_pairs(params, rng, scheme.n_bins)
     detected = rng.binomial(pairs, eta_d)
     frame = HeraldFrame(tuple(int(k >= 1) for k in detected))
 
@@ -131,17 +136,13 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
 
     survivors = 0
     if selected is not None:
-        if scheme.selection is Selection.FIRST_PHOTON:
-            quiet = range(0, selected - 1)
-        else:
-            quiet = range(selected, n)
         vetoed = False
         if params.include_filter_in_d0 and params.eta_f < 1.0:
-            coins = rng.random(len(quiet))
+            coins = rng.random(efficiency.quiet_bins(scheme)[selected - 1])
             vetoed = bool(np.any(coins >= params.eta_f))
         if not vetoed:
-            pic = efficiency.pic_transmission(params, scheme)[selected - 1]
-            survivors = int(rng.binomial(int(pairs[selected - 1]), pic))
+            survivors = int(rng.binomial(int(pairs[selected - 1]),
+                                         pic[selected - 1]))
 
     if survivors == 0:
         outcome = Outcome.VACUUM
@@ -203,7 +204,7 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
 
     pairs = np.searchsorted(cond_cum, rng.random(n_trials)) + 1
 
-    quiet = r_idx - 1 if scheme.selection is Selection.FIRST_PHOTON else n - r_idx
+    quiet = np.array(efficiency.quiet_bins(scheme))[r_idx - 1]
     veto_u = rng.random(n_trials)
     if params.include_filter_in_d0:
         kept = veto_u < params.eta_f ** quiet
@@ -240,10 +241,9 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
         sizes.append(n_trials % _CHUNK_TRIALS)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    eta_d = efficiency.detection_efficiency(params, scheme)
-    pic = np.array(efficiency.pic_transmission(params, scheme))
+    eta_d, pic = _frame_setup(params, scheme)
     job = functools.partial(_chunk_counts, params, scheme,
-                            *_herald_tables(params, eta_d), pic)
+                            *_herald_tables(params, eta_d), np.array(pic))
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, sizes, children))

@@ -115,7 +115,7 @@ class TestSweep:
     def test_out_of_domain_sweep_value(self):
         spec = SweepSpec("eta_sw", (0.5, 1.5), SourceParams(),
                          SchemeConfig(n_bins=4))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             sweep(spec)
 
     def test_lambda_sweeps_the_pumping_strength(self):

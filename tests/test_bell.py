@@ -90,11 +90,6 @@ class TestFockState:
             nonpolarizing_coupler(0, 1))
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
-    def test_fidelity_is_phase_invariant(self):
-        a = FockState(2, {(1, 0): 1.0})
-        b = FockState(2, {(1, 0): cmath.exp(1j * 0.7)})
-        assert a.fidelity(b) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestHeraldedBellCircuit:
     def test_herald_probability_is_three_sixteenths(self):

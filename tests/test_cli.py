@@ -162,6 +162,20 @@ class TestSweepAndOptimize:
     def test_bad_sweep_input_is_config_error(self, capsys, flags):
         assert_rejected(capsys, ["sweep", *flags], EXIT_CONFIG)
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_bins", "0"), ("lambda", "-1"), ("eta_f", "1.5"),
+        ("eta_c", "-0.1"), ("eta_sw", "1.5"), ("eta_det", "2"),
+        ("eta_conv", "-0.5"), ("alpha_inc", "-1"),
+    ])
+    def test_out_of_domain_value_is_domain_error(self, capsys, tmp_path,
+                                                 key, value):
+        # the same value exits alike from a config line and a sweep list
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert_rejected(capsys, ["eval", "--config", str(cfg)], EXIT_DOMAIN)
+        assert_rejected(capsys, ["sweep", "--param", key, "--values", value],
+                        EXIT_DOMAIN)
+
     def test_optimize(self, capsys):
         code, payload = run_json(capsys, ["optimize", "--json"])
         assert code == EXIT_OK

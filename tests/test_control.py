@@ -6,7 +6,6 @@ import pytest
 from photonmux.control import (
     HeraldFrame,
     clock_divisions,
-    delay_decompose,
     drive_waveforms,
     phase_schedule,
     select_first,
@@ -33,26 +32,6 @@ EIGHT_BIN_TABLE = [
 ]
 
 
-class TestDelayDecompose:
-    @pytest.mark.parametrize("delay,n,expected", [
-        (7, 8, [1, 1, 1]),
-        (0, 8, [0, 0, 0]),
-        (5, 8, [1, 0, 1]),
-        (6, 8, [0, 1, 1]),
-        (4, 5, [0, 0, 1]),
-    ])
-    def test_binary_expansion(self, delay, n, expected):
-        coeff = delay_decompose(delay, n)
-        assert coeff == expected
-        assert sum(c << j for j, c in enumerate(coeff)) == delay
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            delay_decompose(8, 8)
-        with pytest.raises(DomainError):
-            delay_decompose(-1, 8)
-
-
 class TestPhaseSchedule:
     def test_eight_bin_table_verbatim(self):
         sched = phase_schedule(8)
@@ -75,15 +54,6 @@ class TestPhaseSchedule:
     def test_rejects_non_power_of_two(self, bad):
         with pytest.raises(DomainError):
             phase_schedule(bad)
-
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "schedule.csv"
-        phase_schedule(8).to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "bin,delay_bins,phi_stage0,phi_stage1,phi_stage2,phi_stage3"
-        assert len(lines) == 9
-        assert lines[1] == "1,7,pi,0,0,pi"
-        assert lines[8] == "8,0,0,pi,0,0"
 
 
 class TestDriveWaveforms:

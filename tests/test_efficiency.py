@@ -1,12 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
 from photonmux.efficiency import (
     avg_linear_transmission,
     detection_efficiency,
-    first_photon_weights,
     generation_rate,
     last_photon_weights,
     no_herald_probability,
@@ -59,7 +59,7 @@ class TestNoHeraldProbability:
     def test_filter_flag_drops_prefactor(self):
         p = SourceParams(lam=0.1)
         with_f = no_herald_probability(p, 0.5)
-        without = no_herald_probability(p.with_(include_filter_in_d0=False),
+        without = no_herald_probability(replace(p, include_filter_in_d0=False),
                                         0.5)
         assert with_f == pytest.approx(p.eta_f * without, rel=1e-15)
 
@@ -73,7 +73,7 @@ class TestNoHeraldProbability:
         heralded = math.fsum(
             pair_count_distribution(p, i) * (1 - (1 - eta_d) ** i)
             for i in range(1, ORACLE_PAIRS + 1))
-        bare_d0 = no_herald_probability(p.with_(include_filter_in_d0=False),
+        bare_d0 = no_herald_probability(replace(p, include_filter_in_d0=False),
                                         eta_d)
         assert heralded + bare_d0 == pytest.approx(1.0, abs=1e-12)
 
@@ -116,7 +116,7 @@ class TestPicTransmission:
 
     def test_literal_exponent_flag(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0, alpha_inc=0.03)
-        assert pic_transmission(p.with_(literal_exponent=True), scheme(2))[0] \
+        assert pic_transmission(replace(p, literal_exponent=True), scheme(2))[0] \
             == pytest.approx(10 ** (-0.03), rel=1e-12)
 
 
@@ -204,7 +204,7 @@ class TestBinSuccess:
                 for i, w in enumerate(pmf) if i >= 1)
             quiet = (r - 1 if s.selection is Selection.FIRST_PHOTON
                      else s.n_bins - r)
-            reading = p.with_(include_filter_in_d0=filter_in_d0)
+            reading = replace(p, include_filter_in_d0=filter_in_d0)
             assert total_efficiency(reading, s).per_bin_success[r - 1] == \
                 pytest.approx(d0**quiet * survives, rel=1e-11)
 
@@ -234,7 +234,7 @@ class TestTotalEfficiency:
     def test_monotone_in_each_efficiency(self, name):
         base = SourceParams()
         values = [
-            total_efficiency(base.with_(**{name: v}), scheme(16)).eta_total
+            total_efficiency(replace(base, **{name: v}), scheme(16)).eta_total
             for v in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -287,10 +287,6 @@ class TestAvgLinearTransmission:
                 for p in range(1, n + 1)]
         assert weights == pytest.approx(comb, abs=1e-12)
 
-    def test_first_photon_weights_mirror(self):
-        assert first_photon_weights(10, 3) == list(
-            reversed(last_photon_weights(10, 3)))
-
     def test_weight_normalization_tight(self):
         for n, lam in ((60, 0.1), (100, 0.06), (128, 0.02)):
             n_occ = math.ceil(lam * n)
@@ -301,18 +297,17 @@ class TestAvgLinearTransmission:
         with pytest.raises(DomainError):
             avg_linear_transmission(SourceParams(), 10, 1.5)
 
-    def test_selection_choice(self):
-        p = SourceParams()
-        last = avg_linear_transmission(p, 60, 0.1, Selection.LAST_PHOTON)
-        first = avg_linear_transmission(p, 60, 0.1, Selection.FIRST_PHOTON)
-        assert last > first  # late bins carry less delay loss
+    @pytest.mark.parametrize("lam", [0.0, -0.1, math.nan, math.inf])
+    def test_lambda_outside_unit_interval_rejected(self, lam):
+        with pytest.raises(DomainError, match=r"lam must be in \(0, 1\]"):
+            avg_linear_transmission(SourceParams(), 10, lam)
 
     def test_literal_exponent_flag(self):
         p = SourceParams(alpha_inc=0.03)
         weights = last_photon_weights(40, 4)
         expected = math.fsum(w * 10 ** (-0.03 * (40 - i))
                              for i, w in enumerate(weights, start=1))
-        literal = p.with_(literal_exponent=True)
+        literal = replace(p, literal_exponent=True)
         assert avg_linear_transmission(literal, 40, 0.1) == \
             pytest.approx(expected, rel=1e-12)
         assert avg_linear_transmission(literal, 40, 0.1) < \

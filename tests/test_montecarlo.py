@@ -19,7 +19,6 @@ from photonmux.model import (
 from photonmux.montecarlo import (
     MAX_TRIALS,
     Outcome,
-    RNG_ALGORITHM,
     estimate_avg_lin,
     estimate_eta,
     run_frame,
@@ -143,7 +142,6 @@ class TestEstimateEta:
         r = estimate_eta(SourceParams(), scheme(8), 50_000, seed=2)
         assert r.std_err == pytest.approx(
             math.sqrt(r.eta_hat * (1 - r.eta_hat) / r.n_trials), rel=1e-12)
-        assert r.rng_algorithm == RNG_ALGORITHM
 
     @pytest.mark.parametrize(
         "n,topology,detection,lam,dist,readings", ORACLE_CASES,

@@ -34,9 +34,9 @@ ENTRY_POINTS = {
     "optimize_bins": lambda p, _, **kw: app.optimize_bins(
         p, SCHEME, 1, 16, **kw),
     "protocol_gap": lambda p, _, **kw: app.protocol_gap(
-        p, 0.95, n_max=16, **kw),
+        p, 0.95, **kw),
     "find_crossing": lambda p, _, **kw: app.find_crossing(
-        p, 0.85, 1.0, 1e-4, n_max=64, **kw),
+        p, 0.85, 1.0, 1e-4, **kw),
     "emit_fig3": _fig3_bytes,
     "estimate_eta": lambda p, _, **kw: montecarlo.estimate_eta(
         p, SCHEME, 20_000, seed=3, **kw),
