@@ -11,9 +11,7 @@ from .model import (  # noqa: F401
     Selection,
     SourceParams,
     Topology,
-    conditional_multiphoton,
     incremental_loss_db,
-    lambda_from_interaction,
     pair_count_distribution,
 )
 from .efficiency import (  # noqa: F401

@@ -323,6 +323,8 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
 # --- reference data emission --------------------------------------------------
 
 FIG3_N_RANGE = range(1, N_MAX + 1)
+#: Switch transmission of fig3a and of fig3b.
+FIG3AB_ETA_SW = (0.87, 0.98)
 FIG3C_LAMBDAS = (0.02, 0.06, 0.10)
 _FIG3AB_COLUMNS = ("N", "eta_binary_single", "eta_binary_array",
                    "eta_singleline_single", "eta_singleline_array")
@@ -375,8 +377,8 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
               literal_exponent: bool | None = None) -> list[str]:
     """Write the three reference-curve CSV files plus a metadata sidecar.
 
-    fig3a/fig3b: efficiency versus N for every topology and protocol at
-    switch transmissions 0.87 and 0.98.  fig3c: expected delay-line
+    fig3a/fig3b: efficiency versus N for every topology and protocol at the
+    switch transmissions of FIG3AB_ETA_SW.  fig3c: expected delay-line
     transmission under last-photon selection for several pumping strengths,
     against the single-photon control curve.  Nothing is random, so the
     output is byte-stable for a fixed configuration.
@@ -389,7 +391,7 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
         raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
     written = []
 
-    for name, eta_sw in (("fig3a.csv", 0.87), ("fig3b.csv", 0.98)):
+    for name, eta_sw in zip(("fig3a.csv", "fig3b.csv"), FIG3AB_ETA_SW):
         path = os.path.join(out_dir, name)
         write_csv(path, _FIG3AB_COLUMNS, _fig3ab_rows(params, eta_sw))
         written.append(path)
@@ -409,7 +411,7 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
             "period": params.period,
             "eta_f": params.eta_f,
             "eta_c": params.eta_c,
-            "eta_sw_values": [0.87, 0.98],
+            "eta_sw_values": list(FIG3AB_ETA_SW),
             "eta_det": {d.value: v for d, v in PROTOCOL_ETA_DET.items()},
             "eta_conv": params.eta_conv,
             "alpha_inc": params.alpha_inc,

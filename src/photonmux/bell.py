@@ -23,7 +23,7 @@ extra phase (the convention fixes state signs, not probabilities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -217,7 +217,6 @@ class PatternOutcome:
     """One heralding click pattern of the four-source circuit."""
 
     probability: float
-    conditional: dict[tuple[int, int], complex] = field(default_factory=dict)
     bell_label: str | None = None
     fidelity: float | None = None
 
@@ -301,7 +300,7 @@ def hbs_enumeration(include_middle_rotation: bool = True,
             fid = abs(ov) ** 2 / cond_prob
             bell_yield += cond_prob
         patterns[name] = PatternOutcome(
-            probability=prob, conditional=cond, bell_label=label, fidelity=fid)
+            probability=prob, bell_label=label, fidelity=fid)
 
     herald_probability = math.fsum(totals.values())
     return HbsEnumeration(

@@ -131,9 +131,6 @@ class HeraldFrame:
         if any(b not in (0, 1) for b in self.bits):
             raise DomainError("herald bits must be 0 or 1")
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
     @classmethod
     def from_string(cls, text: str) -> "HeraldFrame":
         return cls(tuple(int(c) for c in text))

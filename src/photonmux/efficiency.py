@@ -163,23 +163,28 @@ def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
             for p in range(1, n_bins + 1)]
 
 
+def occupied_bins(n_bins: int, lam: float) -> int:
+    """Expected number of occupied bins, ceil(lam * N), of the fig3c
+    delay-line model.  A mean pair parameter above 1 would occupy more bins
+    than the frame has."""
+    if n_bins < 1:
+        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
+    if not 0 < lam <= 1:
+        raise DomainError(f"lam must be in (0, 1], got {lam}")
+    return math.ceil(lam * n_bins)
+
+
 def avg_linear_transmission(params: SourceParams, n_bins: int,
                             lam: float) -> float:
     """Expected delay-line transmission of the photon that last-photon
     selection picks.
 
-    The expected number of occupied bins is n_occ = ceil(lam * N); the
-    selected bin is the maximum of n_occ uniform draws without replacement.
-    The result is the dot product of the per-bin delay transmissions
-    (:func:`delay_transmission` over N - p bins) with those weights.
-    n_occ = 1 reduces to the uniform-weight control curve.  A mean pair
-    parameter above 1 would occupy more bins than the frame has.
+    The selected bin is the maximum of n_occ = :func:`occupied_bins` uniform
+    draws without replacement.  The result is the dot product of the per-bin
+    delay transmissions (:func:`delay_transmission` over N - p bins) with
+    those weights.  n_occ = 1 reduces to the uniform-weight control curve.
     """
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    if not 0 < lam <= 1:
-        raise DomainError(f"lam must be in (0, 1], got {lam}")
-    n_occ = math.ceil(lam * n_bins)
+    n_occ = occupied_bins(n_bins, lam)
     return math.fsum(w * delay_transmission(params, n_bins - p)
                      for p, w in enumerate(last_photon_weights(n_bins, n_occ),
                                            start=1))

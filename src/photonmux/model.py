@@ -238,25 +238,3 @@ def pair_pmf_array(params: SourceParams) -> list[float]:
     """pmf values for n = 0..MAX_PAIRS, used for table-driven sampling."""
     return [pair_count_distribution(params, n) for n in range(MAX_PAIRS + 1)]
 
-
-def conditional_multiphoton(params: SourceParams) -> float:
-    """P(n >= 2 | n >= 1) under the configured pair distribution.
-
-    Returns 0 for lam = 0, where the condition is vacuous.
-    """
-    if params.lam == 0.0:
-        return 0.0
-    p0 = pair_count_distribution(params, 0)
-    p1 = pair_count_distribution(params, 1)
-    denom = 1.0 - p0
-    if denom <= 0.0:
-        return 0.0
-    return (1.0 - p0 - p1) / denom
-
-
-def lambda_from_interaction(chi_t: float) -> float:
-    """Mean-pair parameter from the dimensionless interaction strength,
-    2 tanh^2(chi_t); saturates at 2 for strong pumping."""
-    if chi_t < 0:
-        raise DomainError(f"chi_t must be >= 0, got {chi_t}")
-    return 2.0 * math.tanh(chi_t) ** 2

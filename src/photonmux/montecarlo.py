@@ -181,14 +181,16 @@ def _herald_tables(params: SourceParams, eta_d: float):
 def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
                   cond_cum, pic: np.ndarray, n_trials: int, child_seed):
     """Sample one chunk of trials from the herald tables and the
-    transmission frame that :func:`estimate_eta` builds once."""
+    transmission frame that :func:`estimate_eta` builds once; returns the
+    single count, the multi count and the per-bin single histogram."""
     rng = np.random.default_rng(child_seed)
     n = scheme.n_bins
     per_bin = np.zeros(n, dtype=np.int64)
     if p_herald == 0.0:
-        return 0, 0, n_trials, per_bin
+        return 0, 0, per_bin
 
-    # geometric position of the first herald (mirrored for last-photon)
+    # position g of the selected herald, counted from the end where the
+    # policy starts: geometric, and the g - 1 bins before it stay quiet
     u = rng.random(n_trials)
     if p_herald >= 1.0:
         g = np.ones(n_trials)
@@ -204,12 +206,8 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
 
     pairs = np.searchsorted(cond_cum, rng.random(n_trials)) + 1
 
-    quiet = np.array(efficiency.quiet_bins(scheme))[r_idx - 1]
-    veto_u = rng.random(n_trials)
-    if params.include_filter_in_d0:
-        kept = veto_u < params.eta_f ** quiet
-    else:
-        kept = np.ones(n_trials, dtype=bool)
+    veto = params.eta_f if params.include_filter_in_d0 else 1.0
+    kept = rng.random(n_trials) < veto ** (g - 1.0)
 
     active = heralded & kept
     survivors = rng.binomial(np.where(active, pairs, 0), pic[r_idx - 1])
@@ -217,9 +215,7 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
     single = active & (survivors == 1)
     multi = active & (survivors >= 2)
     per_bin += np.bincount(r_idx[single], minlength=n + 1)[1:]
-    n_single = int(single.sum())
-    n_multi = int(multi.sum())
-    return n_single, n_multi, n_trials - n_single - n_multi, per_bin
+    return int(single.sum()), int(multi.sum()), per_bin
 
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
@@ -244,16 +240,12 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
     eta_d, pic = _frame_setup(params, scheme)
     job = functools.partial(_chunk_counts, params, scheme,
                             *_herald_tables(params, eta_d), np.array(pic))
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, sizes, children))
-    else:
-        results = list(map(job, sizes, children))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(job, sizes, children))
 
     n_single = sum(r[0] for r in results)
     n_multi = sum(r[1] for r in results)
-    n_vacuum = sum(r[2] for r in results)
-    per_bin = np.sum([r[3] for r in results], axis=0)
+    per_bin = np.sum([r[2] for r in results], axis=0)
     eta_hat = n_single / n_trials
     return EstimatorResult(
         eta_hat=eta_hat,
@@ -262,7 +254,7 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
         per_bin_hist=tuple(int(c) for c in per_bin),
         n_single=n_single,
         n_multi=n_multi,
-        n_vacuum=n_vacuum,
+        n_vacuum=n_trials - n_single - n_multi,
     )
 
 
@@ -270,25 +262,20 @@ def estimate_avg_lin(params: SourceParams, n_bins: int, lam: float,
                      n_trials: int, seed) -> float:
     """Empirical mean delay-line transmission under last-photon selection.
 
-    Exactly ceil(lam * n_bins) photons occupy bins drawn uniformly without
-    replacement (the order-statistics reading checked against the
-    closed-form weights).
+    Exactly :func:`efficiency.occupied_bins` photons occupy bins drawn
+    uniformly without replacement (the order-statistics reading checked
+    against the closed-form weights).
     """
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
-    if lam <= 0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    n_occ = math.ceil(lam * n_bins)
-    if n_occ > n_bins:
-        raise DomainError(
-            f"expected occupied bins {n_occ} exceeds n_bins {n_bins}")
+    n_occ = efficiency.occupied_bins(n_bins, lam)
     rng = np.random.default_rng(seed)
     # an oracle for avg_linear_transmission keeps its own delay-loss formula
     exponent = -params.alpha_inc * (n_bins - np.arange(1, n_bins + 1))
     trans = 10.0 ** (exponent if params.literal_exponent else exponent / 10.0)
 
     total = 0.0
-    chunk = max(1, min(n_trials, 4_000_000 // max(n_bins, 1)))
+    chunk = max(1, min(n_trials, 4_000_000 // n_bins))
     remaining = n_trials
     while remaining:
         m = min(chunk, remaining)

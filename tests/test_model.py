@@ -12,9 +12,7 @@ from photonmux.model import (
     SchemeConfig,
     Selection,
     SourceParams,
-    conditional_multiphoton,
     incremental_loss_db,
-    lambda_from_interaction,
     pair_count_distribution,
     pair_generating_derivative,
     pair_generating_function,
@@ -174,42 +172,3 @@ class TestPairGeneratingFunction:
         assert pair_generating_function(p, z) == pytest.approx(g, abs=1e-14)
         assert pair_generating_derivative(p, z) == pytest.approx(dg, abs=1e-14)
 
-
-class TestConditionalMultiphoton:
-    def test_poisson_weak_pump_near_five_percent(self):
-        value = conditional_multiphoton(SourceParams(lam=0.1))
-        e = math.exp(-0.1)
-        assert value == pytest.approx((1 - e - 0.1 * e) / (1 - e), rel=1e-12)
-        assert value == pytest.approx(0.0492, abs=1e-4)
-
-    def test_vacuous_condition(self):
-        assert conditional_multiphoton(SourceParams(lam=0.0)) == 0.0
-
-    def test_thermal_from_pmf_tail(self):
-        p = SourceParams(lam=0.1, pair_dist=PairDistribution.THERMAL_APPROX)
-        tail = math.fsum(pair_count_distribution(p, n) for n in range(2, 101))
-        heralded = 1.0 - pair_count_distribution(p, 0)
-        assert conditional_multiphoton(p) == pytest.approx(tail / heralded, rel=1e-10)
-
-    @pytest.mark.parametrize("dist", list(PairDistribution))
-    def test_monotone_in_pump_strength(self, dist):
-        lams = [0.01 + 0.99 * k / 24 for k in range(25)]
-        values = [conditional_multiphoton(SourceParams(lam=l, pair_dist=dist))
-                  for l in lams]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestLambdaFromInteraction:
-    def test_zero(self):
-        assert lambda_from_interaction(0.0) == 0.0
-
-    def test_inverts_to_target_pumping(self):
-        chi_t = math.atanh(math.sqrt(0.05))
-        assert lambda_from_interaction(chi_t) == pytest.approx(0.1, rel=1e-12)
-
-    def test_saturates_at_two(self):
-        assert lambda_from_interaction(10.0) == pytest.approx(2.0, abs=1e-7)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            lambda_from_interaction(-0.5)

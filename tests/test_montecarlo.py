@@ -34,7 +34,9 @@ def scheme(n, **kw):
 
 #: Closed form against Monte Carlo: both pair distributions under both
 #: detection protocols, thermal at pumping strong enough to tell the two
-#: distributions apart, and each non-default reading of the model.
+#: distributions apart, each non-default reading of the model, and a strong
+#: filter veto (eta_f = 0.5) under both selection policies, where the count
+#: k(r) of bins that must stay quiet moves the answer.
 ORACLE_CASES = [
     (8, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.1,
      PairDistribution.POISSON, {}),
@@ -52,16 +54,20 @@ ORACLE_CASES = [
      PairDistribution.POISSON, {"include_filter_in_d0": False}),
     (16, Topology.SINGLE_DELAY_LINE, Detection.DETECTOR_ARRAY, 0.1,
      PairDistribution.POISSON, {"literal_exponent": True}),
+    (16, Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR, 0.1,
+     PairDistribution.POISSON, {"eta_f": 0.5}),
+    (16, Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY, 0.1,
+     PairDistribution.POISSON, {"eta_f": 0.5}),
 ]
 
 
-def _oracle_case_id(n, topology, detection, lam, dist, readings):
+def _oracle_case_id(n, topology, detection, lam, dist, overrides):
     # only non-default (thermal) cases name their distribution, and only
-    # non-default readings are named
+    # non-default parameters and readings are named
     base = f"{n}-{topology}-{detection}-{lam}"
     if dist is not PairDistribution.POISSON:
         base = f"{base}-{dist.value}"
-    return "-".join([base, *(f"{k}={v}" for k, v in readings.items())])
+    return "-".join([base, *(f"{k}={v}" for k, v in overrides.items())])
 
 
 class TestRunFrame:
@@ -119,6 +125,11 @@ class TestEstimateEta:
         b = estimate_eta(p, s, 300_000, seed=5)
         c = estimate_eta(p, s, 300_000, seed=5, workers=3)
         assert a == b == c
+        # one chunk, and three chunks with more workers than chunks
+        for n_trials, workers in ((1_000, (1, 4)), (600_000, (1, 2, 5))):
+            first, *rest = (estimate_eta(p, s, n_trials, seed=5, workers=w)
+                            for w in workers)
+            assert all(r == first for r in rest)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, workers):
@@ -144,12 +155,12 @@ class TestEstimateEta:
             math.sqrt(r.eta_hat * (1 - r.eta_hat) / r.n_trials), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "n,topology,detection,lam,dist,readings", ORACLE_CASES,
+        "n,topology,detection,lam,dist,overrides", ORACLE_CASES,
         ids=[_oracle_case_id(*case) for case in ORACLE_CASES])
     def test_matches_analytic_within_three_sigma(self, n, topology, detection,
-                                                 lam, dist, readings):
+                                                 lam, dist, overrides):
         p = SourceParams.table_defaults(detection, lam=lam, pair_dist=dist,
-                                        **readings)
+                                        **overrides)
         s = scheme(n, topology=topology, detection=detection)
         analytic = total_efficiency(p, s).eta_total
         r = estimate_eta(p, s, 400_000, seed=n * 1000 + 17)
@@ -214,6 +225,15 @@ class TestEstimateEta:
 
 
 class TestEstimateAvgLin:
+    @pytest.mark.parametrize("n_bins,lam", [
+        *((10, lam) for lam in (math.nan, math.inf, 0.0, -0.1, 1.5)),
+        (0, 0.1), (-3, 0.1)])
+    def test_rejects_what_the_closed_form_rejects(self, n_bins, lam):
+        with pytest.raises(DomainError):
+            estimate_avg_lin(SourceParams(), n_bins, lam, 10, seed=1)
+        with pytest.raises(DomainError):
+            avg_linear_transmission(SourceParams(), n_bins, lam)
+
     def test_lossless_chip_is_unity(self):
         p = SourceParams(alpha_inc=0.0)
         assert estimate_avg_lin(p, 40, 0.1, 5_000, seed=0) == pytest.approx(1.0)
