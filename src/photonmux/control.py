@@ -128,7 +128,7 @@ class HeraldFrame:
     def __post_init__(self) -> None:
         if not self.bits:
             raise DomainError("herald frame must contain at least one bin")
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise DomainError("herald bits must be 0 or 1")
 
     @classmethod

@@ -11,6 +11,13 @@ per-bin process, which the test suite checks statistically.
 Trials are independent.  ``n_trials`` is split into fixed-size chunks, each
 driven by its own generator spawned from the master seed, and chunk tallies
 merge by summation, so results are identical for any worker count.
+
+Each chunk draws, in this order, three uniforms per trial (herald position,
+pair count, filter veto) and then one binomial survivor count per heralded
+trial, with n = 0 for a vetoed one.  The uniforms are drawn for every trial
+although only the heralded trials read them, and numpy's binomial takes no
+random numbers when n = 0, so the stream, and every estimate, is the same as
+when every trial draws every variate.
 """
 from __future__ import annotations
 
@@ -37,9 +44,13 @@ from .model import (
 
 _CHUNK_TRIALS = 250_000
 
-#: Largest trial count one estimate may ask for, about 19 s at one worker;
-#: it also bounds the chunk list at 400 entries.
+#: Largest trial count one estimate may ask for, about 12 s at one worker
+#: on a 2-core x86-64 host; it also bounds the chunk list at 400 entries.
 MAX_TRIALS = 10**8
+
+#: Largest thread count one estimate may ask for; each running chunk holds
+#: its own temporaries.
+MAX_WORKERS = 64
 
 #: Largest pair-number mass the herald table may drop by ending at MAX_PAIRS.
 MAX_DROPPED_MASS = 1e-12
@@ -127,7 +138,9 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
 
     pairs = _sample_pairs(params, rng, scheme.n_bins)
     detected = rng.binomial(pairs, eta_d)
-    frame = HeraldFrame(tuple(int(k >= 1) for k in detected))
+    pair_counts = tuple(pairs.tolist())
+    # 1 where at least one idler was detected
+    frame = HeraldFrame(tuple(np.minimum(detected, 1).tolist()))
 
     if scheme.selection is Selection.FIRST_PHOTON:
         selected = select_first(frame)
@@ -139,9 +152,9 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
         vetoed = False
         if params.include_filter_in_d0 and params.eta_f < 1.0:
             coins = rng.random(efficiency.quiet_bins(scheme)[selected - 1])
-            vetoed = bool(np.any(coins >= params.eta_f))
+            vetoed = bool((coins >= params.eta_f).any())
         if not vetoed:
-            survivors = int(rng.binomial(int(pairs[selected - 1]),
+            survivors = int(rng.binomial(pair_counts[selected - 1],
                                          pic[selected - 1]))
 
     if survivors == 0:
@@ -151,7 +164,7 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
     else:
         outcome = Outcome.MULTI
     return TrialRecord(
-        pair_counts=tuple(int(p) for p in pairs),
+        pair_counts=pair_counts,
         herald_bits=frame,
         selected_bin=selected,
         photons_surviving=survivors,
@@ -182,40 +195,68 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
                   cond_cum, pic: np.ndarray, n_trials: int, child_seed):
     """Sample one chunk of trials from the herald tables and the
     transmission frame that :func:`estimate_eta` builds once; returns the
-    single count, the multi count and the per-bin single histogram."""
+    single count, the multi count and the per-bin single histogram.
+
+    Draw order (see the module docstring): three uniforms of length
+    ``n_trials`` into one buffer, of which only the heralded trials' are
+    kept, then one binomial per heralded trial in trial order.  Each
+    temporary is deleted once dead, so at most about five chunk-length
+    arrays are live at once.
+    """
     rng = np.random.default_rng(child_seed)
     n = scheme.n_bins
-    per_bin = np.zeros(n, dtype=np.int64)
     if p_herald == 0.0:
-        return 0, 0, per_bin
+        return 0, 0, np.zeros(n, dtype=np.int64)
 
-    # position g of the selected herald, counted from the end where the
-    # policy starts: geometric, and the g - 1 bins before it stay quiet
+    # k = g - 1 bins stay quiet before the selected herald at position g,
+    # counted from the end where the policy starts; g is geometric
     u = rng.random(n_trials)
     if p_herald >= 1.0:
-        g = np.ones(n_trials)
+        u.fill(0.0)  # the first bin the policy reaches always heralds
     else:
         with np.errstate(divide="ignore"):
-            g = np.floor(np.log(u) / math.log1p(-p_herald)) + 1.0
-    heralded = g <= n
-    if scheme.selection is Selection.FIRST_PHOTON:
-        r = g
-    else:
-        r = n + 1.0 - g
-    r_idx = np.where(heralded, r, 1.0).astype(np.int64)
+            np.log(u, out=u)
+            u /= math.log1p(-p_herald)
+        np.floor(u, out=u)
+    heralded = np.flatnonzero(u < n)
+    quiet = u.take(heralded).astype(np.intp)
 
-    pairs = np.searchsorted(cond_cum, rng.random(n_trials)) + 1
+    # a uniform at or below cond_cum[0] means exactly one pair
+    rng.random(out=u)
+    pair_u = u.take(heralded)
+    many = np.flatnonzero(pair_u > cond_cum[0])
+    above = pair_u.take(many)
+    del pair_u
+    extra = np.searchsorted(cond_cum, above)
+    del above
+    extra += 1
+    pairs = np.ones(heralded.size, dtype=np.int64)
+    pairs[many] = extra
+    del many, extra
 
+    rng.random(out=u)
     veto = params.eta_f if params.include_filter_in_d0 else 1.0
-    kept = rng.random(n_trials) < veto ** (g - 1.0)
+    veto_u = u.take(heralded) if veto < 1.0 else None
+    del u, heralded
+    if veto_u is not None:
+        # veto ** k for k in 0..N-1 takes the same power per trial as the
+        # full-length sampler; a vetoed trial, like one with no pairs,
+        # draws no binomial
+        threshold = veto ** np.arange(n, dtype=float)
+        pairs[veto_u >= threshold.take(quiet)] = 0
+        del veto_u
 
-    active = heralded & kept
-    survivors = rng.binomial(np.where(active, pairs, 0), pic[r_idx - 1])
-
-    single = active & (survivors == 1)
-    multi = active & (survivors >= 2)
-    per_bin += np.bincount(r_idx[single], minlength=n + 1)[1:]
-    return int(single.sum()), int(multi.sum()), per_bin
+    # the selected bin r at index r - 1: k bins from the start of the frame
+    # under first-photon selection, from its end under last-photon
+    if scheme.selection is Selection.FIRST_PHOTON:
+        selected = quiet
+    else:
+        selected = np.subtract(n - 1, quiet, out=quiet)
+    survivors = rng.binomial(pairs, pic[selected])
+    del pairs
+    per_bin = np.bincount(selected, weights=survivors == 1, minlength=n)
+    n_multi = int(np.count_nonzero(survivors >= 2))
+    return int(per_bin.sum()), n_multi, per_bin.astype(np.int64)
 
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
@@ -231,6 +272,8 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
         raise DomainError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise DomainError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     _check_seed(seed)
     sizes = [_CHUNK_TRIALS] * (n_trials // _CHUNK_TRIALS)
     if n_trials % _CHUNK_TRIALS:

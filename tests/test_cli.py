@@ -243,6 +243,13 @@ class TestMonteCarlo:
         assert_rejected(capsys, ["mc", "--trials", "1000", "--workers",
                                  workers], EXIT_DOMAIN)
 
+    @pytest.mark.parametrize(
+        "workers", [str(photonmux.montecarlo.MAX_WORKERS + 1), "100000"])
+    def test_more_than_max_workers_is_domain_error(self, capsys, workers):
+        # rejected before any thread starts
+        assert_rejected(capsys, ["mc", "--trials", "1000", "--workers",
+                                 workers], EXIT_DOMAIN)
+
     def test_z_score_uses_the_closed_form_spread(self, capsys):
         # three trials see no success; std_err is 0 but the closed form's
         # binomial spread is not, so the disagreement shows

@@ -1,24 +1,34 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from photonmux import efficiency
 from photonmux.efficiency import (
     avg_linear_transmission,
     last_photon_weights,
     total_efficiency,
 )
+from photonmux.control import HeraldFrame, select_first, select_last
 from photonmux.model import (
     Detection,
     DomainError,
     PairDistribution,
     SchemeConfig,
+    Selection,
     SourceParams,
     Topology,
 )
 from photonmux.montecarlo import (
     MAX_TRIALS,
+    MAX_WORKERS,
     Outcome,
+    _chunk_counts,
+    _frame_setup,
+    _herald_tables,
+    _sample_pairs,
     estimate_avg_lin,
     estimate_eta,
     run_frame,
@@ -137,6 +147,13 @@ class TestEstimateEta:
             estimate_eta(SourceParams(), scheme(8), 10_000, seed=1,
                          workers=workers)
 
+    @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 100_000])
+    def test_rejects_more_than_max_workers(self, workers):
+        # the check runs before the pool exists, so this starts no thread
+        with pytest.raises(DomainError, match=f"workers must be <= {MAX_WORKERS}"):
+            estimate_eta(SourceParams(), scheme(8), 10_000, seed=1,
+                         workers=workers)
+
     @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
     def test_rejects_negative_seed(self, seed):
         with pytest.raises(DomainError, match="seed must be >= 0"):
@@ -222,6 +239,149 @@ class TestEstimateEta:
     def test_rejects_empty_run(self, n_trials):
         with pytest.raises(DomainError, match="n_trials must be in"):
             estimate_eta(SourceParams(), scheme(4), n_trials, seed=0)
+
+
+def _reference_chunk_counts(params, scheme, p_herald, cond_cum, pic,
+                            n_trials, child_seed):
+    """The full-array chunk sampler that the in-place one replaced, kept
+    verbatim: every trial draws every variate it could need."""
+    rng = np.random.default_rng(child_seed)
+    n = scheme.n_bins
+    per_bin = np.zeros(n, dtype=np.int64)
+    if p_herald == 0.0:
+        return 0, 0, per_bin
+
+    # position g of the selected herald, counted from the end where the
+    # policy starts: geometric, and the g - 1 bins before it stay quiet
+    u = rng.random(n_trials)
+    if p_herald >= 1.0:
+        g = np.ones(n_trials)
+    else:
+        with np.errstate(divide="ignore"):
+            g = np.floor(np.log(u) / math.log1p(-p_herald)) + 1.0
+    heralded = g <= n
+    if scheme.selection is Selection.FIRST_PHOTON:
+        r = g
+    else:
+        r = n + 1.0 - g
+    r_idx = np.where(heralded, r, 1.0).astype(np.int64)
+
+    pairs = np.searchsorted(cond_cum, rng.random(n_trials)) + 1
+
+    veto = params.eta_f if params.include_filter_in_d0 else 1.0
+    kept = rng.random(n_trials) < veto ** (g - 1.0)
+
+    active = heralded & kept
+    survivors = rng.binomial(np.where(active, pairs, 0), pic[r_idx - 1])
+
+    single = active & (survivors == 1)
+    multi = active & (survivors >= 2)
+    per_bin += np.bincount(r_idx[single], minlength=n + 1)[1:]
+    return int(single.sum()), int(multi.sum()), per_bin
+
+
+def _reference_frame(params, scheme, rng):
+    """The per-element frame loop that ``run_frame`` replaced, kept verbatim
+    and returning the record's fields."""
+    eta_d, pic = _frame_setup(params, scheme)
+
+    pairs = _sample_pairs(params, rng, scheme.n_bins)
+    detected = rng.binomial(pairs, eta_d)
+    frame = HeraldFrame(tuple(int(k >= 1) for k in detected))
+
+    if scheme.selection is Selection.FIRST_PHOTON:
+        selected = select_first(frame)
+    else:
+        _, selected = select_last(frame)
+
+    survivors = 0
+    if selected is not None:
+        vetoed = False
+        if params.include_filter_in_d0 and params.eta_f < 1.0:
+            coins = rng.random(efficiency.quiet_bins(scheme)[selected - 1])
+            vetoed = bool(np.any(coins >= params.eta_f))
+        if not vetoed:
+            survivors = int(rng.binomial(int(pairs[selected - 1]),
+                                         pic[selected - 1]))
+    return (tuple(int(p) for p in pairs), frame, selected, survivors)
+
+
+#: Pair laws with lam = 0 (p_herald = 0) and Poisson lam = 100, whose
+#: single-detector p_herald rounds to 1.0 or above.
+_LAWS = [(PairDistribution.POISSON, lam) for lam in (0.0, 0.05, 0.5, 100.0)] \
+    + [(PairDistribution.THERMAL_APPROX, lam) for lam in (0.1, 0.6, 1.5)]
+#: The two readings and eta_f = 1, where nothing is vetoed.
+_READINGS = [{}, {"include_filter_in_d0": False},
+             {"literal_exponent": True, "eta_f": 1.0}]
+
+
+def _designs():
+    """252 designs: every pair law, both detections with their canonical and
+    their mismatched selection, every reading and three depths."""
+    for (dist, lam), detection, mismatched, readings, n in itertools.product(
+            _LAWS, Detection, (False, True), _READINGS, (1, 5, 32)):
+        params = SourceParams.table_defaults(detection, lam=lam,
+                                             pair_dist=dist, **readings)
+        if mismatched:
+            selection = (Selection.LAST_PHOTON
+                         if detection is Detection.SINGLE_DETECTOR
+                         else Selection.FIRST_PHOTON)
+            s = scheme(n, detection=detection, selection=selection,
+                       allow_mismatched_selection=True)
+        else:
+            s = scheme(n, detection=detection)
+        yield params, s
+
+
+def _chunk_args(params, s):
+    eta_d, pic = _frame_setup(params, s)
+    return (params, s, *_herald_tables(params, eta_d), np.array(pic))
+
+
+class TestChunkSampler:
+    def test_matches_full_array_sampler_bit_for_bit(self):
+        designs = list(_designs())
+        assert len(designs) >= 200
+        p_heralds = set()
+        for k, (params, s) in enumerate(designs):
+            args = _chunk_args(params, s)
+            p_heralds.add(min(args[2], 1.0))
+            sizes = (1, 7, 3_000) + ((250_000,) if k % 12 == 0 else ())
+            for n_trials in sizes:
+                seed = np.random.SeedSequence(k)
+                got = _chunk_counts(*args, n_trials, seed)
+                want = _reference_chunk_counts(*args, n_trials, seed)
+                assert got[:2] == want[:2], (params, s, n_trials)
+                assert got[2].dtype == want[2].dtype
+                assert np.array_equal(got[2], want[2]), (params, s, n_trials)
+        assert {0.0, 1.0} <= p_heralds
+
+    def test_run_frame_matches_per_element_loop(self):
+        for k, (params, s) in enumerate(_designs()):
+            if k % 3:
+                continue
+            got_rng, want_rng = (np.random.default_rng(k) for _ in range(2))
+            for _ in range(20):
+                rec = run_frame(params, s, got_rng)
+                want = _reference_frame(params, s, want_rng)
+                assert (rec.pair_counts, rec.herald_bits, rec.selected_bin,
+                        rec.photons_surviving) == want
+                assert repr(rec.pair_counts) == repr(want[0])
+                assert repr(rec.herald_bits) == repr(want[1])
+
+    def test_chunk_peak_memory_is_bounded(self):
+        # thermal lam = 0.6 at N = 49 heralds almost every trial, the chunk
+        # with the most live temporaries
+        params = SourceParams(lam=0.6, pair_dist=PairDistribution.THERMAL_APPROX)
+        args = _chunk_args(params, scheme(49))
+        _chunk_counts(*args, 1_000, 0)
+        tracemalloc.start()
+        try:
+            _chunk_counts(*args, 250_000, np.random.SeedSequence(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_000_000
 
 
 class TestEstimateAvgLin:
