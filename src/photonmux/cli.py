@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error (bad config file, bad flag
-combination), 3 numeric-domain error (arguments outside the modeled domain,
-bracket without a crossing).
+Exit codes: 0 success, 1 the reader closed standard output before the
+result was written (nothing is printed to stderr), 2 configuration error
+(bad config file, bad flag combination), 3 numeric-domain error (arguments
+outside the modeled domain, bracket without a crossing).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -30,6 +32,7 @@ from .efficiency import detection_efficiency, generation_rate, total_efficiency
 from .model import PROTOCOL_ETA_DET, RNG_ALGORITHM, DomainError
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
@@ -295,7 +298,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the interpreter's last flush of
+        # what is still buffered stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

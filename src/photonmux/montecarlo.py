@@ -3,21 +3,24 @@
 :func:`run_frame` realizes one frame literally: per-bin pair counts,
 per-photon Bernoulli idler detection, policy selection, per-photon survival
 through the chip.  :func:`estimate_eta` runs the same process vectorized over
-many trials, sampling the selected bin directly from its geometric law and
-the selected bin's pair count from the heralded conditional table; the joint
-law of (selected bin, pair count, survivors) is identical to the literal
-per-bin process, which the test suite checks statistically.
+many trials, sampling the selected bin directly from its geometric law, the
+selected bin's pair count m from the heralded conditional table, and the
+outcome from the per-trial law of the literal process; the joint law of
+(selected bin, outcome) is identical to the literal per-bin process, which
+the test suite checks statistically.
 
 Trials are independent.  ``n_trials`` is split into fixed-size chunks, each
 driven by its own generator spawned from the master seed, and chunk tallies
 merge by summation, so results are identical for any worker count.
 
-Each chunk draws, in this order, three uniforms per trial (herald position,
-pair count, filter veto) and then one binomial survivor count per heralded
-trial, with n = 0 for a vetoed one.  The uniforms are drawn for every trial
-although only the heralded trials read them, and numpy's binomial takes no
-random numbers when n = 0, so the stream, and every estimate, is the same as
-when every trial draws every variate.
+Each chunk draws, in this order: one herald-position uniform per trial,
+then one pair-count uniform and one outcome uniform per heralded trial.
+With t the selected bin's chip transmission and w = eta_f ** k the chance
+that the k quiet bins pass the filter (w = 1 when the no-herald probability
+leaves the filter out), the outcome uniform u gives a single photon below
+w m t (1-t)^(m-1), more than one from there up to w (1 - (1-t)^m), and
+vacuum above: the binomial law of the survivors after the filter veto, with
+no binomial draw.
 """
 from __future__ import annotations
 
@@ -42,10 +45,10 @@ from .model import (
     with_readings,
 )
 
-_CHUNK_TRIALS = 250_000
+_CHUNK_TRIALS = 65_536
 
-#: Largest trial count one estimate may ask for, about 12 s at one worker
-#: on a 2-core x86-64 host; it also bounds the chunk list at 400 entries.
+#: Largest trial count one estimate may ask for, about 3.5 s at one worker
+#: on a 2-core x86-64 host; it also bounds the chunk list at 1,526 entries.
 MAX_TRIALS = 10**8
 
 #: Largest thread count one estimate may ask for; each running chunk holds
@@ -197,11 +200,11 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
     transmission frame that :func:`estimate_eta` builds once; returns the
     single count, the multi count and the per-bin single histogram.
 
-    Draw order (see the module docstring): three uniforms of length
-    ``n_trials`` into one buffer, of which only the heralded trials' are
-    kept, then one binomial per heralded trial in trial order.  Each
-    temporary is deleted once dead, so at most about five chunk-length
-    arrays are live at once.
+    Draw order (see the module docstring): one uniform of length
+    ``n_trials`` for the herald position, then a pair-count uniform and an
+    outcome uniform per heralded trial, each into the head of the same
+    buffer.  Trials are indexed by their quiet count k; under last-photon
+    selection the transmission frame and the histogram run in reverse.
     """
     rng = np.random.default_rng(child_seed)
     n = scheme.n_bins
@@ -218,45 +221,51 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
             np.log(u, out=u)
             u /= math.log1p(-p_herald)
         np.floor(u, out=u)
-    heralded = np.flatnonzero(u < n)
-    quiet = u.take(heralded).astype(np.intp)
+    quiet = np.compress(u < n, u).astype(np.intp)
+    h = quiet.size
 
-    # a uniform at or below cond_cum[0] means exactly one pair
-    rng.random(out=u)
-    pair_u = u.take(heralded)
+    # a uniform at or below cond_cum[0] means one pair, any other one
+    # searchsorted + 1 pairs
+    pair_u = rng.random(out=u[:h])
     many = np.flatnonzero(pair_u > cond_cum[0])
-    above = pair_u.take(many)
-    del pair_u
-    extra = np.searchsorted(cond_cum, above)
-    del above
-    extra += 1
-    pairs = np.ones(heralded.size, dtype=np.int64)
-    pairs[many] = extra
-    del many, extra
+    extra = np.searchsorted(cond_cum, pair_u.take(many))
 
-    rng.random(out=u)
+    # the selected bin lies k bins from the start of the frame under
+    # first-photon selection, from its end under last-photon; its photons
+    # survive with t, and the k quiet bins pass the filter with w = eta_f ** k
+    first = scheme.selection is Selection.FIRST_PHOTON
+    t_by_k = pic if first else pic[::-1]
     veto = params.eta_f if params.include_filter_in_d0 else 1.0
-    veto_u = u.take(heralded) if veto < 1.0 else None
-    del u, heralded
-    if veto_u is not None:
-        # veto ** k for k in 0..N-1 takes the same power per trial as the
-        # full-length sampler; a vetoed trial, like one with no pairs,
-        # draws no binomial
-        threshold = veto ** np.arange(n, dtype=float)
-        pairs[veto_u >= threshold.take(quiet)] = 0
-        del veto_u
+    w_by_k = veto ** np.arange(n, dtype=float)
 
-    # the selected bin r at index r - 1: k bins from the start of the frame
-    # under first-photon selection, from its end under last-photon
-    if scheme.selection is Selection.FIRST_PHOTON:
-        selected = quiet
-    else:
-        selected = np.subtract(n - 1, quiet, out=quiet)
-    survivors = rng.binomial(pairs, pic[selected])
-    del pairs
-    per_bin = np.bincount(selected, weights=survivors == 1, minlength=n)
-    n_multi = int(np.count_nonzero(survivors >= 2))
-    return int(per_bin.sum()), n_multi, per_bin.astype(np.int64)
+    # m = extra + 1 pairs give a single below w m t (1-t)^(m-1) and a multi
+    # from there up to w (1 - (1-t)^m) = w (1 - (1-t)^(m-1) + t (1-t)^(m-1));
+    # for one pair both bounds are w t.  Arrays are reused in place, which
+    # bounds a chunk's peak memory.
+    k_many = quiet.take(many)
+    single_cut = t_by_k.take(k_many)
+    w = w_by_k.take(k_many)
+    del k_many
+    rest = np.subtract(1.0, single_cut)
+    np.power(rest, extra, out=rest)  # (1-t)^(m-1)
+    single_cut *= rest  # t (1-t)^(m-1)
+    emit_cut = np.subtract(1.0, rest, out=rest)
+    emit_cut += single_cut
+    emit_cut *= w
+    extra += 1
+    single_cut *= extra
+    single_cut *= w
+    del extra, w
+
+    out_u = rng.random(out=u[:h])
+    many_u = out_u.take(many)
+    many_single = many_u < single_cut
+    n_multi = int(np.count_nonzero(~many_single & (many_u < emit_cut)))
+    del many_u, single_cut, emit_cut
+    single = out_u < (t_by_k * w_by_k).take(quiet)
+    single[many] = many_single
+    per_bin = np.bincount(np.compress(single, quiet), minlength=n)
+    return int(per_bin.sum()), n_multi, per_bin if first else per_bin[::-1]
 
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,

@@ -10,7 +10,14 @@ import photonmux
 import photonmux.cli
 import photonmux.montecarlo
 from photonmux.app import protocol_gap
-from photonmux.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, _z_score, main
+from photonmux.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CONFIG,
+    EXIT_DOMAIN,
+    EXIT_OK,
+    _z_score,
+    main,
+)
 from photonmux.model import MAX_BINS, SourceParams
 
 
@@ -28,15 +35,16 @@ def assert_rejected(capsys, argv, code):
     assert len(captured.err.splitlines()) == 1
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, stdout=subprocess.PIPE):
     """``python ARGS`` in a fresh interpreter that imports this photonmux; a
     run that does not end within 60 s fails the test instead of hanging the
     suite."""
     src = os.path.dirname(os.path.dirname(photonmux.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
 
 
 def run_cli(*argv):
@@ -250,17 +258,21 @@ class TestMonteCarlo:
         assert_rejected(capsys, ["mc", "--trials", "1000", "--workers",
                                  workers], EXIT_DOMAIN)
 
-    def test_z_score_uses_the_closed_form_spread(self, capsys):
-        # three trials see no success; std_err is 0 but the closed form's
-        # binomial spread is not, so the disagreement shows
-        code, payload = run_json(capsys, ["mc", "--json", "--trials", "3",
-                                          "--seed", "1"])
+    def test_z_score_uses_the_closed_form_spread(self, capsys, tmp_path):
+        # at eta = 5.9e-6 three trials see no success for any stream;
+        # std_err is 0 but the closed form's binomial spread is not, so the
+        # disagreement shows
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text("lambda = 1e-6\n")
+        code, payload = run_json(capsys, ["mc", "--json", "--config", str(cfg),
+                                          "--trials", "3", "--seed", "1"])
         assert code == EXIT_OK
         assert payload["eta_hat"] == 0.0 and payload["std_err"] == 0.0
         eta = payload["analytic_eta"]
+        assert eta < 1e-4
         assert payload["z_score"] == pytest.approx(
             -eta / math.sqrt(eta * (1 - eta) / 3))
-        assert payload["z_score"] == pytest.approx(-1.08, abs=0.01)
+        assert payload["z_score"] == pytest.approx(-4.22e-3, abs=1e-5)
 
     def test_z_score_without_spread(self):
         assert _z_score(0.0, 0.0, 10) == 0.0
@@ -419,6 +431,23 @@ class TestDepthCap:
         proc = run_cli("eval", "--config", str(cfg))
         assert proc.returncode == EXIT_DOMAIN
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestClosedReader:
+    @pytest.mark.parametrize("argv", [["eval", "--json"],
+                                      ["mc", "--json", "--trials", "1000"]])
+    def test_exits_1_with_nothing_on_stderr(self, argv):
+        # the pipe's read end is closed before the child starts, so every
+        # write to stdout fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _fresh_python("-m", "photonmux.cli", *argv,
+                                 stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE == 1
+        assert proc.stderr == ""
 
 
 class TestColdStart:

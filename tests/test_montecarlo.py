@@ -22,6 +22,7 @@ from photonmux.model import (
     Topology,
 )
 from photonmux.montecarlo import (
+    _CHUNK_TRIALS,
     MAX_TRIALS,
     MAX_WORKERS,
     Outcome,
@@ -136,7 +137,8 @@ class TestEstimateEta:
         c = estimate_eta(p, s, 300_000, seed=5, workers=3)
         assert a == b == c
         # one chunk, and three chunks with more workers than chunks
-        for n_trials, workers in ((1_000, (1, 4)), (600_000, (1, 2, 5))):
+        for n_trials, workers in ((_CHUNK_TRIALS - 1, (1, 4)),
+                                  (2 * _CHUNK_TRIALS + 1_000, (1, 2, 5))):
             first, *rest = (estimate_eta(p, s, n_trials, seed=5, workers=w)
                             for w in workers)
             assert all(r == first for r in rest)
@@ -241,45 +243,6 @@ class TestEstimateEta:
             estimate_eta(SourceParams(), scheme(4), n_trials, seed=0)
 
 
-def _reference_chunk_counts(params, scheme, p_herald, cond_cum, pic,
-                            n_trials, child_seed):
-    """The full-array chunk sampler that the in-place one replaced, kept
-    verbatim: every trial draws every variate it could need."""
-    rng = np.random.default_rng(child_seed)
-    n = scheme.n_bins
-    per_bin = np.zeros(n, dtype=np.int64)
-    if p_herald == 0.0:
-        return 0, 0, per_bin
-
-    # position g of the selected herald, counted from the end where the
-    # policy starts: geometric, and the g - 1 bins before it stay quiet
-    u = rng.random(n_trials)
-    if p_herald >= 1.0:
-        g = np.ones(n_trials)
-    else:
-        with np.errstate(divide="ignore"):
-            g = np.floor(np.log(u) / math.log1p(-p_herald)) + 1.0
-    heralded = g <= n
-    if scheme.selection is Selection.FIRST_PHOTON:
-        r = g
-    else:
-        r = n + 1.0 - g
-    r_idx = np.where(heralded, r, 1.0).astype(np.int64)
-
-    pairs = np.searchsorted(cond_cum, rng.random(n_trials)) + 1
-
-    veto = params.eta_f if params.include_filter_in_d0 else 1.0
-    kept = rng.random(n_trials) < veto ** (g - 1.0)
-
-    active = heralded & kept
-    survivors = rng.binomial(np.where(active, pairs, 0), pic[r_idx - 1])
-
-    single = active & (survivors == 1)
-    multi = active & (survivors >= 2)
-    per_bin += np.bincount(r_idx[single], minlength=n + 1)[1:]
-    return int(single.sum()), int(multi.sum()), per_bin
-
-
 def _reference_frame(params, scheme, rng):
     """The per-element frame loop that ``run_frame`` replaced, kept verbatim
     and returning the record's fields."""
@@ -338,23 +301,80 @@ def _chunk_args(params, s):
     return (params, s, *_herald_tables(params, eta_d), np.array(pic))
 
 
+def _pool_small_cells(observed, expected, floor=5.0):
+    """Merge the cells expected below ``floor`` into one cell, and that one
+    into the last cell if it is still below ``floor``."""
+    small = [i for i, e in enumerate(expected) if e < floor]
+    obs = [o for o, e in zip(observed, expected) if e >= floor]
+    exp = [e for e in expected if e >= floor]
+    if small:
+        pooled_obs = sum(observed[i] for i in small)
+        pooled_exp = sum(expected[i] for i in small)
+        if pooled_exp >= floor:
+            obs.append(pooled_obs)
+            exp.append(pooled_exp)
+        else:
+            obs[-1] += pooled_obs
+            exp[-1] += pooled_exp
+    return obs, exp
+
+
 class TestChunkSampler:
-    def test_matches_full_array_sampler_bit_for_bit(self):
-        designs = list(_designs())
-        assert len(designs) >= 200
-        p_heralds = set()
+    def test_per_bin_histogram_matches_closed_form_across_designs(self):
+        # per-bin singles plus the non-single count against B(r) and
+        # 1 - eta on every design but the lam = 0 and lam = 100 ones, which
+        # give no single photon: both laws, both selections, both readings,
+        # an active filter veto and none; a Bonferroni-corrected chi-square
+        # with the cells expected below 5 pooled.  At lam = 110 p_herald
+        # rounds above 1, and eta_c = 0.015 keeps a single photon likely.
+        scipy_stats = pytest.importorskip("scipy.stats")
+        n = 200_000
+        saturated = SourceParams.table_defaults(
+            Detection.SINGLE_DETECTOR, lam=110.0, eta_c=0.015)
+        designs = [(params, s) for params, s in _designs()
+                   if params.lam not in (0.0, 100.0)]
+        designs += [(saturated, scheme(8)),
+                    (saturated, scheme(8, selection=Selection.LAST_PHOTON,
+                                       allow_mismatched_selection=True))]
+        assert len(designs) >= 150
+        assert _chunk_args(saturated, scheme(8))[2] >= 1.0
+        assert {s.selection for _, s in designs} == set(Selection)
+        threshold = 0.001 / len(designs)
         for k, (params, s) in enumerate(designs):
-            args = _chunk_args(params, s)
-            p_heralds.add(min(args[2], 1.0))
-            sizes = (1, 7, 3_000) + ((250_000,) if k % 12 == 0 else ())
-            for n_trials in sizes:
-                seed = np.random.SeedSequence(k)
-                got = _chunk_counts(*args, n_trials, seed)
-                want = _reference_chunk_counts(*args, n_trials, seed)
-                assert got[:2] == want[:2], (params, s, n_trials)
-                assert got[2].dtype == want[2].dtype
-                assert np.array_equal(got[2], want[2]), (params, s, n_trials)
-        assert {0.0, 1.0} <= p_heralds
+            r = estimate_eta(params, s, n, seed=k)
+            b = total_efficiency(params, s)
+            observed = list(r.per_bin_hist) + [n - r.n_single]
+            expected = ([n * x for x in b.per_bin_success]
+                        + [n * (1.0 - b.eta_total)])
+            observed, expected = _pool_small_cells(observed, expected)
+            _, p_value = scipy_stats.chisquare(observed, expected)
+            assert p_value > threshold, (params, s, p_value)
+
+    @pytest.mark.parametrize("params,s", [
+        (SourceParams.table_defaults(Detection.SINGLE_DETECTOR, lam=1.0,
+                                     pair_dist=PairDistribution.THERMAL_APPROX),
+         scheme(8)),
+        (SourceParams.table_defaults(Detection.SINGLE_DETECTOR, lam=1.0,
+                                     eta_f=0.5),
+         scheme(8)),
+        (SourceParams.table_defaults(Detection.DETECTOR_ARRAY, lam=0.5),
+         scheme(16, detection=Detection.DETECTOR_ARRAY)),
+    ], ids=["thermal", "veto", "last-photon"])
+    def test_outcomes_match_literal_frames(self, params, s):
+        # n_single and n_multi against run_frame's per-photon process, as a
+        # two-sample test of each proportion
+        frames, trials = 25_000, 1_000_000
+        rng = np.random.default_rng(61)
+        outcomes = [run_frame(params, s, rng).outcome for _ in range(frames)]
+        r = estimate_eta(params, s, trials, seed=61)
+        for outcome, count in ((Outcome.SINGLE, r.n_single),
+                               (Outcome.MULTI, r.n_multi)):
+            seen = outcomes.count(outcome)
+            assert seen >= 100, outcome
+            pooled = (seen + count) / (frames + trials)
+            sigma = math.sqrt(pooled * (1.0 - pooled)
+                              * (1.0 / frames + 1.0 / trials))
+            assert abs(seen / frames - count / trials) < 4.0 * sigma, outcome
 
     def test_run_frame_matches_per_element_loop(self):
         for k, (params, s) in enumerate(_designs()):
@@ -371,17 +391,20 @@ class TestChunkSampler:
 
     def test_chunk_peak_memory_is_bounded(self):
         # thermal lam = 0.6 at N = 49 heralds almost every trial, the chunk
-        # with the most live temporaries
+        # with the most live temporaries; a 250,000-trial call and one
+        # default chunk
         params = SourceParams(lam=0.6, pair_dist=PairDistribution.THERMAL_APPROX)
         args = _chunk_args(params, scheme(49))
         _chunk_counts(*args, 1_000, 0)
-        tracemalloc.start()
-        try:
-            _chunk_counts(*args, 250_000, np.random.SeedSequence(3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12_000_000
+        for n_trials, bound in ((250_000, 12_000_000),
+                                (_CHUNK_TRIALS, 4_000_000)):
+            tracemalloc.start()
+            try:
+                _chunk_counts(*args, n_trials, np.random.SeedSequence(3))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, n_trials
 
 
 class TestEstimateAvgLin:
