@@ -19,15 +19,14 @@ permanents, and every element is checked unitary at construction.  Coupler
 convention: symmetric, a factor i on the cross path of the 50/50 coupler;
 the polarizing coupler transmits horizontal and reflects vertical with no
 extra phase (the convention fixes state signs, not probabilities).
+
+``photonmux bell --eta`` composes these two enumerated probabilities with
+the source efficiency, one factor eta per photon each circuit consumes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
-
-from .model import DomainError
 
 H, V = 0, 1
 _PRUNE = 1e-15
@@ -231,29 +230,25 @@ class HbsEnumeration:
     false_herald_probability: float
 
 
-def hbs_circuit(include_middle_rotation: bool = True) -> list[CircuitElement]:
+def hbs_circuit() -> list[CircuitElement]:
     """Element list of the four-source circuit.
 
     The middle coupler is operated in the 45-degree basis by rotating its
-    two ports before and back after it; ``include_middle_rotation=False``
-    drops those rotators (a degraded variant used to demonstrate that the
-    rotated basis is what makes all four cross patterns herald Bell states).
+    two ports before and back after it; that rotated basis is what makes
+    all four cross patterns herald Bell states.
     """
     quarter = math.pi / 4
     elements = [polarization_rotator(p, quarter) for p in range(4)]
     elements += [polarizing_coupler(0, 1), polarizing_coupler(2, 3)]
-    if include_middle_rotation:
-        elements += [polarization_rotator(1, quarter),
-                     polarization_rotator(2, quarter)]
+    elements += [polarization_rotator(1, quarter),
+                 polarization_rotator(2, quarter)]
     elements.append(polarizing_coupler(1, 2))
-    if include_middle_rotation:
-        elements += [polarization_rotator(1, -quarter),
-                     polarization_rotator(2, -quarter)]
+    elements += [polarization_rotator(1, -quarter),
+                 polarization_rotator(2, -quarter)]
     return elements
 
 
-def hbs_enumeration(include_middle_rotation: bool = True,
-                    number_resolving: bool = True) -> HbsEnumeration:
+def hbs_enumeration(number_resolving: bool = True) -> HbsEnumeration:
     """Enumerate every detector pattern of the four-source circuit.
 
     A herald is a coincidence of exactly two distinct detectors.  With
@@ -264,7 +259,7 @@ def hbs_enumeration(include_middle_rotation: bool = True,
     output port, is compared against the matching Bell state.
     """
     start = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0))
-    state = start.apply_all(hbs_circuit(include_middle_rotation))
+    state = start.apply_all(hbs_circuit())
     detector_modes = [mode_index(port, pol) for port in HBS_DETECTOR_PORTS
                       for pol in (H, V)]
 
@@ -319,16 +314,14 @@ def two_source_circuit() -> list[CircuitElement]:
     return [polarization_rotator(1, math.pi / 2), nonpolarizing_coupler(0, 1)]
 
 
-def two_source_enumeration(second_pol: int = H):
+def two_source_enumeration():
     """Coincidence probability and conditional two-photon state of the
     two-source circuit.
 
-    ``second_pol`` sets the second photon's input polarization before the
-    pi/2 rotation; horizontal inputs (the default) yield orthogonal photons
-    at the coupler and the singlet output, while ``second_pol=V`` makes the
-    photons identical and the coincidence vanishes by bunching.
+    Both photons enter horizontal, so after the pi/2 rotation they are
+    orthogonal at the coupler and a coincidence leaves the singlet.
     """
-    start = FockState.from_occupation((1, 0) + ((1, 0) if second_pol == H else (0, 1)))
+    start = FockState.from_occupation((1, 0, 1, 0))
     state = start.apply_all(two_source_circuit())
     cond: dict[tuple[int, int], complex] = {}
     for occ, amp in state.amplitudes.items():
@@ -337,25 +330,3 @@ def two_source_enumeration(second_pol: int = H):
             cond[pair] = amp
     probability = math.fsum(abs(a) ** 2 for a in cond.values())
     return probability, cond
-
-
-class BellScheme(Enum):
-    HBS4 = "hbs4"
-    POST_SELECTED2 = "post-selected2"
-
-
-#: Success bounds of the two schemes for unit-efficiency photons.
-SCHEME_BOUNDS = {
-    BellScheme.HBS4: Fraction(3, 16),
-    BellScheme.POST_SELECTED2: Fraction(1, 2),
-}
-
-
-def composed_success(eta: float, scheme: BellScheme) -> float:
-    """Success probability with source efficiency ``eta``: the scheme bound
-    times eta per consumed photon (four photons or two)."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must be in [0, 1], got {eta}")
-    bound = float(SCHEME_BOUNDS[scheme])
-    power = 4 if scheme is BellScheme.HBS4 else 2
-    return bound * eta**power

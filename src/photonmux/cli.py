@@ -191,6 +191,9 @@ def _cmd_bell(args) -> int:
     from . import bell  # the Fock-space code no other subcommand needs
 
     _load(args)  # a bad config exits 2; the results do not depend on it
+    eta = args.eta
+    if eta is not None and not 0.0 <= eta <= 1.0:
+        raise DomainError(f"eta must be in [0, 1], got {eta}")
     enum = bell.hbs_enumeration()
     two_prob, _ = bell.two_source_enumeration()
     payload = {
@@ -210,12 +213,13 @@ def _cmd_bell(args) -> int:
         f"  false heralds                  {enum.false_herald_probability:.6f}",
         f"two-source coincidence           {two_prob:.6f}",
     ]
-    if args.eta is not None:
-        hbs = bell.composed_success(args.eta, bell.BellScheme.HBS4)
-        ps2 = bell.composed_success(args.eta, bell.BellScheme.POST_SELECTED2)
-        payload["composed"] = {"eta": args.eta, "hbs4": hbs,
-                               "post_selected2": ps2}
-        lines.append(f"composed at eta={args.eta}: hbs4={hbs:.6f} "
+    if eta is not None:
+        # each circuit's enumerated probability times eta per photon it
+        # consumes: four for the heralded circuit, two for the post-selected
+        hbs = enum.herald_probability * eta**4
+        ps2 = two_prob * eta**2
+        payload["composed"] = {"eta": eta, "hbs4": hbs, "post_selected2": ps2}
+        lines.append(f"composed at eta={eta}: hbs4={hbs:.6f} "
                      f"post-selected2={ps2:.6f}")
     _emit(args, payload, lines)
     return EXIT_OK

@@ -217,7 +217,10 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
     if p_herald >= 1.0:
         u.fill(0.0)  # the first bin the policy reaches always heralds
     else:
-        with np.errstate(divide="ignore"):
+        # u = 0 (log gives -inf) and a subnormal p_herald (the quotient
+        # overflows) both give k = +inf: no herald in the frame, which the
+        # compress below drops
+        with np.errstate(divide="ignore", over="ignore"):
             np.log(u, out=u)
             u /= math.log1p(-p_herald)
         np.floor(u, out=u)

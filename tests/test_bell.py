@@ -7,18 +7,18 @@ import pytest
 from photonmux.bell import (
     BELL_PATTERN_LABELS,
     BELL_STATES,
-    BellScheme,
+    HERALD_PATTERNS,
     CircuitElement,
     FockState,
     H,
     V,
-    composed_success,
     hbs_circuit,
     hbs_enumeration,
     mode_index,
     nonpolarizing_coupler,
     polarization_rotator,
     polarizing_coupler,
+    two_source_circuit,
     two_source_enumeration,
 )
 
@@ -124,19 +124,40 @@ class TestHeraldedBellCircuit:
         assert final.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
     def test_removing_middle_rotation_changes_the_distribution(self):
-        rotated = hbs_enumeration()
-        plain = hbs_enumeration(include_middle_rotation=False)
+        # the circuit without the rotators around the middle coupler
+        quarter = math.pi / 4
+        elements = [polarization_rotator(p, quarter) for p in range(4)]
+        elements += [polarizing_coupler(0, 1), polarizing_coupler(2, 3),
+                     polarizing_coupler(1, 2)]
+        final = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0)).apply_all(elements)
+
+        def outcome(name):
+            """Click probability of one detector pattern and the amplitudes
+            it leaves with one photon in each output port (0 and 3)."""
+            prob, pair = 0.0, {}
+            for occ, amp in final.amplitudes.items():
+                if (occ[2], occ[3], occ[4], occ[5]) != HERALD_PATTERNS[name]:
+                    continue
+                prob += abs(amp) ** 2
+                if occ[0] + occ[1] == 1 and occ[6] + occ[7] == 1:
+                    key = (occ[1], occ[7])  # H = 0, V = 1 in each port
+                    pair[key] = pair.get(key, 0j) + amp
+            return prob, pair
+
         # click mass doubles on the cross patterns and the heralded states
         # degrade: the polarization-matched patterns drop to fidelity 1/2,
         # the crossed ones keep no valid output pair at all
-        assert plain.patterns["D1H,D2H"].probability == pytest.approx(
-            1 / 16, abs=1e-10)
-        assert plain.patterns["D1H,D2H"].fidelity == pytest.approx(0.5, abs=1e-10)
-        assert plain.patterns["D1H,D2V"].probability == pytest.approx(
-            1 / 16, abs=1e-10)
-        assert plain.patterns["D1H,D2V"].fidelity is None
-        assert rotated.patterns["D1H,D2H"].probability != pytest.approx(
-            plain.patterns["D1H,D2H"].probability, abs=1e-3)
+        matched, pair = outcome("D1H,D2H")
+        assert matched == pytest.approx(1 / 16, abs=1e-10)
+        ref = BELL_STATES["phi_plus"]
+        overlap = sum(ref.get(k, 0.0) * a for k, a in pair.items())
+        cond_prob = sum(abs(a) ** 2 for a in pair.values())
+        assert abs(overlap) ** 2 / cond_prob == pytest.approx(0.5, abs=1e-10)
+        crossed, pair = outcome("D1H,D2V")
+        assert crossed == pytest.approx(1 / 16, abs=1e-10)
+        assert pair == {}
+        assert hbs_enumeration().patterns["D1H,D2H"].probability != pytest.approx(
+            matched, abs=1e-3)
 
     def test_global_phase_invariance(self):
         base = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0))
@@ -187,25 +208,12 @@ class TestTwoSourceCircuit:
         assert abs(overlap) ** 2 / prob == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_photons_bunch(self):
-        prob, cond = two_source_enumeration(second_pol=V)
-        assert prob == pytest.approx(0.0, abs=1e-10)
+        # a vertical second photon leaves the rotator horizontal, identical
+        # to the first, so both photons leave through the same port
+        final = FockState.from_occupation((1, 0, 0, 1)).apply_all(
+            two_source_circuit())
+        coincidence = sum(abs(a) ** 2 for occ, a in final.amplitudes.items()
+                          if occ[0] + occ[1] == 1 and occ[2] + occ[3] == 1)
+        assert coincidence == pytest.approx(0.0, abs=1e-10)
+        assert final.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
-
-class TestComposedSuccess:
-    def test_unit_efficiency_bound(self):
-        assert composed_success(1.0, BellScheme.HBS4) == pytest.approx(0.1875)
-
-    def test_high_efficiency_point(self):
-        assert composed_success(0.59, BellScheme.HBS4) == pytest.approx(
-            3 / 16 * 0.59**4, rel=1e-12)
-        assert composed_success(0.59, BellScheme.HBS4) == pytest.approx(
-            0.0227, abs=5e-4)
-
-    def test_post_selected_point(self):
-        assert composed_success(0.27, BellScheme.POST_SELECTED2) == pytest.approx(
-            0.5 * 0.27**2, rel=1e-12)
-
-    def test_domain(self):
-        from photonmux.model import DomainError
-        with pytest.raises(DomainError):
-            composed_success(1.5, BellScheme.HBS4)

@@ -293,6 +293,17 @@ class TestMonteCarlo:
         assert main(["mc", "--trials", "100"]) == EXIT_OK
         assert "(z = n/a)" in capsys.readouterr().out
 
+    def test_subnormal_lambda_runs_silently(self, tmp_path):
+        # the herald probability is subnormal, so the quiet count overflows
+        # to +inf: no herald, and no numpy warning on stderr
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("lambda = 1e-310\n")
+        proc = run_cli("mc", "--json", "--config", str(cfg),
+                       "--trials", "100000")
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["eta_hat"] == 0.0
+
     def test_workers_do_not_change_result(self, capsys):
         base = ["mc", "--json", "--trials", "600000", "--seed", "3"]
         _, one = run_json(capsys, base + ["--workers", "1"])
@@ -306,8 +317,26 @@ class TestBell:
         assert code == EXIT_OK
         assert payload["herald_probability"] == pytest.approx(3 / 16, abs=1e-10)
         assert payload["two_source_coincidence"] == pytest.approx(0.5, abs=1e-10)
-        assert payload["composed"]["hbs4"] == pytest.approx(
-            3 / 16 * 0.59**4, rel=1e-9)
+        composed = payload["composed"]
+        assert composed["hbs4"] == pytest.approx(3 / 16 * 0.59**4, rel=1e-12)
+        assert composed["hbs4"] == pytest.approx(0.0227, abs=5e-4)
+        assert composed["post_selected2"] == pytest.approx(0.5 * 0.59**2,
+                                                           rel=1e-12)
+
+    def test_composed_numbers_take_eta_per_photon(self, capsys):
+        _, payload = run_json(capsys, ["bell", "--json", "--eta", "1.0"])
+        assert payload["composed"]["hbs4"] == 0.1875
+        _, payload = run_json(capsys, ["bell", "--json", "--eta", "0.27"])
+        assert payload["composed"]["post_selected2"] == pytest.approx(
+            0.5 * 0.27**2, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", ["1.5", "-0.1", "nan", "inf"])
+    def test_eta_outside_unit_interval_exits_domain_error(self, eta):
+        proc = run_cli("bell", "--json", "--eta", eta)
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"domain error: eta must be in [0, 1], got {float(eta)}"]
 
     @pytest.mark.parametrize("text", [None, "nonsense = 1\n",
                                       "n_bins = 8\nn_bins = 8\n"],

@@ -168,6 +168,13 @@ class TestEstimateEta:
         assert r.eta_hat == 0.0
         assert r.n_vacuum == 10_000
 
+    def test_subnormal_lambda_estimates_zero(self):
+        # log u / log1p(-p_herald) overflows to +inf for a subnormal
+        # p_herald; that means no herald and must not warn
+        r = estimate_eta(SourceParams(lam=1e-310), scheme(16), 1000, seed=0)
+        assert r.n_single == 0
+        assert r.n_vacuum == 1000
+
     def test_std_err_definition(self):
         r = estimate_eta(SourceParams(), scheme(8), 50_000, seed=2)
         assert r.std_err == pytest.approx(
