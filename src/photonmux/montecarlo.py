@@ -1,8 +1,14 @@
 """Stochastic frame simulation, the independent oracle for the closed forms.
 
-:func:`run_frame` realizes one frame literally: per-bin pair counts,
-per-photon Bernoulli idler detection, policy selection, per-photon survival
-through the chip.  :func:`estimate_eta` runs the same process vectorized over
+:func:`run_frame` realizes one frame literally.  It draws, in this order:
+the pair count of every bin; one uniform per idler photon, bin by bin, a bin
+heralding when any of its idler uniforms falls below eta_d; after policy
+selection, when the filter can veto, one uniform per quiet bin, the frame
+vetoed when any is at or above eta_f; then the binomial number of the
+selected bin's signal photons that survive the chip.  Everything that
+depends only on the design (the readings, eta_d, the transmission frame, the
+policy, k(r) and the herald tables) is built once per design into a cached
+plan.  :func:`estimate_eta` runs the same process vectorized over
 many trials, sampling the selected bin directly from its geometric law, the
 selected bin's pair count m from the heralded conditional table, and the
 outcome from the per-trial law of the literal process; the joint law of
@@ -119,12 +125,48 @@ def _sample_pairs(params: SourceParams, rng: np.random.Generator,
     return rng.negative_binomial(2, 1.0 - lam / 2.0, size)
 
 
-@functools.lru_cache(maxsize=1)
-def _frame_setup(params: SourceParams, scheme: SchemeConfig):
-    """eta_d and the transmission frame of one design, which consecutive
-    frames and estimates of that design share."""
-    return (efficiency.detection_efficiency(params, scheme),
-            efficiency.pic_transmission(params, scheme))
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Everything a frame or an estimate needs that depends only on the
+    design: the params with the readings merged, eta_d, the transmission
+    frame (bin r at index r - 1), the policy, and per bin the count k(r) of
+    quiet bins that must pass the filter, 0 where the filter cannot veto."""
+
+    params: SourceParams
+    eta_d: float
+    pic: tuple[float, ...]
+    first: bool
+    veto_bins: tuple[int, ...]
+
+    @functools.cached_property
+    def chunk_tables(self):
+        """:func:`_herald_tables` and the transmission frame as an array,
+        the design's arguments to :func:`_chunk_counts`; built on first use,
+        because only an estimate needs the pair table and its limit."""
+        pic = np.array(self.pic)
+        pic.flags.writeable = False
+        return (*_herald_tables(self.params, self.eta_d), pic)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(params: SourceParams, scheme: SchemeConfig,
+          include_filter_in_d0: bool | None,
+          literal_exponent: bool | None) -> _Plan:
+    """The design plan, which consecutive frames and estimates of one design
+    share."""
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    n = scheme.n_bins
+    vetoes = params.include_filter_in_d0 and params.eta_f < 1.0
+    return _Plan(
+        params=params,
+        eta_d=efficiency.detection_efficiency(params, scheme),
+        pic=efficiency.pic_transmission(params, scheme),
+        first=scheme.selection is Selection.FIRST_PHOTON,
+        veto_bins=tuple(efficiency.quiet_bins(scheme)) if vetoes else (0,) * n,
+    )
+
+
+_OUTCOMES = (Outcome.VACUUM, Outcome.SINGLE, Outcome.MULTI)
 
 
 def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
@@ -132,46 +174,48 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
               literal_exponent: bool | None = None) -> TrialRecord:
     """Simulate one frame and return its full record.
 
-    Deterministic for a given integer seed.  Pass a ``numpy.random.Generator``
-    to draw consecutive frames from one stream.
+    Draws, in this order: the pair count of every bin; one uniform per idler
+    photon, bin by bin, a bin heralding when any of its idler uniforms falls
+    below eta_d; for the selected bin, when the filter can veto, one uniform
+    per quiet bin k(r), any at or above eta_f vetoing the frame; then the
+    binomial number of the selected bin's signal photons that survive the
+    chip.  Deterministic for a given integer seed.  Pass a
+    ``numpy.random.Generator`` to draw consecutive frames from one stream.
     """
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    plan = _plan(params, scheme, include_filter_in_d0, literal_exponent)
     rng = _as_rng(rng_seed)
-    eta_d, pic = _frame_setup(params, scheme)
 
-    pairs = _sample_pairs(params, rng, scheme.n_bins)
-    detected = rng.binomial(pairs, eta_d)
+    pairs = _sample_pairs(plan.params, rng, scheme.n_bins)
     pair_counts = tuple(pairs.tolist())
-    # 1 where at least one idler was detected
-    frame = HeraldFrame(tuple(np.minimum(detected, 1).tolist()))
+    idlers = rng.random(sum(pair_counts)).tolist()
+    eta_d = plan.eta_d
+    # only bins with pairs take idler uniforms, in bin order
+    bits, start = [0] * scheme.n_bins, 0
+    for r in pairs.nonzero()[0].tolist():
+        stop = start + pair_counts[r]
+        if min(idlers[start:stop]) < eta_d:
+            bits[r] = 1
+        start = stop
+    frame = HeraldFrame(tuple(bits))
 
-    if scheme.selection is Selection.FIRST_PHOTON:
+    if plan.first:
         selected = select_first(frame)
     else:
         _, selected = select_last(frame)
 
     survivors = 0
     if selected is not None:
-        vetoed = False
-        if params.include_filter_in_d0 and params.eta_f < 1.0:
-            coins = rng.random(efficiency.quiet_bins(scheme)[selected - 1])
-            vetoed = bool((coins >= params.eta_f).any())
-        if not vetoed:
+        k = plan.veto_bins[selected - 1]
+        if not (k and rng.random(k).max() >= plan.params.eta_f):
             survivors = int(rng.binomial(pair_counts[selected - 1],
-                                         pic[selected - 1]))
+                                         plan.pic[selected - 1]))
 
-    if survivors == 0:
-        outcome = Outcome.VACUUM
-    elif survivors == 1:
-        outcome = Outcome.SINGLE
-    else:
-        outcome = Outcome.MULTI
     return TrialRecord(
         pair_counts=pair_counts,
         herald_bits=frame,
         selected_bin=selected,
         photons_surviving=survivors,
-        outcome=outcome,
+        outcome=_OUTCOMES[min(survivors, 2)],
     )
 
 
@@ -291,10 +335,9 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
     if n_trials % _CHUNK_TRIALS:
         sizes.append(n_trials % _CHUNK_TRIALS)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
-    eta_d, pic = _frame_setup(params, scheme)
-    job = functools.partial(_chunk_counts, params, scheme,
-                            *_herald_tables(params, eta_d), np.array(pic))
+    plan = _plan(params, scheme, include_filter_in_d0, literal_exponent)
+    job = functools.partial(_chunk_counts, plan.params, scheme,
+                            *plan.chunk_tables)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(job, sizes, children))
 

@@ -27,8 +27,7 @@ from photonmux.montecarlo import (
     MAX_WORKERS,
     Outcome,
     _chunk_counts,
-    _frame_setup,
-    _herald_tables,
+    _plan,
     _sample_pairs,
     estimate_avg_lin,
     estimate_eta,
@@ -127,6 +126,56 @@ class TestRunFrame:
             if rec.selected_bin is not None:
                 highest = max(i + 1 for i, b in enumerate(rec.herald_bits.bits) if b)
                 assert rec.selected_bin == highest
+
+    def test_idler_and_veto_draws_follow_their_laws(self):
+        # a bin of i pairs heralds with 1 - (1 - eta_d)^i, and a selected bin
+        # behind k quiet bins passes the filter with eta_f^k (1 under the
+        # bare-D0 reading), seen through frames with a surviving photon:
+        # eta_f^k (1 - (1 - t)^m).  Both pair laws, both readings, eta_f =
+        # 0.5 on an otherwise ideal chip; Bonferroni over every cell.
+        scipy_stats = pytest.importorskip("scipy.stats")
+        n, frames = 4, 40_000
+        laws = [(PairDistribution.POISSON, 0.5),
+                (PairDistribution.THERMAL_APPROX, 0.6)]
+        heralds, passes = (1, 2, 3), range(n)
+        threshold = 0.001 / (len(laws) * 2 * (len(heralds) + len(passes)))
+        for (dist, lam), in_d0 in itertools.product(laws, (True, False)):
+            params = SourceParams(lam=lam, pair_dist=dist, eta_f=0.5,
+                                  eta_c=1.0, eta_sw=1.0, alpha_inc=0.0,
+                                  include_filter_in_d0=in_d0)
+            s = scheme(n)
+            eta_d = efficiency.detection_efficiency(params, s)
+            (t,) = set(efficiency.pic_transmission(params, s))
+            bins = {i: [0, 0] for i in heralds}
+            # per k: frames with survivors, and the sum and variance of
+            # their probabilities
+            survived = {k: [0, 0.0, 0.0] for k in passes}
+            rng = np.random.default_rng(71)
+            for _ in range(frames):
+                rec = run_frame(params, s, rng)
+                for m, bit in zip(rec.pair_counts, rec.herald_bits.bits):
+                    if m in bins:
+                        bins[m][0] += 1
+                        bins[m][1] += bit
+                if rec.selected_bin is None:
+                    continue
+                k = rec.selected_bin - 1
+                p = ((params.eta_f ** k if in_d0 else 1.0)
+                     * (1.0 - (1.0 - t) ** rec.pair_counts[k]))
+                cell = survived[k]
+                cell[0] += rec.photons_surviving > 0
+                cell[1] += p
+                cell[2] += p * (1.0 - p)
+            for i, (seen, fired) in bins.items():
+                assert seen >= 1_000, (dist, in_d0, i)
+                p_value = scipy_stats.binomtest(
+                    fired, seen, 1.0 - (1.0 - eta_d) ** i).pvalue
+                assert p_value > threshold, (dist, in_d0, i, p_value)
+            for k, (count, mean, var) in survived.items():
+                assert mean >= 100.0, (dist, in_d0, k)
+                z = (count - mean) / math.sqrt(var)
+                p_value = 2.0 * scipy_stats.norm.sf(abs(z))
+                assert p_value > threshold, (dist, in_d0, k, z)
 
 
 class TestEstimateEta:
@@ -251,13 +300,22 @@ class TestEstimateEta:
 
 
 def _reference_frame(params, scheme, rng):
-    """The per-element frame loop that ``run_frame`` replaced, kept verbatim
-    and returning the record's fields."""
-    eta_d, pic = _frame_setup(params, scheme)
+    """``run_frame``'s draws one element at a time, returning the record's
+    fields: the pair counts, one uniform per idler photon, bin by bin, one
+    filter coin per quiet bin of the selected bin, then the binomial
+    survivors."""
+    eta_d = efficiency.detection_efficiency(params, scheme)
+    pic = efficiency.pic_transmission(params, scheme)
 
-    pairs = _sample_pairs(params, rng, scheme.n_bins)
-    detected = rng.binomial(pairs, eta_d)
-    frame = HeraldFrame(tuple(int(k >= 1) for k in detected))
+    pairs = tuple(int(m) for m in _sample_pairs(params, rng, scheme.n_bins))
+    bits = []
+    for m in pairs:
+        fired = 0
+        for _ in range(m):
+            if rng.random() < eta_d:
+                fired = 1
+        bits.append(fired)
+    frame = HeraldFrame(tuple(bits))
 
     if scheme.selection is Selection.FIRST_PHOTON:
         selected = select_first(frame)
@@ -268,12 +326,13 @@ def _reference_frame(params, scheme, rng):
     if selected is not None:
         vetoed = False
         if params.include_filter_in_d0 and params.eta_f < 1.0:
-            coins = rng.random(efficiency.quiet_bins(scheme)[selected - 1])
-            vetoed = bool(np.any(coins >= params.eta_f))
+            for _ in range(efficiency.quiet_bins(scheme)[selected - 1]):
+                if rng.random() >= params.eta_f:
+                    vetoed = True
         if not vetoed:
-            survivors = int(rng.binomial(int(pairs[selected - 1]),
+            survivors = int(rng.binomial(pairs[selected - 1],
                                          pic[selected - 1]))
-    return (tuple(int(p) for p in pairs), frame, selected, survivors)
+    return (pairs, frame, selected, survivors)
 
 
 #: Pair laws with lam = 0 (p_herald = 0) and Poisson lam = 100, whose
@@ -304,8 +363,7 @@ def _designs():
 
 
 def _chunk_args(params, s):
-    eta_d, pic = _frame_setup(params, s)
-    return (params, s, *_herald_tables(params, eta_d), np.array(pic))
+    return (params, s, *_plan(params, s, None, None).chunk_tables)
 
 
 def _pool_small_cells(observed, expected, floor=5.0):
@@ -412,6 +470,50 @@ class TestChunkSampler:
             finally:
                 tracemalloc.stop()
             assert peak <= bound, n_trials
+
+
+class TestDesignPlan:
+    #: (params, scheme, keyword readings): two designs, each with a keyword
+    #: reading, and the field form of design a's keyword reading
+    CALLS = {
+        "a": (SourceParams(), scheme(8), {}),
+        "a-keyword": (SourceParams(), scheme(8),
+                      {"include_filter_in_d0": False}),
+        "a-field": (SourceParams(include_filter_in_d0=False), scheme(8), {}),
+        "b": (SourceParams.table_defaults(Detection.DETECTOR_ARRAY, lam=0.3,
+                                          eta_f=0.5),
+              scheme(8, detection=Detection.DETECTOR_ARRAY), {}),
+        "b-keyword": (SourceParams.table_defaults(Detection.DETECTOR_ARRAY,
+                                                  lam=0.3, eta_f=0.5),
+                      scheme(8, detection=Detection.DETECTOR_ARRAY),
+                      {"literal_exponent": True}),
+    }
+
+    @staticmethod
+    def _answer(name, call):
+        params, s, readings = TestDesignPlan.CALLS[name]
+        if call == "estimate":
+            return estimate_eta(params, s, 20_000, seed=9, **readings)
+        rng = np.random.default_rng(9)
+        return [run_frame(params, s, rng, **readings) for _ in range(300)]
+
+    def test_interleaved_designs_get_their_own_answers(self):
+        want = {}
+        for name in self.CALLS:
+            for call in ("estimate", "frames"):
+                _plan.cache_clear()
+                want[name, call] = self._answer(name, call)
+        for call in ("estimate", "frames"):
+            assert want["a-keyword", call] == want["a-field", call]
+            for x, y in (("a", "a-keyword"), ("a", "b"), ("b", "b-keyword")):
+                assert want[x, call] != want[y, call], (x, y, call)
+        _plan.cache_clear()
+        order = ["a", "b", "a-keyword", "b-keyword", "a-field", "b", "a",
+                 "a-field", "b-keyword", "a-keyword"]
+        for name, call in itertools.product(order, ("estimate", "frames")):
+            assert self._answer(name, call) == want[name, call], (name, call)
+        for name, call in itertools.product(order, ("frames", "estimate")):
+            assert self._answer(name, call) == want[name, call], (name, call)
 
 
 class TestEstimateAvgLin:
