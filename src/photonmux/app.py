@@ -148,7 +148,8 @@ def sweep_values(parameter: str, values: str | None = None,
     the key's config line) or from the grid ``round(lo + k*step, 12)``,
     k = 0..floor((hi - lo + 1e-12)/step); an ``n_bins`` grid is integral and
     defaults to 1..N_MAX step 1.  Bad input raises ConfigError, as does a
-    sweep of more than MAX_SWEEP_POINTS points.
+    sweep of more than MAX_SWEEP_POINTS points or a grid whose rounded
+    points are not strictly increasing.
     """
     _, kind = _sweep_key(parameter)
     if values is not None:
@@ -179,7 +180,11 @@ def sweep_values(parameter: str, values: str | None = None,
         raise ConfigError(f"sweep grid {grid} holds more than "
                           f"{MAX_SWEEP_POINTS} points")
     ks = range(math.floor(last) + 1) if last >= 0 else ()
-    return tuple(kind(round(lo + k * step, 12)) for k in ks)
+    points = tuple(kind(round(lo + k * step, 12)) for k in ks)
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ConfigError(f"sweep grid {grid} repeats points after rounding "
+                          f"to 12 decimals; list them with --values")
+    return points
 
 
 @dataclass(frozen=True)

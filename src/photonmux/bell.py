@@ -14,7 +14,9 @@ Brute-force Fock-space enumeration of two small linear-optics circuits:
   both meet on a 50/50 coupler; a coincidence across the two output ports
   (probability 1/2) post-selects the polarization singlet.
 
-Amplitudes are evolved by direct substitution of creation operators, not by
+Both circuits read one click table, :func:`_click_table` (the two-source
+circuit has no detectors, so its table is one empty pattern).  Amplitudes
+are evolved by direct substitution of creation operators, not by
 permanents, and every element is checked unitary at construction.  Coupler
 convention: symmetric, a factor i on the cross path of the 50/50 coupler;
 the polarizing coupler transmits horizontal and reflects vertical with no
@@ -177,6 +179,26 @@ def _output_pair(occ: tuple[int, ...], ports: tuple[int, int]
     return tuple(pols)
 
 
+def _click_table(start: tuple[int, ...], circuit, detector_modes,
+                 output_ports: tuple[int, int], number_resolving: bool):
+    """Evolve the occupation ``start`` through ``circuit`` once and group the
+    amplitudes by click pattern (each detector mode's photon count, or 0/1
+    for bucket detectors): each pattern's probability, and its amplitudes
+    with one photon in each output port keyed by :func:`_output_pair`."""
+    state = FockState.from_occupation(start).apply_all(circuit)
+    probability, pairs = {}, {}
+    for occ, amp in state.amplitudes.items():
+        clicks = tuple(occ[m] for m in detector_modes)
+        if not number_resolving:
+            clicks = tuple(int(k >= 1) for k in clicks)
+        probability[clicks] = probability.get(clicks, 0.0) + abs(amp) ** 2
+        pair = _output_pair(occ, output_ports)
+        if pair is not None:
+            cond = pairs.setdefault(clicks, {})
+            cond[pair] = cond.get(pair, 0j) + amp
+    return probability, pairs
+
+
 # --- heralded Bell generation from four sources -----------------------------
 
 #: Output ports carrying the generated pair and ports feeding the heralding
@@ -202,7 +224,6 @@ HERALD_PATTERNS = {
     "D1H,D1V": (1, 1, 0, 0),
     "D2H,D2V": (0, 0, 1, 1),
 }
-_PATTERN_NAMES = {pattern: name for name, pattern in HERALD_PATTERNS.items()}
 BELL_PATTERN_LABELS = {
     "D1H,D2H": "phi_plus",
     "D1V,D2V": "phi_plus",
@@ -258,35 +279,21 @@ def hbs_enumeration(number_resolving: bool = True) -> HbsEnumeration:
     cross-port patterns the output pair, conditioned on one photon in each
     output port, is compared against the matching Bell state.
     """
-    start = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0))
-    state = start.apply_all(hbs_circuit())
     detector_modes = [mode_index(port, pol) for port in HBS_DETECTOR_PORTS
                       for pol in (H, V)]
-
-    totals = {name: 0.0 for name in HERALD_PATTERNS}
-    conditionals: dict[str, dict[tuple[int, int], complex]] = {
-        name: {} for name in BELL_PATTERN_LABELS}
-    for occ, amp in state.amplitudes.items():
-        det = tuple(occ[m] for m in detector_modes)
-        if not number_resolving:
-            det = tuple(int(k >= 1) for k in det)
-        name = _PATTERN_NAMES.get(det)
-        if name is None:
-            continue
-        totals[name] += abs(amp) ** 2
-        pair = _output_pair(occ, HBS_OUTPUT_PORTS)
-        if name in conditionals and pair is not None:
-            cond = conditionals[name]
-            cond[pair] = cond.get(pair, 0j) + amp
+    probability, pairs = _click_table(
+        (1, 0) * 4, hbs_circuit(), detector_modes, HBS_OUTPUT_PORTS,
+        number_resolving)
 
     patterns: dict[str, PatternOutcome] = {}
     bell_yield = 0.0
-    for name, prob in totals.items():
+    for name, clicks in HERALD_PATTERNS.items():
+        prob = probability.get(clicks, 0.0)
         label = BELL_PATTERN_LABELS.get(name)
         if label is None:
             patterns[name] = PatternOutcome(probability=prob)
             continue
-        cond = conditionals[name]
+        cond = pairs.get(clicks, {})
         cond_prob = math.fsum(abs(a) ** 2 for a in cond.values())
         fid = None
         if cond_prob > 0.0:
@@ -297,13 +304,13 @@ def hbs_enumeration(number_resolving: bool = True) -> HbsEnumeration:
         patterns[name] = PatternOutcome(
             probability=prob, bell_label=label, fidelity=fid)
 
-    herald_probability = math.fsum(totals.values())
+    herald_probability = math.fsum(p.probability for p in patterns.values())
     return HbsEnumeration(
         herald_probability=herald_probability,
         patterns=patterns,
         bell_yield=bell_yield,
         false_herald_probability=herald_probability - math.fsum(
-            totals[n] for n in BELL_PATTERN_LABELS),
+            patterns[n].probability for n in BELL_PATTERN_LABELS),
     )
 
 
@@ -321,12 +328,8 @@ def two_source_enumeration():
     Both photons enter horizontal, so after the pi/2 rotation they are
     orthogonal at the coupler and a coincidence leaves the singlet.
     """
-    start = FockState.from_occupation((1, 0, 1, 0))
-    state = start.apply_all(two_source_circuit())
-    cond: dict[tuple[int, int], complex] = {}
-    for occ, amp in state.amplitudes.items():
-        pair = _output_pair(occ, (0, 1))
-        if pair is not None:
-            cond[pair] = amp
+    _, pairs = _click_table((1, 0, 1, 0), two_source_circuit(), (), (0, 1),
+                            number_resolving=True)
+    cond = pairs.get((), {})
     probability = math.fsum(abs(a) ** 2 for a in cond.values())
     return probability, cond

@@ -92,8 +92,8 @@ def phase_schedule(n_bins: int) -> PhaseSchedule:
     """Switch-phase matrix for a full frame; requires n_bins a power of two.
 
     Bin r's row routes its photon through delay (n_bins - r) T.  Each column
-    is one stage's divided-clock square wave sampled at the bin rate (see
-    :func:`drive_waveforms`); :meth:`PhaseSchedule.decode_delay` inverts it.
+    is one stage's divided-clock drive waveform (see :func:`clock_divisions`)
+    sampled at the bin rate; :meth:`PhaseSchedule.decode_delay` inverts it.
     """
     clocks = _stage_clocks(n_bins)
     rows = tuple(
@@ -107,15 +107,6 @@ def clock_divisions(n_bins: int) -> tuple[int, ...]:
     """Clock division factor per stage: the full period, in bins, of each
     stage's drive square wave."""
     return tuple(2 * half for half, _ in _stage_clocks(n_bins))
-
-
-def drive_waveforms(n_bins: int, n_frames: int) -> tuple[tuple[float, ...], ...]:
-    """Per-stage drive waveforms sampled at the bin rate over ``n_frames``:
-    each stage's phase-schedule column, repeated once per frame."""
-    if n_frames < 1:
-        raise DomainError(f"n_frames must be >= 1, got {n_frames}")
-    return tuple(column * n_frames
-                 for column in zip(*phase_schedule(n_bins).phases))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ selection, when the filter can veto, one uniform per quiet bin, the frame
 vetoed when any is at or above eta_f; then the binomial number of the
 selected bin's signal photons that survive the chip.  Everything that
 depends only on the design (the readings, eta_d, the transmission frame, the
-policy, k(r) and the herald tables) is built once per design into a cached
-plan.  :func:`estimate_eta` runs the same process vectorized over
+policy and k(r)) is built once per design into a cached plan, the one place
+that reads the design; its ``chunk_tables`` (the herald tables, and t and w
+below by quiet count) are built on an estimate's first use.
+:func:`estimate_eta` runs the same process vectorized over
 many trials, sampling the selected bin directly from its geometric law, the
 selected bin's pair count m from the heralded conditional table, and the
 outcome from the per-trial law of the literal process; the joint law of
@@ -140,12 +142,33 @@ class _Plan:
 
     @functools.cached_property
     def chunk_tables(self):
-        """:func:`_herald_tables` and the transmission frame as an array,
-        the design's arguments to :func:`_chunk_counts`; built on first use,
-        because only an estimate needs the pair table and its limit."""
-        pic = np.array(self.pic)
-        pic.flags.writeable = False
-        return (*_herald_tables(self.params, self.eta_d), pic)
+        """What :func:`_chunk_counts` samples from, built on first use,
+        because only an estimate needs the pair table and its limit: the
+        herald probability per bin, the cumulative conditional pair-count
+        table P(i | heralded), i = 1..MAX_PAIRS (None when no bin can
+        herald), and, indexed by the quiet count k, the selected bin's
+        transmission t and the chance w = eta_f ** k(r) that its quiet bins
+        pass the filter."""
+        params = self.params
+        pmf = np.array(pair_pmf_array(params))
+        dropped = 1.0 - math.fsum(pmf)
+        if dropped > MAX_DROPPED_MASS:
+            raise DomainError(
+                f"lam = {params.lam}: a pair table ending at {MAX_PAIRS} pairs "
+                f"would drop {dropped:.3g} of the {params.pair_dist.value} "
+                f"pair-number mass (limit {MAX_DROPPED_MASS:g})")
+        i = np.arange(pmf.size)
+        herald_weight = pmf * (1.0 - (1.0 - self.eta_d) ** i)
+        p_herald = float(herald_weight.sum())
+        cond_cum = (None if p_herald <= 0.0
+                    else np.cumsum(herald_weight[1:] / p_herald))
+        # the selected bin lies k bins from the start of the frame under
+        # first-photon selection, from its end under last-photon
+        by_k = slice(None) if self.first else slice(None, None, -1)
+        t = np.array(self.pic)[by_k]
+        w = params.eta_f ** np.array(self.veto_bins)[by_k]
+        t.flags.writeable = w.flags.writeable = False
+        return p_herald, cond_cum, t, w
 
 
 @functools.lru_cache(maxsize=8)
@@ -219,39 +242,20 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
     )
 
 
-def _herald_tables(params: SourceParams, eta_d: float):
-    """Herald probability per bin and the cumulative conditional pair-count
-    table P(i | heralded), i = 1..MAX_PAIRS."""
-    pmf = np.array(pair_pmf_array(params))
-    dropped = 1.0 - math.fsum(pmf)
-    if dropped > MAX_DROPPED_MASS:
-        raise DomainError(
-            f"lam = {params.lam}: a pair table ending at {MAX_PAIRS} pairs "
-            f"would drop {dropped:.3g} of the {params.pair_dist.value} "
-            f"pair-number mass (limit {MAX_DROPPED_MASS:g})")
-    i = np.arange(pmf.size)
-    herald_weight = pmf * (1.0 - (1.0 - eta_d) ** i)
-    p_herald = float(herald_weight.sum())
-    if p_herald <= 0.0:
-        return 0.0, None
-    cond = herald_weight[1:] / p_herald
-    return p_herald, np.cumsum(cond)
-
-
-def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
-                  cond_cum, pic: np.ndarray, n_trials: int, child_seed):
-    """Sample one chunk of trials from the herald tables and the
-    transmission frame that :func:`estimate_eta` builds once; returns the
-    single count, the multi count and the per-bin single histogram.
+def _chunk_counts(plan: _Plan, n_trials: int, child_seed):
+    """Sample one chunk of trials from the plan's :attr:`_Plan.chunk_tables`;
+    returns the single count, the multi count and the per-bin single
+    histogram.
 
     Draw order (see the module docstring): one uniform of length
     ``n_trials`` for the herald position, then a pair-count uniform and an
     outcome uniform per heralded trial, each into the head of the same
     buffer.  Trials are indexed by their quiet count k; under last-photon
-    selection the transmission frame and the histogram run in reverse.
+    selection the histogram runs in reverse.
     """
+    p_herald, cond_cum, t_by_k, w_by_k = plan.chunk_tables
+    n = t_by_k.size
     rng = np.random.default_rng(child_seed)
-    n = scheme.n_bins
     if p_herald == 0.0:
         return 0, 0, np.zeros(n, dtype=np.int64)
 
@@ -276,14 +280,6 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
     pair_u = rng.random(out=u[:h])
     many = np.flatnonzero(pair_u > cond_cum[0])
     extra = np.searchsorted(cond_cum, pair_u.take(many))
-
-    # the selected bin lies k bins from the start of the frame under
-    # first-photon selection, from its end under last-photon; its photons
-    # survive with t, and the k quiet bins pass the filter with w = eta_f ** k
-    first = scheme.selection is Selection.FIRST_PHOTON
-    t_by_k = pic if first else pic[::-1]
-    veto = params.eta_f if params.include_filter_in_d0 else 1.0
-    w_by_k = veto ** np.arange(n, dtype=float)
 
     # m = extra + 1 pairs give a single below w m t (1-t)^(m-1) and a multi
     # from there up to w (1 - (1-t)^m) = w (1 - (1-t)^(m-1) + t (1-t)^(m-1));
@@ -312,7 +308,8 @@ def _chunk_counts(params: SourceParams, scheme: SchemeConfig, p_herald: float,
     single = out_u < (t_by_k * w_by_k).take(quiet)
     single[many] = many_single
     per_bin = np.bincount(np.compress(single, quiet), minlength=n)
-    return int(per_bin.sum()), n_multi, per_bin if first else per_bin[::-1]
+    return (int(per_bin.sum()), n_multi,
+            per_bin if plan.first else per_bin[::-1])
 
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
@@ -336,10 +333,10 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
         sizes.append(n_trials % _CHUNK_TRIALS)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     plan = _plan(params, scheme, include_filter_in_d0, literal_exponent)
-    job = functools.partial(_chunk_counts, plan.params, scheme,
-                            *plan.chunk_tables)
+    plan.chunk_tables  # built, or refused, once, before the workers start
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(job, sizes, children))
+        results = list(pool.map(functools.partial(_chunk_counts, plan),
+                                sizes, children))
 
     n_single = sum(r[0] for r in results)
     n_multi = sum(r[1] for r in results)

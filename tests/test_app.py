@@ -187,6 +187,8 @@ class TestSweepValues:
         ("n_bins", None, None, 0.0, "step > 0"),
         ("n_bins", None, None, 0.5, "integral"),
         ("n_bins", 1.5, None, None, "integral"),
+        ("lambda", 1e-14, 5e-14, 1e-14, "repeats points"),
+        ("eta_sw", 0.5, 0.5000000000001, 1e-14, "repeats points"),
     ])
     def test_bad_grid_rejected(self, key, lo, hi, step, match):
         with pytest.raises(ConfigError, match=match):

@@ -6,12 +6,12 @@ import pytest
 from photonmux.control import (
     HeraldFrame,
     clock_divisions,
-    drive_waveforms,
     phase_schedule,
     select_first,
     select_last,
 )
-from photonmux.model import MAX_BINS, DomainError
+from photonmux.efficiency import pic_transmission
+from photonmux.model import MAX_BINS, DomainError, SchemeConfig, SourceParams
 
 PI = math.pi
 #: Every frame size the switch phases support.
@@ -50,43 +50,47 @@ class TestPhaseSchedule:
     def test_stage_count_is_log_depth_plus_exit(self, n):
         assert phase_schedule(n).stage_count == int(math.log2(n)) + 1
 
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
+    def test_loss_model_passes_every_stage_once(self, n):
+        # with only switch loss, every bin of the binary tree passes
+        # eta_sw ** N.bit_length(): one pass per stage of the schedule
+        params = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=0.5, alpha_inc=0.0)
+        pic = pic_transmission(params, SchemeConfig(n_bins=n))
+        stages = phase_schedule(n).stage_count
+        assert n.bit_length() == stages
+        assert pic == (0.5 ** stages,) * n
+
     @pytest.mark.parametrize("bad", [1, 3, 6, 12, 100])
     def test_rejects_non_power_of_two(self, bad):
         with pytest.raises(DomainError):
             phase_schedule(bad)
 
 
-class TestDriveWaveforms:
-    def test_finest_stage_alternates_every_bin(self):
-        waves = drive_waveforms(8, 1)
-        assert waves[3] == pytest.approx((PI, 0., PI, 0., PI, 0., PI, 0.))
+class TestStageColumns:
+    """Each schedule column is one stage's divided-clock drive waveform."""
 
-    def test_coarsest_stage_half_frame(self):
-        waves = drive_waveforms(8, 1)
-        assert waves[0] == pytest.approx((PI, PI, PI, PI, 0., 0., 0., 0.))
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
+    def test_finest_stage_alternates_every_bin(self, n):
+        columns = list(zip(*phase_schedule(n).phases))
+        assert columns[-1] == (PI, 0.) * (n // 2)
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16])
-    def test_waveforms_reproduce_schedule_every_frame(self, n):
-        n_frames = 3
-        sched = phase_schedule(n)
-        waves = drive_waveforms(n, n_frames)
-        for frame in range(n_frames):
-            for r in range(1, n + 1):
-                sample = tuple(w[frame * n + r - 1] for w in waves)
-                assert sample == pytest.approx(sched.row(r))
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
+    def test_coarsest_stage_switches_once_per_half_frame(self, n):
+        columns = list(zip(*phase_schedule(n).phases))
+        assert columns[0] == (PI,) * (n // 2) + (0.,) * (n // 2)
 
-    def test_divisions_cover_declared_periods(self):
+    def test_divisions_are_least_column_periods(self):
         assert clock_divisions(2) == (2, 2)
         assert clock_divisions(4) == (4, 2, 2)
         assert clock_divisions(8) == (8, 4, 4, 2)
         assert clock_divisions(16) == (16, 8, 8, 4, 2)
-        # each division is the least period of its stage's waveform
+        # each division is the least period of its column over two frames
         for n in POWERS_OF_TWO:
-            waves = drive_waveforms(n, 2)
+            columns = list(zip(*phase_schedule(n).phases))
             divisions = clock_divisions(n)
-            assert len(divisions) == len(waves) == n.bit_length()
-            for div, wave in zip(divisions, waves):
-                assert wave == wave[:n] * 2
+            assert len(divisions) == len(columns) == n.bit_length()
+            for div, column in zip(divisions, columns):
+                wave = column * 2
                 least = next(p for p in range(1, len(wave))
                              if wave[p:] == wave[:-p])
                 assert least == div

@@ -363,7 +363,7 @@ def _designs():
 
 
 def _chunk_args(params, s):
-    return (params, s, *_plan(params, s, None, None).chunk_tables)
+    return _plan(params, s, None, None)
 
 
 def _pool_small_cells(observed, expected, floor=5.0):
@@ -402,7 +402,7 @@ class TestChunkSampler:
                     (saturated, scheme(8, selection=Selection.LAST_PHOTON,
                                        allow_mismatched_selection=True))]
         assert len(designs) >= 150
-        assert _chunk_args(saturated, scheme(8))[2] >= 1.0
+        assert _chunk_args(saturated, scheme(8)).chunk_tables[0] >= 1.0
         assert {s.selection for _, s in designs} == set(Selection)
         threshold = 0.001 / len(designs)
         for k, (params, s) in enumerate(designs):
@@ -459,13 +459,13 @@ class TestChunkSampler:
         # with the most live temporaries; a 250,000-trial call and one
         # default chunk
         params = SourceParams(lam=0.6, pair_dist=PairDistribution.THERMAL_APPROX)
-        args = _chunk_args(params, scheme(49))
-        _chunk_counts(*args, 1_000, 0)
+        plan = _chunk_args(params, scheme(49))
+        _chunk_counts(plan, 1_000, 0)
         for n_trials, bound in ((250_000, 12_000_000),
                                 (_CHUNK_TRIALS, 4_000_000)):
             tracemalloc.start()
             try:
-                _chunk_counts(*args, n_trials, np.random.SeedSequence(3))
+                _chunk_counts(plan, n_trials, np.random.SeedSequence(3))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
