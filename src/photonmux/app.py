@@ -146,7 +146,9 @@ def sweep_values(parameter: str, values: str | None = None,
                  step: float | None = None) -> tuple:
     """Sweep points from ``values`` (comma-separated, each item parsed like
     the key's config line) or from the grid ``round(lo + k*step, 12)``,
-    k = 0..floor((hi - lo + 1e-12)/step); an ``n_bins`` grid is integral and
+    k = 0..floor((hi - lo + 1e-12)/step), less any rounded point above
+    ``hi`` (the slack keeps an endpoint that float error puts a hair past
+    ``hi``, not a whole step past it); an ``n_bins`` grid is integral and
     defaults to 1..N_MAX step 1.  Bad input raises ConfigError, as does a
     sweep of more than MAX_SWEEP_POINTS points or a grid whose rounded
     points are not strictly increasing.
@@ -180,7 +182,8 @@ def sweep_values(parameter: str, values: str | None = None,
         raise ConfigError(f"sweep grid {grid} holds more than "
                           f"{MAX_SWEEP_POINTS} points")
     ks = range(math.floor(last) + 1) if last >= 0 else ()
-    points = tuple(kind(round(lo + k * step, 12)) for k in ks)
+    points = tuple(kind(x) for x in (round(lo + k * step, 12) for k in ks)
+                   if x <= hi)
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ConfigError(f"sweep grid {grid} repeats points after rounding "
                           f"to 12 decimals; list them with --values")
@@ -310,7 +313,7 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise DomainError(
             f"no protocol crossing in [{lo}, {hi}]: "
-            f"gap {g_lo:+.4f} -> {g_hi:+.4f}")
+            f"gap {g_lo:+.3g} -> {g_hi:+.3g}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

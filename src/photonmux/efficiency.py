@@ -130,13 +130,11 @@ def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
     d0_val = no_herald_probability(params, eta_d)
     q = 1.0 - eta_d
     pic = pic_transmission(params, scheme)
+    g1 = pair_generating_derivative(params)
     # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
     # of its signal photons survives the chip (see the module docstring)
-    per_bin = tuple(
-        d0_val ** k
-        * (t * (pair_generating_derivative(params, 1.0 - t)
-                - q * pair_generating_derivative(params, q * (1.0 - t))))
-        for k, t in zip(quiet_bins(scheme), pic))
+    per_bin = tuple(d0_val ** k * (t * (g1(1.0 - t) - q * g1(q * (1.0 - t))))
+                    for k, t in zip(quiet_bins(scheme), pic))
     return EfficiencyBreakdown(
         eta_total=math.fsum(per_bin),
         per_bin_success=per_bin,

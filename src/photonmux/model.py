@@ -9,6 +9,7 @@ instances can be shared freely between worker threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -224,14 +225,18 @@ def pair_generating_function(params: SourceParams, z: float) -> float:
     return ((1.0 - x) / (1.0 - x * z)) ** 2
 
 
-def pair_generating_derivative(params: SourceParams, z: float) -> float:
-    """G'(z) = sum_n n P(n) z^(n-1): lam e^{lam (z-1)} for Poisson pairs and
+def pair_generating_derivative(params: SourceParams
+                               ) -> Callable[[float], float]:
+    """G'(z) = sum_n n P(n) z^(n-1) as a function of z alone, with the pair
+    law's constants bound once: lam e^{lam (z-1)} for Poisson pairs and
     2x (1-x)^2 / (1-x z)^3 with x = lam/2 for renormalized thermal pairs."""
     lam = params.lam
     if params.pair_dist is PairDistribution.POISSON:
-        return lam * math.exp(lam * (z - 1.0))
+        exp = math.exp
+        return lambda z: lam * exp(lam * (z - 1.0))
     x = lam / 2.0
-    return 2.0 * x * (1.0 - x) ** 2 / (1.0 - x * z) ** 3
+    scale = 2.0 * x * (1.0 - x) ** 2
+    return lambda z: scale / (1.0 - x * z) ** 3
 
 
 def pair_pmf_array(params: SourceParams) -> list[float]:

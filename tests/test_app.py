@@ -178,6 +178,15 @@ class TestSweepValues:
             assert sweep_values("eta_sw", lo=lo, hi=hi,
                                 step=step) == _accumulated_grid(lo, hi, step)
 
+    def test_grid_stays_within_max(self):
+        # a step longer than the range once added a point a step past --max
+        assert sweep_values("lambda", lo=0.0, hi=5e-13, step=1e-12) == (0.0,)
+        # endpoints that float error puts a hair past --max are kept
+        assert sweep_values("eta_sw", lo=0.85, hi=0.99,
+                            step=0.07) == (0.85, 0.92, 0.99)
+        assert sweep_values("eta_sw", lo=0.0, hi=0.9,
+                            step=0.3) == (0.0, 0.3, 0.6, 0.9)
+
     @pytest.mark.parametrize("key,lo,hi,step,match", [
         ("eta_sw", 0.5, 0.6, 0.0, "step > 0"),
         ("eta_sw", 0.5, 0.6, -0.1, "step > 0"),

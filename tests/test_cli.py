@@ -137,6 +137,13 @@ class TestSweepAndOptimize:
         assert [x for x, _ in payload["points"]] == [8, 16, 31]
         assert payload["best_x"] == 31
 
+    def test_sweep_grid_ends_at_max(self, capsys):
+        code, payload = run_json(
+            capsys, ["sweep", "--json", "--param", "lambda", "--min", "0",
+                     "--max", "5e-13", "--step", "1e-12"])
+        assert code == EXIT_OK
+        assert [x for x, _ in payload["points"]] == [0.0]
+
     def test_sweep_writes_csv(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"
         code = main(["sweep", "--param", "n_bins", "--min", "1", "--max", "16",
@@ -203,6 +210,20 @@ class TestCrossing:
 
     def test_nan_tol_is_domain_error(self, capsys):
         assert_rejected(capsys, ["crossing", "--tol", "nan"], EXIT_DOMAIN)
+
+    @pytest.mark.parametrize("config", [
+        "lambda = 5e-324",
+        "lambda = 1.9999999999999998\npair_dist = thermal"])
+    def test_no_crossing_message_shows_tiny_gaps(self, capsys, tmp_path,
+                                                 config):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(config + "\n")
+        assert main(["crossing", "--config", str(cfg)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "no protocol crossing" in err
+        # both gaps keep their significant digits: non-zero, one sign
+        g_lo, g_hi = (float(g) for g in err.split("gap ")[1].split(" -> "))
+        assert 0.0 not in (g_lo, g_hi) and (g_lo > 0) == (g_hi > 0)
 
     def test_reports_the_overridden_topology_and_eta_det(self, capsys,
                                                          tmp_path):

@@ -1,0 +1,79 @@
+"""The closed form's answers, pinned to the bit.
+
+``closed_form_bits.json`` holds ``float.hex(eta_total)`` and a digest of
+``per_bin_success`` for both pair laws, both topologies, every pairing of
+detection and selection and all four readings, at N = 1, 31, 128 and 1024.
+A speed-up of ``total_efficiency`` that moves one bit of one answer
+fails here.  Re-record only at a commit whose answers are known
+to be right: ``PYTHONPATH=src python tests/test_closed_form_bits.py``.
+"""
+import hashlib
+import itertools
+import json
+import os
+
+import pytest
+
+from photonmux.efficiency import total_efficiency
+from photonmux.model import (
+    Detection,
+    PairDistribution,
+    SchemeConfig,
+    Selection,
+    SourceParams,
+    Topology,
+)
+
+PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    "closed_form_bits.json")
+#: Pump strength of each pair law: a weak Poisson and a strong thermal source.
+LAMBDAS = {PairDistribution.POISSON: 0.3, PairDistribution.THERMAL_APPROX: 0.7}
+N_VALUES = (1, 31, 128, 1024)
+
+
+def _designs():
+    for dist, topology, detection, selection, d0, literal, n in (
+            itertools.product(PairDistribution, Topology, Detection,
+                              Selection, (True, False), (False, True),
+                              N_VALUES)):
+        key = (f"{dist.value}/{topology.value}/{detection.value}/"
+               f"{selection.value}/d0={d0}/literal={literal}/N={n}")
+        params = SourceParams.table_defaults(
+            detection, lam=LAMBDAS[dist], pair_dist=dist,
+            include_filter_in_d0=d0, literal_exponent=literal)
+        scheme = SchemeConfig(n_bins=n, topology=topology,
+                              detection=detection, selection=selection,
+                              allow_mismatched_selection=True)
+        yield key, params, scheme
+
+
+def _bits(params, scheme) -> list[str]:
+    result = total_efficiency(params, scheme)
+    text = ",".join(map(float.hex, result.per_bin_success))
+    return [float.hex(result.eta_total),
+            hashlib.sha256(text.encode()).hexdigest()]
+
+
+DESIGNS = {key: (params, scheme) for key, params, scheme in _designs()}
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    with open(PATH) as fh:
+        return json.load(fh)
+
+
+def test_every_design_is_recorded(recorded):
+    assert sorted(recorded) == sorted(DESIGNS)
+
+
+@pytest.mark.parametrize("key", list(DESIGNS))
+def test_total_efficiency_keeps_its_bits(key, recorded):
+    assert _bits(*DESIGNS[key]) == recorded[key]
+
+
+if __name__ == "__main__":
+    with open(PATH, "w") as fh:
+        json.dump({key: _bits(*design) for key, design in DESIGNS.items()},
+                  fh, indent=1, sort_keys=True)
+        fh.write("\n")

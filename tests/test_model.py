@@ -147,7 +147,7 @@ class TestPairGeneratingFunction:
         p = SourceParams(lam=lam, pair_dist=dist)
         mean = math.fsum(n * pair_count_distribution(p, n) for n in range(201))
         assert pair_generating_function(p, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert pair_generating_derivative(p, 1.0) == pytest.approx(
+        assert pair_generating_derivative(p)(1.0) == pytest.approx(
             mean, rel=1e-13, abs=1e-15)
 
     @pytest.mark.parametrize("lam", [0.02, 0.3, 1.0, 1.5])
@@ -155,9 +155,9 @@ class TestPairGeneratingFunction:
         poisson = SourceParams(lam=lam)
         thermal = SourceParams(lam=lam, pair_dist=PairDistribution.THERMAL_APPROX)
         x = lam / 2
-        assert pair_generating_derivative(poisson, 1.0) == pytest.approx(
+        assert pair_generating_derivative(poisson)(1.0) == pytest.approx(
             lam, rel=1e-15)
-        assert pair_generating_derivative(thermal, 1.0) == pytest.approx(
+        assert pair_generating_derivative(thermal)(1.0) == pytest.approx(
             2 * x / (1 - x), rel=1e-15)
 
     @pytest.mark.parametrize("dist", list(PairDistribution))
@@ -170,5 +170,5 @@ class TestPairGeneratingFunction:
         g = math.fsum(w * z**n for n, w in enumerate(pmf))
         dg = math.fsum(n * w * z ** (n - 1) for n, w in enumerate(pmf) if n)
         assert pair_generating_function(p, z) == pytest.approx(g, abs=1e-14)
-        assert pair_generating_derivative(p, z) == pytest.approx(dg, abs=1e-14)
+        assert pair_generating_derivative(p)(z) == pytest.approx(dg, abs=1e-14)
 

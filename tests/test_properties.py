@@ -58,8 +58,9 @@ def _bounded_or_rejected(*args):
     try:
         points = sweep_values(*args)
     except (ConfigError, DomainError):
-        return
+        return ()
     assert len(points) <= MAX_SWEEP_POINTS
+    return points
 
 
 @BOUNDARY
@@ -72,7 +73,8 @@ def test_sweep_values_text_is_bounded_or_rejected(parameter, values):
 @settings(BOUNDARY, max_examples=500)
 @given(PARAMETER, BOUND, BOUND, BOUND)
 def test_sweep_grid_is_bounded_or_rejected(parameter, lo, hi, step):
-    _bounded_or_rejected(parameter, None, lo, hi, step)
+    points = _bounded_or_rejected(parameter, None, lo, hi, step)
+    assert hi is None or all(x <= hi for x in points)
 
 
 # --- whole command lines -------------------------------------------------------
