@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .efficiency import (avg_linear_transmission, delay_transmission,
-                         total_efficiency)
+                         eta_curve, total_efficiency)
 from .model import (
     MAX_BINS,
     PROTOCOL_ETA_DET,
@@ -19,6 +19,7 @@ from .model import (
     Selection,
     SourceParams,
     Topology,
+    check_depth,
     with_readings,
 )
 
@@ -53,6 +54,8 @@ SWEEPABLE = frozenset({"n_bins", "lambda", "eta_f", "eta_c", "eta_sw",
 
 #: Largest multiplexing depth of every default N range.
 N_MAX = 128
+#: Depths of the protocol curves (crossing, fig3a, fig3b) and of fig3c.
+N_RANGE = range(1, N_MAX + 1)
 
 #: Most points one sweep may hold; a grid is counted before it is built.
 MAX_SWEEP_POINTS = 100_000
@@ -194,8 +197,8 @@ def sweep_values(parameter: str, values: str | None = None,
 class SweepSpec:
     """One-parameter sweep around a fixed baseline.
 
-    An ``n_bins`` value over MAX_BINS raises DomainError here, before any
-    point is evaluated.
+    An ``n_bins`` value below 1 or over MAX_BINS raises DomainError here,
+    before any point is evaluated.
     """
 
     parameter: str
@@ -207,9 +210,11 @@ class SweepSpec:
         _sweep_key(self.parameter)
         if not self.values:
             raise ConfigError("sweep needs at least one value")
-        if self.parameter == "n_bins" and max(self.values) > MAX_BINS:
-            raise DomainError(f"n_bins must be <= {MAX_BINS}, "
-                              f"got sweep value {max(self.values)}")
+        if self.parameter == "n_bins":
+            check_depth(min(self.values))
+            if max(self.values) > MAX_BINS:
+                raise DomainError(f"n_bins must be <= {MAX_BINS}, "
+                                  f"got sweep value {max(self.values)}")
 
 
 @dataclass(frozen=True)
@@ -225,27 +230,25 @@ class EfficiencyCurve:
     eta_max: float
 
 
-def _apply_sweep_value(spec: SweepSpec, value):
-    field_name, _ = _sweep_key(spec.parameter)
-    if spec.parameter in _SCHEME_KEYS:
-        return spec.params, replace(spec.scheme, **{field_name: value})
-    return replace(spec.params, **{field_name: value}), spec.scheme
-
-
 def sweep(spec: SweepSpec, *, include_filter_in_d0: bool | None = None,
           literal_exponent: bool | None = None) -> EfficiencyCurve:
     """Evaluate the total efficiency at every sweep point; a value outside
-    the modeled domain raises DomainError."""
+    the modeled domain raises DomainError.  An ``n_bins`` sweep is one
+    :func:`~photonmux.efficiency.eta_curve`."""
     spec = replace(spec, params=with_readings(
         spec.params, include_filter_in_d0, literal_exponent))
-    points = []
-    for value in spec.values:
-        params, scheme = _apply_sweep_value(spec, value)
-        points.append((value, total_efficiency(params, scheme).eta_total))
+    if spec.parameter == "n_bins":
+        etas = eta_curve(spec.params, spec.scheme, spec.values)
+    else:
+        field_name, _ = _sweep_key(spec.parameter)
+        etas = [total_efficiency(replace(spec.params, **{field_name: value}),
+                                 spec.scheme).eta_total
+                for value in spec.values]
+    points = tuple(zip(spec.values, etas))
     best_x, eta_max = max(points, key=lambda p: (p[1], -p[0]))
     label = (f"{spec.scheme.topology.value}/{spec.scheme.detection.value}"
              f"/{spec.scheme.selection.value}")
-    return EfficiencyCurve(label=label, points=tuple(points),
+    return EfficiencyCurve(label=label, points=points,
                            best_x=best_x, eta_max=eta_max)
 
 
@@ -268,12 +271,21 @@ CROSSING_TOPOLOGY = Topology.BINARY_DELAY
 
 
 def _protocol_curve(params: SourceParams, eta_sw: float, topology: Topology,
-                    detection: Detection) -> EfficiencyCurve:
-    """Efficiency versus N = 1..N_MAX of the protocol-matched design: switch
-    transmission ``eta_sw`` and the protocol's ``PROTOCOL_ETA_DET``."""
+                    detection: Detection) -> tuple[float, ...]:
+    """Efficiency at each N of N_RANGE of the protocol-matched
+    design: switch transmission ``eta_sw`` and the protocol's
+    ``PROTOCOL_ETA_DET``."""
     matched = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
     scheme = SchemeConfig(n_bins=1, topology=topology, detection=detection)
-    return optimize_bins(matched, scheme)
+    return eta_curve(matched, scheme, N_RANGE)
+
+
+def _protocol_best(params: SourceParams, eta_sw: float) -> tuple[float, float]:
+    """Best single-detector and best detector-array efficiency over
+    N_RANGE at one switch transmission, on CROSSING_TOPOLOGY."""
+    return tuple(
+        max(_protocol_curve(params, eta_sw, CROSSING_TOPOLOGY, detection))
+        for detection in (Detection.SINGLE_DETECTOR, Detection.DETECTOR_ARRAY))
 
 
 def protocol_gap(params: SourceParams, eta_sw: float, *,
@@ -283,10 +295,8 @@ def protocol_gap(params: SourceParams, eta_sw: float, *,
     over N = 1..N_MAX at one switch transmission (both on the binary
     topology)."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    single, array = (
-        _protocol_curve(params, eta_sw, CROSSING_TOPOLOGY, detection)
-        for detection in (Detection.SINGLE_DETECTOR, Detection.DETECTOR_ARRAY))
-    return single.eta_max - array.eta_max
+    single, array = _protocol_best(params, eta_sw)
+    return single - array
 
 
 def find_crossing(params: SourceParams, lo: float, hi: float,
@@ -297,19 +307,30 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
     same maximum efficiency, by bisection on the protocol gap.
 
     Bisection stops once the bracket is narrower than ``tol`` or its ends
-    are adjacent floats, so any finite ``tol`` > 0 ends.
+    are adjacent floats, so any finite ``tol`` > 0 ends.  The bracket must
+    satisfy 0 < lo <= hi: at eta_sw = 0 neither protocol emits.  A zero gap
+    is a crossing only where the protocols' best efficiency is > 0; where
+    both are 0 the gap has no sign, and DomainError says so.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    if not lo <= hi:
-        raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
+    if not 0.0 < lo <= hi:
+        raise DomainError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
     params = with_readings(params, include_filter_in_d0, literal_exponent)
+
+    def zero_gap(eta_sw: float) -> float:
+        if max(_protocol_best(params, eta_sw)) > 0.0:
+            return eta_sw
+        raise DomainError(
+            f"no protocol crossing in [{lo}, {hi}]: both protocols reach "
+            f"eta = 0 at eta_sw = {eta_sw}")
+
     g_lo = protocol_gap(params, lo)
     g_hi = protocol_gap(params, hi)
     if g_lo == 0.0:
-        return lo
+        return zero_gap(lo)
     if g_hi == 0.0:
-        return hi
+        return zero_gap(hi)
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise DomainError(
             f"no protocol crossing in [{lo}, {hi}]: "
@@ -320,7 +341,7 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
             break
         g_mid = protocol_gap(params, mid)
         if g_mid == 0.0:
-            return mid
+            return zero_gap(mid)
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
             lo, g_lo = mid, g_mid
         else:
@@ -330,7 +351,6 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
 
 # --- reference data emission --------------------------------------------------
 
-FIG3_N_RANGE = range(1, N_MAX + 1)
 #: Switch transmission of fig3a and of fig3b.
 FIG3AB_ETA_SW = (0.87, 0.98)
 FIG3C_LAMBDAS = (0.02, 0.06, 0.10)
@@ -348,12 +368,12 @@ _FIG3AB_PROTOCOLS = (
 def _fig3ab_rows(params: SourceParams, eta_sw: float):
     curves = [_protocol_curve(params, eta_sw, topology, detection)
               for topology, detection in _FIG3AB_PROTOCOLS]
-    for points in zip(*(curve.points for curve in curves)):
-        yield [points[0][0]] + [eta for _, eta in points]
+    for n, *etas in zip(N_RANGE, *curves):
+        yield [n, *etas]
 
 
 def _fig3c_rows(params: SourceParams):
-    for n in FIG3_N_RANGE:
+    for n in N_RANGE:
         row = [n] + [avg_linear_transmission(params, n, lam)
                      for lam in FIG3C_LAMBDAS]
         # control: a single occupied bin, uniformly placed
@@ -426,7 +446,7 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
             "pair_dist": params.pair_dist.value,
         },
         "fig3c_lambdas": list(FIG3C_LAMBDAS),
-        "n_range": [FIG3_N_RANGE.start, FIG3_N_RANGE.stop - 1],
+        "n_range": [N_RANGE.start, N_RANGE.stop - 1],
     }
     meta_path = os.path.join(out_dir, "fig3_metadata.json")
     try:

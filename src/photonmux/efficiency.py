@@ -15,6 +15,10 @@ last-photon).  The bracket is the sum over pair counts i of
 P(i) (1 - q^i) i t_r (1 - t_r)^(i-1) in closed form.  The Monte Carlo engine
 in :mod:`photonmux.montecarlo` realizes the same process stochastically and
 is used as the independent cross-check.
+
+:func:`eta_curve` gives eta at many N: eta_d, D0, G' and the delay
+transmissions do not depend on N and are built once per curve.
+:func:`total_efficiency` is the one-N case of the same code.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .model import (
     SchemeConfig,
     SourceParams,
     Topology,
+    check_depth,
     pair_generating_derivative,
     pair_generating_function,
     with_readings,
@@ -91,6 +96,25 @@ def delay_transmission(params: SourceParams, delay_bins: int) -> float:
     return 10.0 ** exponent
 
 
+def _delay_table(params: SourceParams, n_max: int) -> list[float]:
+    """:func:`delay_transmission` over d = 0..n_max - 1 bins, at index d."""
+    return [delay_transmission(params, d) for d in range(n_max)]
+
+
+def _frame(params: SourceParams, topology: Topology, n: int,
+           delay: list[float]) -> list[float]:
+    """Chip transmission of every bin of an N = ``n`` frame, bin r at index
+    r - 1, from a delay table that covers d < n (see
+    :func:`pic_transmission`)."""
+    delays = range(n - 1, -1, -1)
+    fixed = params.eta_f * params.eta_c
+    if topology is Topology.BINARY_DELAY:
+        fixed *= params.eta_sw ** n.bit_length()
+        return [fixed * delay[d] for d in delays]
+    eta_sw = params.eta_sw
+    return [fixed * eta_sw ** d * delay[d] for d in delays]
+
+
 def pic_transmission(params: SourceParams, scheme: SchemeConfig
                      ) -> tuple[float, ...]:
     """End-to-end on-chip transmission of every bin; bin r at index r - 1.
@@ -101,22 +125,41 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig
     :func:`delay_transmission`).
     """
     n = scheme.n_bins
-    fixed = params.eta_f * params.eta_c
-    delays = range(n - 1, -1, -1)
-    if scheme.topology is Topology.BINARY_DELAY:
-        fixed *= params.eta_sw ** n.bit_length()
-        return tuple(fixed * delay_transmission(params, d) for d in delays)
-    return tuple(fixed * params.eta_sw ** d * delay_transmission(params, d)
-                 for d in delays)
+    return tuple(_frame(params, scheme.topology, n, _delay_table(params, n)))
+
+
+def _quiet(selection: Selection, n: int) -> range:
+    if selection is Selection.FIRST_PHOTON:
+        return range(n)
+    return range(n - 1, -1, -1)
 
 
 def quiet_bins(scheme: SchemeConfig) -> range:
     """k(r), the number of bins that must stay quiet when bin r is selected,
     at index r - 1: r - 1 for first-photon selection, N - r for last."""
-    n = scheme.n_bins
-    if scheme.selection is Selection.FIRST_PHOTON:
-        return range(n)
-    return range(n - 1, -1, -1)
+    return _quiet(scheme.selection, scheme.n_bins)
+
+
+def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
+    """(D0, chip transmissions, B(r)) of every N in ``n_values``, in order;
+    ``scheme.n_bins`` is not read.
+
+    eta_d, D0, q, G' and the delay table depend on the design but not on N,
+    so they are built once for the whole sequence.
+    """
+    eta_d = detection_efficiency(params, scheme)
+    d0_val = no_herald_probability(params, eta_d)
+    q = 1.0 - eta_d
+    g1 = pair_generating_derivative(params)
+    delay = _delay_table(params, max(n_values, default=0))
+    topology, selection = scheme.topology, scheme.selection
+    for n in n_values:
+        pic = _frame(params, topology, n, delay)
+        # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
+        # of its signal photons survives the chip (see the module docstring)
+        yield d0_val, pic, [
+            d0_val ** k * (t * (g1(1.0 - t) - q * g1(q * (1.0 - t))))
+            for k, t in zip(_quiet(selection, n), pic)]
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
@@ -126,21 +169,29 @@ def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
     """Generation efficiency eta with its full per-bin decomposition; B(r) is
     ``per_bin_success[r - 1]``."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    eta_d = detection_efficiency(params, scheme)
-    d0_val = no_herald_probability(params, eta_d)
-    q = 1.0 - eta_d
-    pic = pic_transmission(params, scheme)
-    g1 = pair_generating_derivative(params)
-    # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
-    # of its signal photons survives the chip (see the module docstring)
-    per_bin = tuple(d0_val ** k * (t * (g1(1.0 - t) - q * g1(q * (1.0 - t))))
-                    for k, t in zip(quiet_bins(scheme), pic))
+    d0_val, pic, per_bin = next(
+        _success_terms(params, scheme, (scheme.n_bins,)))
     return EfficiencyBreakdown(
         eta_total=math.fsum(per_bin),
-        per_bin_success=per_bin,
-        pic_transmission=pic,
+        per_bin_success=tuple(per_bin),
+        pic_transmission=tuple(pic),
         d0=d0_val,
     )
+
+
+def eta_curve(params: SourceParams, scheme: SchemeConfig, n_values
+              ) -> tuple[float, ...]:
+    """``total_efficiency(...).eta_total`` at every depth N of the sequence
+    ``n_values``, in its order, bit for bit; ``scheme.n_bins`` is not read.
+
+    The work that does not depend on N is done once for the whole curve.
+    A depth outside 1..MAX_BINS raises DomainError before any is evaluated.
+    """
+    if n_values:
+        check_depth(min(n_values))
+        check_depth(max(n_values))
+    return tuple(math.fsum(per_bin) for _, _, per_bin
+                 in _success_terms(params, scheme, n_values))
 
 
 def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:

@@ -164,6 +164,14 @@ CANONICAL_SELECTION = {
 }
 
 
+def check_depth(n_bins: int) -> None:
+    """Raise DomainError unless 1 <= ``n_bins`` <= MAX_BINS."""
+    if n_bins < 1:
+        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
+    if n_bins > MAX_BINS:
+        raise DomainError(f"n_bins must be <= {MAX_BINS}, got {n_bins}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Multiplexing depth, delay topology, detection protocol and selection.
@@ -180,11 +188,7 @@ class SchemeConfig:
     allow_mismatched_selection: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_bins < 1:
-            raise DomainError(f"n_bins must be >= 1, got {self.n_bins}")
-        if self.n_bins > MAX_BINS:
-            raise DomainError(
-                f"n_bins must be <= {MAX_BINS}, got {self.n_bins}")
+        check_depth(self.n_bins)
         canonical = CANONICAL_SELECTION[self.detection]
         if self.selection is None:
             object.__setattr__(self, "selection", canonical)

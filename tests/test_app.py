@@ -221,7 +221,8 @@ class TestSweepValues:
 
 
 class TestDepthCap:
-    """N over MAX_BINS is rejected before any point is evaluated."""
+    """N below 1 or over MAX_BINS is rejected before any point is
+    evaluated."""
 
     @pytest.mark.parametrize("n_min,n_max", [(1, 10**12), (1, MAX_BINS + 1),
                                              (-10**12, 8), (0, 8), (5, 3)])
@@ -234,9 +235,13 @@ class TestDepthCap:
             raise AssertionError("a point was evaluated")
 
         monkeypatch.setattr("photonmux.app.total_efficiency", evaluated)
-        for values in (sweep_values("n_bins", "8,2000"),
-                       sweep_values("n_bins", hi=float(MAX_BINS + 1))):
-            with pytest.raises(DomainError, match=f"<= {MAX_BINS}"):
+        monkeypatch.setattr("photonmux.app.eta_curve", evaluated)
+        for values, message in (
+                (sweep_values("n_bins", "8,2000"), f"<= {MAX_BINS}"),
+                (sweep_values("n_bins", hi=float(MAX_BINS + 1)),
+                 f"<= {MAX_BINS}"),
+                (sweep_values("n_bins", "8,0"), "n_bins must be >= 1, got 0")):
+            with pytest.raises(DomainError, match=message):
                 sweep(SweepSpec("n_bins", values, SourceParams(),
                                 SchemeConfig(n_bins=1)))
 
@@ -259,6 +264,20 @@ class TestCrossing:
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(DomainError, match="tol must be finite"):
             find_crossing(SourceParams(), 0.85, 0.99, tol)
+
+    @pytest.mark.parametrize("lo", [0.0, -0.5, math.nan])
+    def test_bracket_must_start_above_zero(self, lo):
+        # at eta_sw = 0 neither protocol emits, so the gap there is 0
+        with pytest.raises(DomainError, match="need 0 < lo <= hi"):
+            find_crossing(SourceParams(), lo, 0.5)
+
+    @pytest.mark.parametrize("field", ["lam", "eta_c", "eta_conv"])
+    def test_no_crossing_where_neither_protocol_emits(self, field):
+        params = SourceParams(**{field: 0.0})
+        assert protocol_gap(params, 0.85) == 0.0
+        with pytest.raises(DomainError, match="no protocol crossing .* both "
+                                              "protocols reach eta = 0"):
+            find_crossing(params, 0.85, 0.99)
 
     def test_gap_is_monotone_decreasing_on_bracket(self):
         params = SourceParams()

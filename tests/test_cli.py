@@ -225,6 +225,28 @@ class TestCrossing:
         g_lo, g_hi = (float(g) for g in err.split("gap ")[1].split(" -> "))
         assert 0.0 not in (g_lo, g_hi) and (g_lo > 0) == (g_hi > 0)
 
+    @pytest.mark.parametrize("config", ["lambda = 0", "eta_c = 0",
+                                        "eta_conv = 0"])
+    def test_no_emission_is_no_crossing(self, capsys, tmp_path, config):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(config + "\n")
+        assert_rejected(capsys, ["crossing", "--config", str(cfg)],
+                        EXIT_DOMAIN)
+        proc = run_cli("crossing", "--json", "--config", str(cfg))
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("domain error: no protocol crossing")
+        assert "both protocols reach eta = 0" in proc.stderr
+
+    def test_bracket_from_zero_is_rejected(self, capsys):
+        assert_rejected(capsys, ["crossing", "--lo", "0", "--hi", "0.5",
+                                 "--json"], EXIT_DOMAIN)
+        proc = run_cli("crossing", "--lo", "0", "--hi", "0.5", "--json")
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stdout == ""
+        assert proc.stderr == ("domain error: need 0 < lo <= hi, "
+                               "got [0.0, 0.5]\n")
+
     def test_reports_the_overridden_topology_and_eta_det(self, capsys,
                                                          tmp_path):
         cfg = tmp_path / "point.cfg"
@@ -515,8 +537,10 @@ class TestColdStart:
         ["optimize", "--n-max", "16"],
         ["crossing", "--tol", "0.01"],
         ["bell", "--eta", "0.59"],
-    ], ids=["eval", "sweep", "optimize", "crossing", "bell"])
-    def test_subcommand_does_not_load_numpy(self, argv):
+        ["fig3", "--out", "OUT"],
+    ], ids=["eval", "sweep", "optimize", "crossing", "bell", "fig3"])
+    def test_subcommand_does_not_load_numpy(self, argv, tmp_path):
+        argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
         script = ("import contextlib, io, sys\n"
                   "from photonmux import cli\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
