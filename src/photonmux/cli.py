@@ -1,9 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 the reader closed standard output before the
-result was written (nothing is printed to stderr), 2 configuration error
-(bad config file, bad flag combination), 3 numeric-domain error (arguments
-outside the modeled domain, bracket without a crossing).
+Exit codes: 0 success, 1 standard output did not take the result (nothing
+is printed to stderr when the reader closed it, one line for any other
+write failure, such as a full disk), 2 configuration error (bad config
+file, bad flag combination), 3 numeric-domain error (arguments outside the
+modeled domain, bracket without a crossing).
+
+Only the subcommands that need them load :mod:`photonmux.app` (sweep,
+optimize, crossing, fig3), :mod:`photonmux.montecarlo` and numpy (mc) and
+:mod:`photonmux.bell` (bell); every subcommand loads config, model and
+efficiency.
 """
 from __future__ import annotations
 
@@ -13,26 +19,15 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import NoReturn
 
 from . import __version__
-from .app import (
-    CROSSING_TOPOLOGY,
-    N_MAX,
-    ConfigError,
-    SweepSpec,
-    emit_fig3,
-    find_crossing,
-    load_config,
-    optimize_bins,
-    sweep,
-    sweep_values,
-    write_csv,
-)
+from .config import ConfigError, load_config
 from .efficiency import detection_efficiency, generation_rate, total_efficiency
-from .model import PROTOCOL_ETA_DET, RNG_ALGORITHM, DomainError
+from .model import N_MAX, PROTOCOL_ETA_DET, RNG_ALGORITHM, DomainError
 
 EXIT_OK = 0
-EXIT_BROKEN_PIPE = 1
+EXIT_BROKEN_PIPE = 1  # standard output did not take the result
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
@@ -50,12 +45,22 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                              "the per-bin no-herald probability")
 
 
+class _OutputError(Exception):
+    """Standard output failed to take the result, other than by a closed
+    reader (which raises BrokenPipeError)."""
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print the result and flush it, so that a failed write shows here
+    and not at exit."""
+    text = (json.dumps(payload, indent=2, sort_keys=True) if args.json
+            else "\n".join(text_lines))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _load(args):
@@ -94,11 +99,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import app  # eval, mc and bell do not need it
+
     params, scheme = _load(args)
-    values = sweep_values(args.param, args.values, args.min, args.max,
-                          args.step)
-    spec = SweepSpec(args.param, values, params, scheme)
-    curve = sweep(spec)
+    values = app.sweep_values(args.param, args.values, args.min, args.max,
+                              args.step)
+    spec = app.SweepSpec(args.param, values, params, scheme)
+    curve = app.sweep(spec)
     payload = {
         "parameter": args.param,
         "label": curve.label,
@@ -110,15 +117,17 @@ def _cmd_sweep(args) -> int:
     lines += [f"{x}\t{y:.6f}" for x, y in curve.points]
     lines.append(f"# maximum eta={curve.eta_max:.6f} at {args.param}={curve.best_x}")
     if args.out:
-        write_csv(args.out, (args.param, "eta"), curve.points)
+        app.write_csv(args.out, (args.param, "eta"), curve.points)
         lines.append(f"# wrote {args.out}")
     _emit(args, payload, lines)
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
+    from . import app
+
     params, scheme = _load(args)
-    curve = optimize_bins(params, scheme, args.n_min, args.n_max)
+    curve = app.optimize_bins(params, scheme, args.n_min, args.n_max)
     payload = {"label": curve.label, "best_n": curve.best_x,
                "eta_max": curve.eta_max}
     _emit(args, payload, [
@@ -130,14 +139,17 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_crossing(args) -> int:
+    from . import app
+
     params, _ = _load(args)
-    value = find_crossing(params, args.lo, args.hi, args.tol)
+    value = app.find_crossing(params, args.lo, args.hi, args.tol)
     eta_det = {d.value: v for d, v in PROTOCOL_ETA_DET.items()}
+    topology = app.CROSSING_TOPOLOGY.value
     payload = {"crossing_eta_sw": value, "lo": args.lo, "hi": args.hi,
-               "topology": CROSSING_TOPOLOGY.value, "eta_det": eta_det}
+               "topology": topology, "eta_det": eta_det}
     _emit(args, payload, [
         f"protocol crossing at eta_sw = {value:.4f}",
-        f"compared on the {CROSSING_TOPOLOGY.value} topology with eta_det "
+        f"compared on the {topology} topology with eta_det "
         + ", ".join(f"{d}={v}" for d, v in eta_det.items())
         + " (the configured topology and eta_det are not used)",
     ])
@@ -226,8 +238,10 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
+    from . import app
+
     params, _ = _load(args)
-    written = emit_fig3(args.out, params)
+    written = app.emit_fig3(args.out, params)
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
     return EXIT_OK
 
@@ -288,27 +302,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: :mod:`photonmux.app` functions that stay resolvable as attributes here.
+_APP_NAMES = frozenset({"sweep", "optimize_bins", "find_crossing",
+                        "emit_fig3"})
+
+
 def __getattr__(name: str):
-    # ``photonmux.cli.estimate_eta`` stays resolvable (perfbench's tracer
-    # rebinds it) without loading numpy when this module is imported;
-    # ``_cmd_mc`` itself calls ``montecarlo.estimate_eta``.
+    # ``photonmux.cli.estimate_eta`` and the _APP_NAMES stay resolvable
+    # (perfbench's tracer rebinds them) without loading numpy or app when
+    # this module is imported; the handlers call them through their module
+    # (``montecarlo.estimate_eta``, ``app.sweep``, ...).
     if name == "estimate_eta":
         from .montecarlo import estimate_eta
         return estimate_eta
+    if name in _APP_NAMES:
+        from . import app
+        return getattr(app, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _detach_stdout() -> None:
+    """Point stdout at devnull, so that the last flush of what is still
+    buffered stays silent."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    Everything written is flushed or closed before this returns: ``_emit``
+    flushes stdout, and files are written in ``with`` blocks.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed reader shows here, not at exit
-        return code
+        return args.func(args)
     except BrokenPipeError:
-        # point stdout at devnull so that the interpreter's last flush of
-        # what is still buffered stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _detach_stdout()
+        return EXIT_BROKEN_PIPE
+    except _OutputError as exc:
+        _detach_stdout()
+        print(f"output error: cannot write to stdout: {exc}", file=sys.stderr)
         return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -318,5 +352,23 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run() -> NoReturn:
+    """Entry point of the ``photonmux`` command and of ``python -m
+    photonmux.cli``: :func:`main` on ``sys.argv``, then the process ends
+    with its code without finalizing the interpreter, which would only
+    free what the finished answer no longer needs.
+
+    This relies on ``main`` flushing or closing everything it writes
+    before it returns.  ``SystemExit`` from argparse (``--help``,
+    ``--version``, a usage error) and uncaught exceptions leave through
+    the normal interpreter exit.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

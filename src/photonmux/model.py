@@ -22,6 +22,8 @@ MAX_PAIRS = 200
 #: Largest multiplexing depth a scheme may have.  One evaluation costs O(N)
 #: and an optimization over 1..N costs O(N^2), so this bounds every answer.
 MAX_BINS = 1024
+#: Largest multiplexing depth of every default N range.
+N_MAX = 128
 
 #: Bit-stream generator behind every simulation, recorded in output metadata
 #: so runs can be replayed: independent streams are spawned per chunk from a

@@ -19,6 +19,7 @@ from photonmux.app import (
     sweep_values,
     write_csv,
 )
+from photonmux.config import MAX_CONFIG_BYTES
 from photonmux.efficiency import total_efficiency
 from photonmux.model import (
     MAX_BINS,
@@ -91,6 +92,23 @@ class TestConfigParsing:
         cfg = tmp_path / "binary.cfg"
         cfg.write_bytes(b"\xff\xfe")
         with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(cfg)
+
+    def test_load_config_reads_a_leading_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("lambda = 0.3\nn_bins = 8\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(cfg) == parse_config("lambda = 0.3\nn_bins = 8\n")
+
+    def test_load_config_caps_the_file_size(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        text = "lambda = 0.3\n"
+        text += "#" * (MAX_CONFIG_BYTES - len(text) - 1) + "\n"
+        cfg.write_text(text)
+        assert load_config(cfg) == parse_config("lambda = 0.3")
+        cfg.write_text(text + "\n")
+        with pytest.raises(ConfigError,
+                           match=f"longer than {MAX_CONFIG_BYTES} bytes"):
             load_config(cfg)
 
 

@@ -4,12 +4,17 @@ import os
 import subprocess
 import sys
 
+try:
+    import tomllib
+except ImportError:  # Python 3.10
+    tomllib = None
+
 import pytest
 
 import photonmux
 import photonmux.cli
 import photonmux.montecarlo
-from photonmux.app import protocol_gap
+from photonmux.app import emit_fig3, protocol_gap
 from photonmux.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
@@ -18,7 +23,10 @@ from photonmux.cli import (
     _z_score,
     main,
 )
+from photonmux.config import MAX_CONFIG_BYTES
 from photonmux.model import MAX_BINS, SourceParams
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_json(capsys, argv):
@@ -35,13 +43,16 @@ def assert_rejected(capsys, argv, code):
     assert len(captured.err.splitlines()) == 1
 
 
-def _fresh_python(*args, stdout=subprocess.PIPE):
+def _fresh_python(*args, stdout=subprocess.PIPE, **environ):
     """``python ARGS`` in a fresh interpreter that imports this photonmux; a
     run that does not end within 60 s fails the test instead of hanging the
-    suite."""
+    suite.  Each ``environ`` item sets (a string) or unsets (None) one
+    environment variable."""
     src = os.path.dirname(os.path.dirname(photonmux.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.update(environ)
+    env = {key: value for key, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env,
                           timeout=60)
@@ -68,6 +79,13 @@ class TestEval:
         assert payload["n_bins"] == 8
         assert payload["detection"] == "array"
         assert payload["selection"] == "last"
+
+    def test_config_file_with_byte_order_mark(self, capsys, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("n_bins = 8\ndetection = array\n", encoding="utf-8-sig")
+        code, payload = run_json(capsys, ["eval", "--json", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert (payload["n_bins"], payload["detection"]) == (8, "array")
 
     def test_unknown_key_exits_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -444,6 +462,32 @@ class TestEndsInTime:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_config_over_the_size_cap(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("#" * MAX_CONFIG_BYTES + "\n")
+        proc = run_cli("eval", "--config", str(cfg))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr == (f"configuration error: cannot read config "
+                               f"{cfg}: longer than {MAX_CONFIG_BYTES} bytes\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"),
+                        reason="no /dev/zero")
+    def test_endless_config(self):
+        # under a 1 GiB address-space limit, so that a read without a cap
+        # ends in a MemoryError instead of filling the machine's memory
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "sys.argv = ['photonmux', 'eval', '--config', '/dev/zero']\n"
+                  "from photonmux import cli\n"
+                  "cli.run()\n")
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr == ("configuration error: cannot read config "
+                               f"/dev/zero: longer than {MAX_CONFIG_BYTES} "
+                               "bytes\n")
+
     def test_tol_below_float_spacing_ends_at_a_sign_change(self):
         proc = run_cli("crossing", "--json", "--tol", "1e-300")
         assert proc.returncode == EXIT_OK
@@ -476,6 +520,24 @@ class TestNoTraceback:
         assert proc.returncode == code
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["eval", "--json"], ["eval"],
+                                      ["bell", "--json"]])
+    def test_full_stdout(self, argv, unbuffered):
+        # every write to /dev/full fails with ENOSPC; buffered, the failure
+        # shows at the flush, unbuffered at the first write
+        with open("/dev/full", "w") as full:
+            proc = _fresh_python("-m", "photonmux.cli", *argv, stdout=full,
+                                 PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 1
+        [message] = proc.stderr.splitlines()
+        assert message.startswith("output error: cannot write to stdout: ")
+        assert "No space left on device" in message
 
 
 class TestDepthCap:
@@ -523,7 +585,8 @@ class TestClosedReader:
 
 
 class TestColdStart:
-    """Only ``mc`` loads numpy; every other subcommand runs without it."""
+    """Only ``mc`` loads numpy, and only sweep, optimize, crossing and fig3
+    load ``photonmux.app``."""
 
     def test_import_does_not_load_numpy(self):
         proc = _fresh_python("-c", "import sys, photonmux.cli; "
@@ -531,31 +594,33 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("argv", [
-        ["eval"],
-        ["sweep", "--values", "8,16"],
-        ["optimize", "--n-max", "16"],
-        ["crossing", "--tol", "0.01"],
-        ["bell", "--eta", "0.59"],
-        ["fig3", "--out", "OUT"],
+    @pytest.mark.parametrize("argv,loads_app", [
+        (["eval"], False),
+        (["sweep", "--values", "8,16"], True),
+        (["optimize", "--n-max", "16"], True),
+        (["crossing", "--tol", "0.01"], True),
+        (["bell", "--eta", "0.59"], False),
+        (["fig3", "--out", "OUT"], True),
     ], ids=["eval", "sweep", "optimize", "crossing", "bell", "fig3"])
-    def test_subcommand_does_not_load_numpy(self, argv, tmp_path):
+    def test_subcommand_does_not_load_numpy(self, argv, loads_app, tmp_path):
         argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
         script = ("import contextlib, io, sys\n"
                   "from photonmux import cli\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   f"    code = cli.main({argv!r})\n"
-                  "print(code, 'numpy' in sys.modules)\n")
+                  "print(code, 'numpy' in sys.modules, "
+                  "'photonmux.app' in sys.modules)\n")
         proc = _fresh_python("-c", script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == f"{EXIT_OK} False"
+        assert proc.stdout.strip() == f"{EXIT_OK} False {loads_app}"
 
     def test_mc_loads_numpy(self):
         proc = _fresh_python("-c", "import sys; from photonmux import cli; "
                                    "cli.main(['mc', '--trials', '10']); "
-                                   "print('numpy' in sys.modules)")
+                                   "print('numpy' in sys.modules, "
+                                   "'photonmux.app' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "True"
+        assert proc.stdout.splitlines()[-1] == "True False"
 
     def test_monte_carlo_names_still_resolve(self):
         from photonmux import estimate_eta
@@ -564,6 +629,70 @@ class TestColdStart:
         assert photonmux.estimate_eta is photonmux.montecarlo.estimate_eta
         assert photonmux.run_frame is photonmux.montecarlo.run_frame
         assert photonmux.cli.estimate_eta is photonmux.montecarlo.estimate_eta
+        for name in ("sweep", "optimize_bins", "find_crossing", "emit_fig3"):
+            assert getattr(photonmux.cli, name) is getattr(photonmux.app, name)
         for module in (photonmux, photonmux.cli):
             with pytest.raises(AttributeError, match="no_such_name"):
                 module.no_such_name
+
+
+class TestProcessExit:
+    """``python -m photonmux.cli`` ends through ``cli.run``, which skips
+    interpreter teardown after ``main`` returns; nothing written is lost."""
+
+    @pytest.mark.parametrize("argv,code,teardown", [
+        (["eval", "--json"], EXIT_OK, False),
+        (["eval", "--json", "--tol", "1"], 2, True),
+        (["--version"], EXIT_OK, True),
+    ], ids=["answer", "usage-error", "version"])
+    def test_teardown_only_after_system_exit(self, argv, code, teardown):
+        # an atexit handler runs at interpreter teardown, so it shows
+        # whether the process ended through os._exit or the normal exit
+        script = ("import atexit, sys\n"
+                  "atexit.register(print, 'teardown', file=sys.stderr)\n"
+                  f"sys.argv = ['photonmux', *{argv!r}]\n"
+                  "from photonmux import cli\n"
+                  "cli.run()\n")
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == code
+        assert ("teardown" in proc.stderr.splitlines()) == teardown
+
+    def test_large_json_is_whole(self, capsys, tmp_path):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(f"n_bins = {MAX_BINS}\n")
+        argv = ["eval", "--json", "--config", str(cfg)]
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert len(proc.stdout) > 16384  # more than one stdout buffer
+        assert main(argv) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
+        assert len(json.loads(proc.stdout)["per_bin_success"]) == MAX_BINS
+
+    def test_usage_error(self):
+        proc = run_cli("eval", "--no-such-flag")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: photonmux")
+        assert "unrecognized arguments: --no-such-flag" in proc.stderr
+
+    def test_version(self):
+        proc = run_cli("--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_OK, photonmux.__version__ + "\n", "")
+
+    def test_fig3_files_equal_in_process(self, tmp_path):
+        proc = run_cli("fig3", "--out", str(tmp_path / "cold"))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        written = emit_fig3(tmp_path / "warm")
+        assert len(written) == 4
+        for path in written:
+            name = os.path.basename(path)
+            assert (tmp_path / "cold" / name).read_bytes() == \
+                (tmp_path / "warm" / name).read_bytes(), name
+
+    @pytest.mark.skipif(tomllib is None, reason="tomllib needs Python 3.11")
+    def test_console_script_exits_through_run(self):
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"photonmux": "photonmux.cli:run"}
+        assert callable(photonmux.cli.run)
