@@ -7,16 +7,9 @@ import os
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .config import (  # noqa: F401  (load_config, parse_config re-exported)
-    _PARAM_KEYS,
-    _SCHEME_KEYS,
-    ConfigError,
-    _parse_value,
-    load_config,
-    parse_config,
-)
-from .efficiency import (avg_linear_transmission, delay_transmission,
-                         eta_curve, total_efficiency)
+from .config import _PARAM_KEYS, _SCHEME_KEYS, ConfigError, _parse_value
+from .efficiency import (avg_linear_transmission, delay_table, eta_curve,
+                         total_efficiency)
 from .model import (
     MAX_BINS,
     N_MAX,
@@ -26,6 +19,7 @@ from .model import (
     SchemeConfig,
     SourceParams,
     Topology,
+    as_integer,
     check_depth,
     with_readings,
 )
@@ -164,6 +158,7 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
                   include_filter_in_d0: bool | None = None,
                   literal_exponent: bool | None = None) -> EfficiencyCurve:
     """Sweep the multiplexing depth and report the maximizing N."""
+    n_min, n_max = as_integer("n_min", n_min), as_integer("n_max", n_max)
     if not 1 <= n_min <= n_max <= MAX_BINS:
         raise DomainError(f"need 1 <= n_min <= n_max <= {MAX_BINS}, "
                           f"got n_min={n_min}, n_max={n_max}")
@@ -280,14 +275,11 @@ def _fig3ab_rows(params: SourceParams, eta_sw: float):
 
 
 def _fig3c_rows(params: SourceParams):
+    delay = delay_table(params, N_RANGE[-1])
     for n in N_RANGE:
-        row = [n] + [avg_linear_transmission(params, n, lam)
-                     for lam in FIG3C_LAMBDAS]
         # control: a single occupied bin, uniformly placed
-        control = math.fsum(
-            delay_transmission(params, n - i) for i in range(1, n + 1)) / n
-        row.append(control)
-        yield row
+        yield [n, *(avg_linear_transmission(params, n, lam)
+                    for lam in FIG3C_LAMBDAS), math.fsum(delay[:n]) / n]
 
 
 def write_csv(path, header, rows) -> None:

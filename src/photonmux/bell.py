@@ -27,6 +27,7 @@ the source efficiency, one factor eta per photon each circuit consumes.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,8 @@ class CircuitElement:
             raise ValueError(shape_error) from exc
         if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
             raise ValueError(shape_error)
+        if not all(cmath.isfinite(u) for row in self.matrix for u in row):
+            raise ValueError(f"{label}: matrix entry is not finite")
         # largest entry of U^dagger U - I
         deviation = max(
             (abs(sum(row[i].conjugate() * row[j] for row in self.matrix)
@@ -110,8 +113,13 @@ class FockState:
 
     def __init__(self, n_modes: int, amplitudes: dict[tuple[int, ...], complex]):
         self.n_modes = n_modes
-        self.amplitudes = {
-            occ: complex(a) for occ, a in amplitudes.items() if abs(a) > _PRUNE}
+        self.amplitudes = {}
+        for occ, a in amplitudes.items():
+            a = complex(a)
+            if not cmath.isfinite(a):
+                raise ValueError(f"amplitude of {occ} is not finite: {a}")
+            if abs(a) > _PRUNE:
+                self.amplitudes[occ] = a
 
     @classmethod
     def from_occupation(cls, occupation: tuple[int, ...]) -> "FockState":

@@ -33,6 +33,7 @@ from .model import (
     SchemeConfig,
     SourceParams,
     Topology,
+    as_integer,
     check_depth,
     pair_generating_derivative,
     pair_generating_function,
@@ -85,20 +86,15 @@ def no_herald_probability(params: SourceParams, eta_d: float) -> float:
     return params.eta_f * value if params.include_filter_in_d0 else value
 
 
-def delay_transmission(params: SourceParams, delay_bins: int) -> float:
-    """Transmission over ``delay_bins`` bins of delay at alpha_inc dB per bin,
-    10^(-alpha_inc * delay_bins / 10); ``params.literal_exponent`` drops the
-    /10 and reads alpha_inc as a bare decadic exponent per bin (a deliberately
-    non-default reading, kept for comparison)."""
-    exponent = -params.alpha_inc * delay_bins
-    if not params.literal_exponent:
-        exponent /= 10.0
-    return 10.0 ** exponent
-
-
-def _delay_table(params: SourceParams, n_max: int) -> list[float]:
-    """:func:`delay_transmission` over d = 0..n_max - 1 bins, at index d."""
-    return [delay_transmission(params, d) for d in range(n_max)]
+def delay_table(params: SourceParams, n: int) -> list[float]:
+    """Transmission over d bins of delay at alpha_inc dB per bin,
+    10^(-alpha_inc * d / 10), at index d for d = 0..n - 1.
+    ``params.literal_exponent`` drops the /10 and reads alpha_inc as a bare
+    decadic exponent per bin (a deliberately non-default reading, kept for
+    comparison)."""
+    alpha = params.alpha_inc
+    scale = 1.0 if params.literal_exponent else 10.0
+    return [10.0 ** (-alpha * d / scale) for d in range(n)]
 
 
 def _frame(params: SourceParams, topology: Topology, n: int,
@@ -122,10 +118,10 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig
     Binary topology: the switch count is fixed at floor(log2 N) + 1 for every
     bin; the single-delay-line comparison pays one switch pass per bin of
     delay.  The photon of bin r is delayed by N - r bins (see
-    :func:`delay_transmission`).
+    :func:`delay_table`).
     """
     n = scheme.n_bins
-    return tuple(_frame(params, scheme.topology, n, _delay_table(params, n)))
+    return tuple(_frame(params, scheme.topology, n, delay_table(params, n)))
 
 
 def _quiet(selection: Selection, n: int) -> range:
@@ -151,7 +147,7 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     d0_val = no_herald_probability(params, eta_d)
     q = 1.0 - eta_d
     g1 = pair_generating_derivative(params)
-    delay = _delay_table(params, max(n_values, default=0))
+    delay = delay_table(params, max(n_values, default=0))
     topology, selection = scheme.topology, scheme.selection
     for n in n_values:
         pic = _frame(params, topology, n, delay)
@@ -185,11 +181,10 @@ def eta_curve(params: SourceParams, scheme: SchemeConfig, n_values
     ``n_values``, in its order, bit for bit; ``scheme.n_bins`` is not read.
 
     The work that does not depend on N is done once for the whole curve.
-    A depth outside 1..MAX_BINS raises DomainError before any is evaluated.
+    A depth that is not an integer in 1..MAX_BINS raises DomainError before
+    any is evaluated.
     """
-    if n_values:
-        check_depth(min(n_values))
-        check_depth(max(n_values))
+    n_values = [check_depth(n) for n in n_values]
     return tuple(math.fsum(per_bin) for _, _, per_bin
                  in _success_terms(params, scheme, n_values))
 
@@ -215,8 +210,9 @@ def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
 def occupied_bins(n_bins: int, lam: float) -> int:
     """Expected number of occupied bins, ceil(lam * N), of the fig3c
     delay-line model.  A mean pair parameter above 1 would occupy more bins
-    than the frame has."""
-    if n_bins < 1:
+    than the frame has.  A depth that is not an integer >= 1 raises
+    DomainError."""
+    if as_integer("n_bins", n_bins) < 1:
         raise DomainError(f"n_bins must be >= 1, got {n_bins}")
     if not 0 < lam <= 1:
         raise DomainError(f"lam must be in (0, 1], got {lam}")
@@ -230,11 +226,12 @@ def avg_linear_transmission(params: SourceParams, n_bins: int,
 
     The selected bin is the maximum of n_occ = :func:`occupied_bins` uniform
     draws without replacement.  The result is the dot product of the per-bin
-    delay transmissions (:func:`delay_transmission` over N - p bins) with
-    those weights.  n_occ = 1 reduces to the uniform-weight control curve.
+    delay transmissions (:func:`delay_table` at N - p bins) with those
+    weights.  n_occ = 1 reduces to the uniform-weight control curve.
     """
     n_occ = occupied_bins(n_bins, lam)
-    return math.fsum(w * delay_transmission(params, n_bins - p)
+    delay = delay_table(params, n_bins)
+    return math.fsum(w * delay[n_bins - p]
                      for p, w in enumerate(last_photon_weights(n_bins, n_occ),
                                            start=1))
 

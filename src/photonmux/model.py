@@ -9,6 +9,7 @@ instances can be shared freely between worker threads.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -166,12 +167,24 @@ CANONICAL_SELECTION = {
 }
 
 
-def check_depth(n_bins: int) -> None:
-    """Raise DomainError unless 1 <= ``n_bins`` <= MAX_BINS."""
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    if n_bins > MAX_BINS:
-        raise DomainError(f"n_bins must be <= {MAX_BINS}, got {n_bins}")
+def as_integer(name: str, value) -> int:
+    """``value`` as an int (a numpy integer too), or DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(
+            f"{name} must be an integer, got {value!r}") from None
+
+
+def check_depth(n_bins) -> int:
+    """``n_bins`` as an int; DomainError unless it is an integer in
+    1..MAX_BINS."""
+    n = as_integer("n_bins", n_bins)
+    if n < 1:
+        raise DomainError(f"n_bins must be >= 1, got {n}")
+    if n > MAX_BINS:
+        raise DomainError(f"n_bins must be <= {MAX_BINS}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -190,7 +203,7 @@ class SchemeConfig:
     allow_mismatched_selection: bool = False
 
     def __post_init__(self) -> None:
-        check_depth(self.n_bins)
+        object.__setattr__(self, "n_bins", check_depth(self.n_bins))
         canonical = CANONICAL_SELECTION[self.detection]
         if self.selection is None:
             object.__setattr__(self, "selection", canonical)

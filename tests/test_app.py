@@ -6,23 +6,25 @@ import pytest
 
 from photonmux.app import (
     MAX_SWEEP_POINTS,
-    N_MAX,
-    ConfigError,
     SweepSpec,
     emit_fig3,
     find_crossing,
-    load_config,
     optimize_bins,
-    parse_config,
     protocol_gap,
     sweep,
     sweep_values,
     write_csv,
 )
-from photonmux.config import MAX_CONFIG_BYTES
+from photonmux.config import (
+    MAX_CONFIG_BYTES,
+    ConfigError,
+    load_config,
+    parse_config,
+)
 from photonmux.efficiency import total_efficiency
 from photonmux.model import (
     MAX_BINS,
+    N_MAX,
     Detection,
     DomainError,
     SchemeConfig,

@@ -51,6 +51,19 @@ class TestCircuitElements:
         with pytest.raises(ValueError, match="2 rows of 2"):
             CircuitElement("bad", (0, 1), matrix)
 
+    @pytest.mark.parametrize("build", [
+        lambda: CircuitElement("x", (0, 1), [[math.nan, 0], [0, 1]]),
+        lambda: CircuitElement("x", (0, 1), [[1, 0], [0, complex(1, math.nan)]]),
+        lambda: CircuitElement("x", (0, 1), [[1, 0], [0, math.inf]]),
+        lambda: polarization_rotator(0, math.nan),
+        lambda: FockState(2, {(1, 0): math.nan}),
+        lambda: FockState(2, {(1, 0): 1.0, (0, 1): complex(0, math.inf)}),
+    ], ids=["matrix-nan", "matrix-nan-imaginary", "matrix-inf",
+            "rotator-nan-angle", "state-nan", "state-inf-imaginary"])
+    def test_non_finite_number_rejected(self, build):
+        with pytest.raises(ValueError, match="not finite"):
+            build()
+
     def test_polarizing_coupler_transmits_horizontal(self):
         state = single_photon(0, H, 4).apply(polarizing_coupler(0, 1))
         assert state.amplitudes == {(1, 0, 0, 0): pytest.approx(1.0)}

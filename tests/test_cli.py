@@ -585,8 +585,8 @@ class TestClosedReader:
 
 
 class TestColdStart:
-    """Only ``mc`` loads numpy, and only sweep, optimize, crossing and fig3
-    load ``photonmux.app``."""
+    """Importing the package loads no submodule, only ``mc`` loads numpy,
+    and only sweep, optimize, crossing and fig3 load ``photonmux.app``."""
 
     def test_import_does_not_load_numpy(self):
         proc = _fresh_python("-c", "import sys, photonmux.cli; "
@@ -622,18 +622,19 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "True False"
 
-    def test_monte_carlo_names_still_resolve(self):
-        from photonmux import estimate_eta
+    def test_package_import_loads_no_submodule(self):
+        proc = _fresh_python("-c", "import sys, photonmux; print(sorted("
+                                   "m for m in sys.modules "
+                                   "if m.startswith('photonmux.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
-        assert estimate_eta is photonmux.montecarlo.estimate_eta
-        assert photonmux.estimate_eta is photonmux.montecarlo.estimate_eta
-        assert photonmux.run_frame is photonmux.montecarlo.run_frame
+    def test_monte_carlo_names_still_resolve(self):
         assert photonmux.cli.estimate_eta is photonmux.montecarlo.estimate_eta
         for name in ("sweep", "optimize_bins", "find_crossing", "emit_fig3"):
             assert getattr(photonmux.cli, name) is getattr(photonmux.app, name)
-        for module in (photonmux, photonmux.cli):
-            with pytest.raises(AttributeError, match="no_such_name"):
-                module.no_such_name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            photonmux.cli.no_such_name
 
 
 class TestProcessExit:
@@ -696,3 +697,13 @@ class TestProcessExit:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"photonmux": "photonmux.cli:run"}
         assert callable(photonmux.cli.run)
+
+    @pytest.mark.skipif(tomllib is None, reason="tomllib needs Python 3.11")
+    def test_version_is_read_from_the_package(self):
+        # the version string is written once, as photonmux.__version__
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            pyproject = tomllib.load(fh)
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"] == {
+            "version": {"attr": "photonmux.__version__"}}

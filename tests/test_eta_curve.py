@@ -7,12 +7,16 @@ pinned to the values they had before ``eta_curve`` existed.
 """
 import hashlib
 import itertools
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from photonmux.app import emit_fig3, find_crossing, parse_config
-from photonmux.efficiency import eta_curve, total_efficiency
+from photonmux.app import emit_fig3, find_crossing, optimize_bins
+from photonmux.config import parse_config
+from photonmux.efficiency import (avg_linear_transmission, eta_curve,
+                                  total_efficiency)
 from photonmux.model import (
     MAX_BINS,
     Detection,
@@ -101,10 +105,41 @@ def test_empty_curve():
 
 @pytest.mark.parametrize("n_values,message", [
     ((4, 0), "n_bins must be >= 1, got 0"),
-    ((MAX_BINS + 1, 4), f"n_bins must be <= {MAX_BINS}, got {MAX_BINS + 1}")])
+    ((MAX_BINS + 1, 4), f"n_bins must be <= {MAX_BINS}, got {MAX_BINS + 1}"),
+    ((math.nan,), "n_bins must be an integer, got nan"),
+    ((4, math.nan, 8), "n_bins must be an integer, got nan"),
+    ((31.0,), "n_bins must be an integer, got 31.0"),
+    ((2.5, 4), "n_bins must be an integer, got 2.5")])
 def test_depth_outside_the_cap_is_rejected(n_values, message):
     with pytest.raises(DomainError, match=message):
         eta_curve(SourceParams(), SchemeConfig(n_bins=1), n_values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SchemeConfig(n_bins=31.0),
+    lambda: SchemeConfig(n_bins=math.nan),
+    lambda: SchemeConfig(n_bins=2.5),
+    lambda: optimize_bins(SourceParams(), SchemeConfig(n_bins=1), 1.5, 8),
+    lambda: optimize_bins(SourceParams(), SchemeConfig(n_bins=1), 1, math.nan),
+    lambda: avg_linear_transmission(SourceParams(), 2.5, 0.5),
+    lambda: avg_linear_transmission(SourceParams(), math.nan, 0.5),
+], ids=["scheme-float", "scheme-nan", "scheme-fraction", "n_min-fraction",
+        "n_max-nan", "fig3c-fraction", "fig3c-nan"])
+def test_depth_that_is_not_an_integer_is_rejected(build):
+    with pytest.raises(DomainError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_depths_pass():
+    params = SourceParams()
+    scheme = SchemeConfig(n_bins=np.int64(31))
+    assert type(scheme.n_bins) is int
+    assert total_efficiency(params, scheme) == total_efficiency(
+        params, SchemeConfig(n_bins=31))
+    assert eta_curve(params, scheme, [np.int32(5), np.int64(31)]) == \
+        eta_curve(params, scheme, (5, 31))
+    assert optimize_bins(params, scheme, np.int64(1), np.int64(8)) == \
+        optimize_bins(params, scheme, 1, 8)
 
 
 #: (config text, include_filter_in_d0, literal_exponent) of each pinned

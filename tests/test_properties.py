@@ -13,14 +13,12 @@ import tempfile
 
 from hypothesis import example, given, settings, strategies as st
 
-from photonmux.app import (
+from photonmux.app import MAX_SWEEP_POINTS, SWEEPABLE, sweep_values
+from photonmux.config import (
     _PARAM_KEYS,
     _SCHEME_KEYS,
-    MAX_SWEEP_POINTS,
-    SWEEPABLE,
     ConfigError,
     parse_config,
-    sweep_values,
 )
 from photonmux.cli import main
 from photonmux.model import DomainError
