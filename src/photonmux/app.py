@@ -98,8 +98,9 @@ def sweep_values(parameter: str, values: str | None = None,
 class SweepSpec:
     """One-parameter sweep around a fixed baseline.
 
-    An ``n_bins`` value below 1 or over MAX_BINS raises DomainError here,
-    before any point is evaluated.
+    ``n_bins`` values are stored as the ints :func:`check_depth` returns; one
+    that is not an integer in 1..MAX_BINS raises DomainError here, before
+    any point is evaluated.
     """
 
     parameter: str
@@ -112,10 +113,8 @@ class SweepSpec:
         if not self.values:
             raise ConfigError("sweep needs at least one value")
         if self.parameter == "n_bins":
-            check_depth(min(self.values))
-            if max(self.values) > MAX_BINS:
-                raise DomainError(f"n_bins must be <= {MAX_BINS}, "
-                                  f"got sweep value {max(self.values)}")
+            object.__setattr__(self, "values",
+                               tuple(check_depth(n) for n in self.values))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Flat key-value configuration files."""
 from __future__ import annotations
 
+from enum import Enum
+
 from .model import (
     Detection,
     DomainError,
@@ -54,8 +56,7 @@ def _parse_value(key: str, text: str, kind):
     try:
         if kind is bool:
             return _parse_bool(text)
-        if isinstance(kind, type) and issubclass(kind, (PairDistribution, Topology,
-                                                        Detection, Selection)):
+        if issubclass(kind, Enum):
             return kind(text.strip().lower())
         return kind(text)
     except (ValueError, KeyError) as exc:

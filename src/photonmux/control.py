@@ -19,18 +19,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DomainError
+from .model import DomainError, switch_passes
 
 PHASE_PI = math.pi
 
 
 def _exit_stage(n_bins: int) -> int:
-    """log2(n_bins), the index of the exit switch; DomainError unless
-    n_bins is a power of two >= 2."""
+    """log2(n_bins), the index of the exit switch, the last of
+    ``switch_passes(n_bins)`` stages; DomainError unless n_bins is a power
+    of two >= 2."""
     if n_bins < 2 or n_bins & (n_bins - 1):
         raise DomainError(
             f"switch phases need a power-of-two n_bins >= 2, got {n_bins}")
-    return n_bins.bit_length() - 1
+    return switch_passes(n_bins) - 1
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ emitted photon:
 
 where G is the pair-number generating function of :mod:`photonmux.model`,
 q = 1 - eta_d the probability that one idler escapes the heralding detector,
-t_r the chip transmission of bin r, D0 = eta_f G(q) the per-bin probability
-that no herald fires, and k(r) counts the bins that must stay quiet under the
-selection policy (the bins before r for first-photon selection, after r for
-last-photon).  The bracket is the sum over pair counts i of
+t_r the chip transmission of bin r, D0 = f G(q) the per-bin probability
+that no herald fires and the bin passes the filter (f from
+:func:`quiet_bin_pass`), and k(r) counts the bins that must stay quiet under
+the selection policy (the bins before r for first-photon selection, after r
+for last-photon).  The bracket is the sum over pair counts i of
 P(i) (1 - q^i) i t_r (1 - t_r)^(i-1) in closed form.  The Monte Carlo engine
 in :mod:`photonmux.montecarlo` realizes the same process stochastically and
 is used as the independent cross-check.
@@ -37,6 +38,7 @@ from .model import (
     check_depth,
     pair_generating_derivative,
     pair_generating_function,
+    switch_passes,
     with_readings,
 )
 
@@ -72,18 +74,23 @@ def detection_efficiency(params: SourceParams, scheme: SchemeConfig) -> float:
     return base * routing * params.eta_c**2 * ((m - 1) / m)
 
 
-def no_herald_probability(params: SourceParams, eta_d: float) -> float:
-    """Per-bin probability D0 that the heralding detector stays quiet.
+def quiet_bin_pass(params: SourceParams) -> float:
+    """Chance that one quiet bin passes the filter under the D0 reading:
+    eta_f when ``params.include_filter_in_d0`` keeps the filtering-efficiency
+    prefactor of the printed model, else 1.0 (see the flag discussion in the
+    package README)."""
+    return params.eta_f if params.include_filter_in_d0 else 1.0
 
-    Every pair of the bin must escape detection: G(1 - eta_d).
-    ``params.include_filter_in_d0`` keeps the filtering-efficiency prefactor
-    of the printed model; without it D0 is the bare no-detection probability
-    (see the flag discussion in the package README).
+
+def no_herald_probability(params: SourceParams, eta_d: float) -> float:
+    """Per-bin probability D0 that the heralding detector stays quiet and
+    the bin passes the filter: :func:`quiet_bin_pass` times G(1 - eta_d),
+    the chance that every pair of the bin escapes detection.
     """
     if not 0.0 <= eta_d <= 1.0:
         raise DomainError(f"eta_d must be in [0, 1], got {eta_d}")
-    value = pair_generating_function(params, 1.0 - eta_d)
-    return params.eta_f * value if params.include_filter_in_d0 else value
+    return quiet_bin_pass(params) * pair_generating_function(params,
+                                                             1.0 - eta_d)
 
 
 def delay_table(params: SourceParams, n: int) -> list[float]:
@@ -105,7 +112,7 @@ def _frame(params: SourceParams, topology: Topology, n: int,
     delays = range(n - 1, -1, -1)
     fixed = params.eta_f * params.eta_c
     if topology is Topology.BINARY_DELAY:
-        fixed *= params.eta_sw ** n.bit_length()
+        fixed *= params.eta_sw ** switch_passes(n)
         return [fixed * delay[d] for d in delays]
     eta_sw = params.eta_sw
     return [fixed * eta_sw ** d * delay[d] for d in delays]
@@ -115,8 +122,8 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig
                      ) -> tuple[float, ...]:
     """End-to-end on-chip transmission of every bin; bin r at index r - 1.
 
-    Binary topology: the switch count is fixed at floor(log2 N) + 1 for every
-    bin; the single-delay-line comparison pays one switch pass per bin of
+    Binary topology: every bin makes ``switch_passes(N)`` switch passes;
+    the single-delay-line comparison pays one switch pass per bin of
     delay.  The photon of bin r is delayed by N - r bins (see
     :func:`delay_table`).
     """

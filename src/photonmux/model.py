@@ -187,6 +187,13 @@ def check_depth(n_bins) -> int:
     return n
 
 
+def switch_passes(n_bins: int) -> int:
+    """Switch passes of every bin of an N = ``n_bins`` binary delay tree,
+    floor(log2 N) + 1: one per delay stage and one for the exit switch (the
+    paper's count)."""
+    return n_bins.bit_length()
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Multiplexing depth, delay topology, detection protocol and selection.

@@ -23,12 +23,13 @@ merge by summation, so results are identical for any worker count.
 
 Each chunk draws, in this order: one herald-position uniform per trial,
 then one pair-count uniform and one outcome uniform per heralded trial.
-With t the selected bin's chip transmission and w = eta_f ** k the chance
-that the k quiet bins pass the filter (w = 1 when the no-herald probability
-leaves the filter out), the outcome uniform u gives a single photon below
-w m t (1-t)^(m-1), more than one from there up to w (1 - (1-t)^m), and
-vacuum above: the binomial law of the survivors after the filter veto, with
-no binomial draw.
+With t the selected bin's chip transmission and w = f ** k the chance
+that the k quiet bins pass the filter (f from
+:func:`efficiency.quiet_bin_pass`: eta_f, or 1 when the no-herald
+probability leaves the filter out), the outcome uniform u gives a single
+photon below w m t (1-t)^(m-1), more than one from there up to
+w (1 - (1-t)^m), and vacuum above: the binomial law of the survivors after
+the filter veto, with no binomial draw.
 """
 from __future__ import annotations
 
@@ -131,14 +132,17 @@ def _sample_pairs(params: SourceParams, rng: np.random.Generator,
 class _Plan:
     """Everything a frame or an estimate needs that depends only on the
     design: the params with the readings merged, eta_d, the transmission
-    frame (bin r at index r - 1), the policy, and per bin the count k(r) of
-    quiet bins that must pass the filter, 0 where the filter cannot veto."""
+    frame and the quiet counts k(r) (:func:`efficiency.quiet_bins`), both
+    bin r at index r - 1, the policy, and the chance that one quiet bin
+    passes the filter (:func:`efficiency.quiet_bin_pass`), below 1 only
+    where the filter can veto."""
 
     params: SourceParams
     eta_d: float
     pic: tuple[float, ...]
+    quiet: tuple[int, ...]
     first: bool
-    veto_bins: tuple[int, ...]
+    filter_pass: float
 
     @functools.cached_property
     def chunk_tables(self):
@@ -147,8 +151,8 @@ class _Plan:
         herald probability per bin, the cumulative conditional pair-count
         table P(i | heralded), i = 1..MAX_PAIRS (None when no bin can
         herald), and, indexed by the quiet count k, the selected bin's
-        transmission t and the chance w = eta_f ** k(r) that its quiet bins
-        pass the filter."""
+        transmission t and the chance w = filter_pass ** k that its quiet
+        bins pass the filter."""
         params = self.params
         pmf = np.array(pair_pmf_array(params))
         dropped = 1.0 - math.fsum(pmf)
@@ -162,11 +166,9 @@ class _Plan:
         p_herald = float(herald_weight.sum())
         cond_cum = (None if p_herald <= 0.0
                     else np.cumsum(herald_weight[1:] / p_herald))
-        # the selected bin lies k bins from the start of the frame under
-        # first-photon selection, from its end under last-photon
-        by_k = slice(None) if self.first else slice(None, None, -1)
-        t = np.array(self.pic)[by_k]
-        w = params.eta_f ** np.array(self.veto_bins)[by_k]
+        t = np.empty(len(self.quiet))
+        t[list(self.quiet)] = self.pic
+        w = self.filter_pass ** np.arange(t.size)
         t.flags.writeable = w.flags.writeable = False
         return p_herald, cond_cum, t, w
 
@@ -178,14 +180,13 @@ def _plan(params: SourceParams, scheme: SchemeConfig,
     """The design plan, which consecutive frames and estimates of one design
     share."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
-    n = scheme.n_bins
-    vetoes = params.include_filter_in_d0 and params.eta_f < 1.0
     return _Plan(
         params=params,
         eta_d=efficiency.detection_efficiency(params, scheme),
         pic=efficiency.pic_transmission(params, scheme),
+        quiet=tuple(efficiency.quiet_bins(scheme)),
         first=scheme.selection is Selection.FIRST_PHOTON,
-        veto_bins=tuple(efficiency.quiet_bins(scheme)) if vetoes else (0,) * n,
+        filter_pass=efficiency.quiet_bin_pass(params),
     )
 
 
@@ -228,8 +229,9 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
 
     survivors = 0
     if selected is not None:
-        k = plan.veto_bins[selected - 1]
-        if not (k and rng.random(k).max() >= plan.params.eta_f):
+        k = plan.quiet[selected - 1]
+        f = plan.filter_pass
+        if not (k and f < 1.0 and rng.random(k).max() >= f):
             survivors = int(rng.binomial(pair_counts[selected - 1],
                                          plan.pic[selected - 1]))
 
@@ -250,8 +252,8 @@ def _chunk_counts(plan: _Plan, n_trials: int, child_seed):
     Draw order (see the module docstring): one uniform of length
     ``n_trials`` for the herald position, then a pair-count uniform and an
     outcome uniform per heralded trial, each into the head of the same
-    buffer.  Trials are indexed by their quiet count k; under last-photon
-    selection the histogram runs in reverse.
+    buffer.  Trials are indexed by their quiet count k, and the histogram
+    is read back to bin order through the plan's quiet counts.
     """
     p_herald, cond_cum, t_by_k, w_by_k = plan.chunk_tables
     n = t_by_k.size
@@ -307,9 +309,8 @@ def _chunk_counts(plan: _Plan, n_trials: int, child_seed):
     del many_u, single_cut, emit_cut
     single = out_u < (t_by_k * w_by_k).take(quiet)
     single[many] = many_single
-    per_bin = np.bincount(np.compress(single, quiet), minlength=n)
-    return (int(per_bin.sum()), n_multi,
-            per_bin if plan.first else per_bin[::-1])
+    by_k = np.bincount(np.compress(single, quiet), minlength=n)
+    return int(by_k.sum()), n_multi, by_k.take(plan.quiet)
 
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+from enum import Enum
 
+import numpy as np
 import pytest
 
 from photonmux.app import (
@@ -16,8 +18,11 @@ from photonmux.app import (
     write_csv,
 )
 from photonmux.config import (
+    _PARAM_KEYS,
+    _SCHEME_KEYS,
     MAX_CONFIG_BYTES,
     ConfigError,
+    _parse_value,
     load_config,
     parse_config,
 )
@@ -69,6 +74,16 @@ class TestConfigParsing:
         # a repeat is rejected even when it restates the same value
         with pytest.raises(ConfigError, match="repeated"):
             parse_config("n_bins=8\nn_bins = 8")
+
+    @pytest.mark.parametrize("key,kind", [
+        (key, kind)
+        for key, (_, kind) in {**_PARAM_KEYS, **_SCHEME_KEYS}.items()
+        if issubclass(kind, Enum)])
+    def test_enum_values_are_stripped_and_lowercased(self, key, kind):
+        for member in kind:
+            for text in (f" {member.value.title()} ",
+                         f" {member.value.upper()} "):
+                assert _parse_value(key, text, kind) is member
 
     def test_bad_enum_value(self):
         with pytest.raises(ConfigError, match="topology"):
@@ -122,6 +137,19 @@ class TestSweep:
         assert all(eta == 0.0 for _, eta in curve.points)
         assert curve.eta_max == 0.0
         assert curve.best_x == 1  # ties resolve to the smallest value
+
+    def test_numpy_integer_depths_are_stored_as_ints(self, tmp_path):
+        spec = SweepSpec("n_bins", (np.int64(3), np.int64(5)), SourceParams(),
+                         SchemeConfig(n_bins=1))
+        assert [type(n) for n in spec.values] == [int, int]
+        curve = sweep(spec)
+        assert curve.points == sweep(SweepSpec(
+            "n_bins", (3, 5), SourceParams(), SchemeConfig(n_bins=1))).points
+        assert [type(n) for n, _ in curve.points] == [int, int]
+        path = tmp_path / "sweep.csv"
+        write_csv(path, ("n_bins", "eta"), curve.points)
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["3", "5"]
 
     def test_headline_optimum(self):
         curve = optimize_bins(SourceParams(), SchemeConfig(n_bins=1), 1, 128)
@@ -257,7 +285,10 @@ class TestDepthCap:
         monkeypatch.setattr("photonmux.app.total_efficiency", evaluated)
         monkeypatch.setattr("photonmux.app.eta_curve", evaluated)
         for values, message in (
-                (sweep_values("n_bins", "8,2000"), f"<= {MAX_BINS}"),
+                (sweep_values("n_bins", "8,2000"),
+                 f"n_bins must be <= {MAX_BINS}, got 2000$"),
+                (sweep_values("n_bins", "2000,0"),
+                 f"n_bins must be <= {MAX_BINS}, got 2000$"),
                 (sweep_values("n_bins", hi=float(MAX_BINS + 1)),
                  f"<= {MAX_BINS}"),
                 (sweep_values("n_bins", "8,0"), "n_bins must be >= 1, got 0")):

@@ -11,7 +11,13 @@ from photonmux.control import (
     select_last,
 )
 from photonmux.efficiency import pic_transmission
-from photonmux.model import MAX_BINS, DomainError, SchemeConfig, SourceParams
+from photonmux.model import (
+    MAX_BINS,
+    DomainError,
+    SchemeConfig,
+    SourceParams,
+    switch_passes,
+)
 
 PI = math.pi
 #: Every frame size the switch phases support.
@@ -57,7 +63,7 @@ class TestPhaseSchedule:
         params = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=0.5, alpha_inc=0.0)
         pic = pic_transmission(params, SchemeConfig(n_bins=n))
         stages = phase_schedule(n).stage_count
-        assert n.bit_length() == stages
+        assert n.bit_length() == stages == switch_passes(n)
         assert pic == (0.5 ** stages,) * n
 
     @pytest.mark.parametrize("bad", [1, 3, 6, 12, 100])

@@ -11,6 +11,7 @@ from photonmux.efficiency import (
     last_photon_weights,
     no_herald_probability,
     pic_transmission,
+    quiet_bin_pass,
     total_efficiency,
 )
 from photonmux.model import (
@@ -23,6 +24,7 @@ from photonmux.model import (
     SourceParams,
     Topology,
     pair_count_distribution,
+    pair_generating_function,
 )
 
 #: Pair counts summed by the brute-force oracles below.
@@ -76,6 +78,21 @@ class TestNoHeraldProbability:
         bare_d0 = no_herald_probability(replace(p, include_filter_in_d0=False),
                                         eta_d)
         assert heralded + bare_d0 == pytest.approx(1.0, abs=1e-12)
+
+
+class TestQuietBinPass:
+    @pytest.mark.parametrize("eta_f", [0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("include", [True, False])
+    def test_is_eta_f_only_when_d0_keeps_the_filter(self, eta_f, include):
+        p = SourceParams(eta_f=eta_f, include_filter_in_d0=include)
+        assert quiet_bin_pass(p) == (eta_f if include else 1.0)
+
+    @pytest.mark.parametrize("eta_f", [0.5, 1.0])
+    @pytest.mark.parametrize("include", [True, False])
+    def test_d0_is_the_pass_times_the_escape_chance(self, eta_f, include):
+        p = SourceParams(lam=0.3, eta_f=eta_f, include_filter_in_d0=include)
+        assert no_herald_probability(p, 0.6) == (
+            quiet_bin_pass(p) * pair_generating_function(p, 1.0 - 0.6))
 
 
 class TestPicTransmission:

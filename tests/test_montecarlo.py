@@ -472,6 +472,77 @@ class TestChunkSampler:
             assert peak <= bound, n_trials
 
 
+def _oriented_by_hand(params, s):
+    """The chunk tables' t and w by quiet count k, oriented by hand: the
+    selected bin lies k bins from the start of the frame under first-photon
+    selection and from its end under last-photon; w = eta_f ** k where the
+    filter can veto, else 1."""
+    by_k = (slice(None) if s.selection is Selection.FIRST_PHOTON
+            else slice(None, None, -1))
+    vetoes = params.include_filter_in_d0 and params.eta_f < 1.0
+    veto_bins = (np.array(efficiency.quiet_bins(s)) if vetoes
+                 else np.zeros(s.n_bins, dtype=np.int64))
+    t = np.array(efficiency.pic_transmission(params, s))[by_k]
+    return t, params.eta_f ** veto_bins[by_k]
+
+
+def _one_chunk_by_hand(params, s, n_trials, seed):
+    """``estimate_eta``'s draws for a single chunk, written out with the
+    tables of :func:`_oriented_by_hand` and the per-bin histogram flipped
+    by hand under last-photon selection; returns (n_single, n_multi,
+    per-bin histogram)."""
+    n = s.n_bins
+    t, w = _oriented_by_hand(params, s)
+    p_herald, cond_cum = _chunk_args(params, s).chunk_tables[:2]
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    k = np.floor(np.log(rng.random(n_trials)) / math.log1p(-p_herald))
+    quiet = k[k < n].astype(np.intp)
+    pair_u = rng.random(quiet.size)
+    m = np.where(pair_u > cond_cum[0],
+                 np.searchsorted(cond_cum, pair_u) + 1, 1)
+    out_u = rng.random(quiet.size)
+    tq, wq = t[quiet], w[quiet]
+    rest = (1.0 - tq) ** (m - 1)
+    single = out_u < tq * rest * m * wq
+    multi = ~single & (out_u < ((1.0 - rest) + tq * rest) * wq)
+    by_k = np.bincount(quiet[single], minlength=n)
+    hist = by_k if s.selection is Selection.FIRST_PHOTON else by_k[::-1]
+    return int(single.sum()), int(multi.sum()), tuple(int(c) for c in hist)
+
+
+class TestQuietBinOrder:
+    """The plan reads the quiet counts k(r) from ``efficiency.quiet_bins``
+    and the filter pass from ``efficiency.quiet_bin_pass``; its tables and
+    histogram must match the first/last orientation written out by hand,
+    under both selections and both D0 readings."""
+
+    DESIGNS = [
+        (SourceParams(lam=0.3, eta_f=0.8, include_filter_in_d0=include),
+         scheme(12, detection=detection, topology=topology))
+        for include in (True, False)
+        for detection, topology in ((Detection.SINGLE_DETECTOR,
+                                     Topology.BINARY_DELAY),
+                                    (Detection.DETECTOR_ARRAY,
+                                     Topology.SINGLE_DELAY_LINE))]
+
+    @pytest.mark.parametrize("params,s", DESIGNS)
+    def test_tables_by_quiet_count(self, params, s):
+        t, w = _oriented_by_hand(params, s)
+        plan = _chunk_args(params, s)
+        _, _, t_by_k, w_by_k = plan.chunk_tables
+        assert plan.quiet == tuple(efficiency.quiet_bins(s))
+        assert t_by_k.tolist() == t.tolist()
+        assert w_by_k.tolist() == w.tolist()
+
+    @pytest.mark.parametrize("params,s", DESIGNS)
+    def test_histogram_in_bin_order(self, params, s):
+        r = estimate_eta(params, s, 20_000, seed=23)
+        assert (r.n_single, r.n_multi, r.per_bin_hist) == _one_chunk_by_hand(
+            params, s, 20_000, 23)
+        # a flip would show: the histogram is not a palindrome
+        assert r.n_multi > 0 and r.per_bin_hist != r.per_bin_hist[::-1]
+
+
 class TestDesignPlan:
     #: (params, scheme, keyword readings): two designs, each with a keyword
     #: reading, and the field form of design a's keyword reading

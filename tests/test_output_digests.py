@@ -9,7 +9,8 @@ N = 63 configuration with both reading flags.  A change that moves one
 byte of one answer, exit code or message fails here.  ``mc`` is left out:
 its sampler goes through ``np.log``, whose last bit may differ between
 CPUs.  Re-record only at a commit whose outputs are known to be right:
-``PYTHONPATH=src python tests/test_output_digests.py``.
+``PYTHONPATH=src python tests/test_output_digests.py``, which prints each
+case whose digest it changes before it rewrites the file.
 """
 import contextlib
 import hashlib
@@ -116,8 +117,15 @@ def test_output_keeps_its_bytes(key, recorded):
 
 
 if __name__ == "__main__":
+    try:
+        with open(PATH) as fh:
+            old = json.load(fh)
+    except FileNotFoundError:
+        old = {}
+    new = {key: digest(*args) for key, (digest, *args) in CASES.items()}
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(key)
     with open(PATH, "w") as fh:
-        json.dump({key: digest(*args)
-                   for key, (digest, *args) in CASES.items()},
-                  fh, indent=1, sort_keys=True)
+        json.dump(new, fh, indent=1, sort_keys=True)
         fh.write("\n")
