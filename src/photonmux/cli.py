@@ -6,6 +6,12 @@ write failure, such as a full disk), 2 configuration error (bad config
 file, bad flag combination), 3 numeric-domain error (arguments outside the
 modeled domain, bracket without a crossing).
 
+:func:`main` reads the config and applies the model flags before any
+subcommand runs, so a bad ``--config`` exits 2 for every subcommand, bell
+too, whose results do not depend on it.  Each subcommand's handler returns
+its ``--json`` payload and its text lines and prints nothing; ``main``
+writes the one it asked for.
+
 Only the subcommands that need them load :mod:`photonmux.app` (sweep,
 optimize, crossing, fig3), :mod:`photonmux.montecarlo` and numpy (mc) and
 :mod:`photonmux.bell` (bell); every subcommand loads config, model and
@@ -32,37 +38,6 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="flat key=value configuration file")
-    parser.add_argument("--json", action="store_true",
-                        help="print machine-readable JSON to stdout")
-    parser.add_argument("--literal-loss-exponent", action="store_true",
-                        help="treat the per-bin delay loss as a bare decadic "
-                             "exponent instead of decibels")
-    parser.add_argument("--d0-excludes-filter", action="store_true",
-                        help="drop the filtering-efficiency prefactor from "
-                             "the per-bin no-herald probability")
-
-
-class _OutputError(Exception):
-    """Standard output failed to take the result, other than by a closed
-    reader (which raises BrokenPipeError)."""
-
-
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    """Print the result and flush it, so that a failed write shows here
-    and not at exit."""
-    text = (json.dumps(payload, indent=2, sort_keys=True) if args.json
-            else "\n".join(text_lines))
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        raise
-    except OSError as exc:
-        raise _OutputError(exc) from exc
-
-
 def _load(args):
     """``load_config``, with the two model flags set on the params."""
     params, scheme = load_config(args.config)
@@ -70,8 +45,7 @@ def _load(args):
                    literal_exponent=args.literal_loss_exponent), scheme
 
 
-def _cmd_eval(args) -> int:
-    params, scheme = _load(args)
+def _cmd_eval(args, params, scheme) -> tuple[dict, list[str]]:
     breakdown = total_efficiency(params, scheme)
     eta_d = detection_efficiency(params, scheme)
     rate = generation_rate(params, scheme)
@@ -87,21 +61,19 @@ def _cmd_eval(args) -> int:
         "per_bin_success": list(breakdown.per_bin_success),
         "pic_transmission": list(breakdown.pic_transmission),
     }
-    _emit(args, payload, [
+    return payload, [
         f"eta_total          {breakdown.eta_total:.6f}",
         f"eta_detection      {eta_d:.6f}",
         f"no-herald prob d0  {breakdown.d0:.6f}",
         f"generation rate    {rate / 1e6:.1f} MHz",
         f"scheme             N={scheme.n_bins} {scheme.topology.value} "
         f"{scheme.detection.value} {scheme.selection.value}",
-    ])
-    return EXIT_OK
+    ]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, params, scheme) -> tuple[dict, list[str]]:
     from . import app  # eval, mc and bell do not need it
 
-    params, scheme = _load(args)
     values = app.sweep_values(args.param, args.values, args.min, args.max,
                               args.step)
     spec = app.SweepSpec(args.param, values, params, scheme)
@@ -119,41 +91,36 @@ def _cmd_sweep(args) -> int:
     if args.out:
         app.write_csv(args.out, (args.param, "eta"), curve.points)
         lines.append(f"# wrote {args.out}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args, params, scheme) -> tuple[dict, list[str]]:
     from . import app
 
-    params, scheme = _load(args)
     curve = app.optimize_bins(params, scheme, args.n_min, args.n_max)
     payload = {"label": curve.label, "best_n": curve.best_x,
                "eta_max": curve.eta_max}
-    _emit(args, payload, [
+    return payload, [
         f"best N   {curve.best_x}",
         f"eta_max  {curve.eta_max:.6f}",
         f"scheme   {curve.label}",
-    ])
-    return EXIT_OK
+    ]
 
 
-def _cmd_crossing(args) -> int:
+def _cmd_crossing(args, params, scheme) -> tuple[dict, list[str]]:
     from . import app
 
-    params, _ = _load(args)
     value = app.find_crossing(params, args.lo, args.hi, args.tol)
     eta_det = {d.value: v for d, v in PROTOCOL_ETA_DET.items()}
     topology = app.CROSSING_TOPOLOGY.value
     payload = {"crossing_eta_sw": value, "lo": args.lo, "hi": args.hi,
                "topology": topology, "eta_det": eta_det}
-    _emit(args, payload, [
+    return payload, [
         f"protocol crossing at eta_sw = {value:.4f}",
         f"compared on the {topology} topology with eta_det "
         + ", ".join(f"{d}={v}" for d, v in eta_det.items())
         + " (the configured topology and eta_det are not used)",
-    ])
-    return EXIT_OK
+    ]
 
 
 def _z_score(eta_hat: float, eta: float, n_trials: int) -> float | None:
@@ -166,10 +133,9 @@ def _z_score(eta_hat: float, eta: float, n_trials: int) -> float | None:
     return 0.0 if eta_hat == eta else None
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args, params, scheme) -> tuple[dict, list[str]]:
     from . import montecarlo  # loads numpy, which no other subcommand needs
 
-    params, scheme = _load(args)
     result = montecarlo.estimate_eta(params, scheme, args.trials, args.seed,
                                      workers=args.workers)
     analytic = total_efficiency(params, scheme).eta_total
@@ -188,21 +154,19 @@ def _cmd_mc(args) -> int:
         "seed": args.seed,
         "rng_algorithm": RNG_ALGORITHM,
     }
-    _emit(args, payload, [
+    return payload, [
         f"eta_hat    {result.eta_hat:.6f} +/- {result.std_err:.6f}",
         f"analytic   {analytic:.6f}  "
         f"(z = {'n/a' if z is None else format(z, '+.2f')})",
         f"outcomes   single={result.n_single} multi={result.n_multi} "
         f"vacuum={result.n_vacuum}",
         f"rng        {RNG_ALGORITHM} seed={args.seed}",
-    ])
-    return EXIT_OK
+    ]
 
 
-def _cmd_bell(args) -> int:
+def _cmd_bell(args, params, scheme) -> tuple[dict, list[str]]:
     from . import bell  # the Fock-space code no other subcommand needs
 
-    _load(args)  # a bad config exits 2; the results do not depend on it
     eta = args.eta
     if eta is not None and not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must be in [0, 1], got {eta}")
@@ -233,17 +197,14 @@ def _cmd_bell(args) -> int:
         payload["composed"] = {"eta": eta, "hbs4": hbs, "post_selected2": ps2}
         lines.append(f"composed at eta={eta}: hbs4={hbs:.6f} "
                      f"post-selected2={ps2:.6f}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_fig3(args) -> int:
+def _cmd_fig3(args, params, scheme) -> tuple[dict, list[str]]:
     from . import app
 
-    params, _ = _load(args)
     written = app.emit_fig3(args.out, params)
-    _emit(args, {"written": written}, [f"wrote {p}" for p in written])
-    return EXIT_OK
+    return {"written": written}, [f"wrote {p}" for p in written]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,13 +213,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-multiplexed heralded single-photon source models")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that every subcommand takes
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", metavar="PATH",
+                        help="flat key=value configuration file")
+    shared.add_argument("--json", action="store_true",
+                        help="print machine-readable JSON to stdout")
+    shared.add_argument("--literal-loss-exponent", action="store_true",
+                        help="treat the per-bin delay loss as a bare decadic "
+                             "exponent instead of decibels")
+    shared.add_argument("--d0-excludes-filter", action="store_true",
+                        help="drop the filtering-efficiency prefactor from "
+                             "the per-bin no-herald probability")
 
-    p = sub.add_parser("eval", help="efficiency breakdown at one design point")
-    _common_flags(p)
+    p = sub.add_parser("eval", parents=[shared],
+                       help="efficiency breakdown at one design point")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="sweep one parameter")
-    _common_flags(p)
+    p = sub.add_parser("sweep", parents=[shared], help="sweep one parameter")
     p.add_argument("--param", default="n_bins")
     p.add_argument("--min", type=float)
     p.add_argument("--max", type=float)
@@ -267,35 +239,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="CSV", help="write points as CSV")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("optimize", help="maximize efficiency over N")
-    _common_flags(p)
+    p = sub.add_parser("optimize", parents=[shared],
+                       help="maximize efficiency over N")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=N_MAX)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("crossing",
+    p = sub.add_parser("crossing", parents=[shared],
                        help="switch transmission equalizing the two protocols")
-    _common_flags(p)
     p.add_argument("--lo", type=float, default=0.85)
     p.add_argument("--hi", type=float, default=0.99)
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(func=_cmd_crossing)
 
-    p = sub.add_parser("mc", help="Monte Carlo validation run")
-    _common_flags(p)
+    p = sub.add_parser("mc", parents=[shared],
+                       help="Monte Carlo validation run")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("bell", help="entangled-state success probabilities")
-    _common_flags(p)
+    p = sub.add_parser("bell", parents=[shared],
+                       help="entangled-state success probabilities")
     p.add_argument("--eta", type=float,
                    help="source efficiency for the composed success numbers")
     p.set_defaults(func=_cmd_bell)
 
-    p = sub.add_parser("fig3", help="emit the reference-curve CSV files")
-    _common_flags(p)
+    p = sub.add_parser("fig3", parents=[shared],
+                       help="emit the reference-curve CSV files")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_fig3)
 
@@ -330,26 +301,29 @@ def _detach_stdout() -> None:
 def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
-    Everything written is flushed or closed before this returns: ``_emit``
-    flushes stdout, and files are written in ``with`` blocks.
+    The answer is written in one flushed print, so that a failed write
+    shows here and not at exit; files are written in ``with`` blocks.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except BrokenPipeError:
-        _detach_stdout()
-        return EXIT_BROKEN_PIPE
-    except _OutputError as exc:
-        _detach_stdout()
-        print(f"output error: cannot write to stdout: {exc}", file=sys.stderr)
-        return EXIT_BROKEN_PIPE
+        payload, text_lines = args.func(args, *_load(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json
+              else "\n".join(text_lines), flush=True)
+    except BrokenPipeError:
+        _detach_stdout()
+        return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        _detach_stdout()
+        print(f"output error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_BROKEN_PIPE
+    return EXIT_OK
 
 
 def run() -> NoReturn:

@@ -19,19 +19,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DomainError, switch_passes
+from .model import DomainError, check_depth, switch_passes
 
 PHASE_PI = math.pi
 
 
-def _exit_stage(n_bins: int) -> int:
-    """log2(n_bins), the index of the exit switch, the last of
-    ``switch_passes(n_bins)`` stages; DomainError unless n_bins is a power
-    of two >= 2."""
-    if n_bins < 2 or n_bins & (n_bins - 1):
+def _frame_depth(n_bins) -> int:
+    """``n_bins`` as the int :func:`check_depth` returns; DomainError
+    unless it is a power of two >= 2."""
+    n = check_depth(n_bins)
+    if n < 2 or n & (n - 1):
         raise DomainError(
-            f"switch phases need a power-of-two n_bins >= 2, got {n_bins}")
-    return switch_passes(n_bins) - 1
+            f"switch phases need a power-of-two n_bins >= 2, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:
     """(half period, offset) in bins of each stage's drive square wave, entry
     stage first: the stage's phase bit in bin r is
     ((r - 1 + offset) // half) % 2, 1 meaning pi."""
-    m = _exit_stage(n_bins)
+    m = switch_passes(n_bins) - 1  # log2(n_bins), the exit switch's index
     clocks = [(n_bins // 2, n_bins // 2)]
     if m >= 2:
         clocks.append((n_bins // 4, 0))
@@ -90,12 +90,14 @@ def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:
 
 
 def phase_schedule(n_bins: int) -> PhaseSchedule:
-    """Switch-phase matrix for a full frame; requires n_bins a power of two.
+    """Switch-phase matrix for a full frame; requires n_bins a power of two
+    no larger than ``MAX_BINS``.
 
     Bin r's row routes its photon through delay (n_bins - r) T.  Each column
     is one stage's divided-clock drive waveform (see :func:`clock_divisions`)
     sampled at the bin rate; :meth:`PhaseSchedule.decode_delay` inverts it.
     """
+    n_bins = _frame_depth(n_bins)
     clocks = _stage_clocks(n_bins)
     rows = tuple(
         tuple(PHASE_PI if ((r - 1 + offset) // half) % 2 else 0.0
@@ -107,7 +109,7 @@ def phase_schedule(n_bins: int) -> PhaseSchedule:
 def clock_divisions(n_bins: int) -> tuple[int, ...]:
     """Clock division factor per stage: the full period, in bins, of each
     stage's drive square wave."""
-    return tuple(2 * half for half, _ in _stage_clocks(n_bins))
+    return tuple(2 * half for half, _ in _stage_clocks(_frame_depth(n_bins)))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .model import (
     SchemeConfig,
     Selection,
     SourceParams,
+    as_integer,
     pair_pmf_array,
     with_readings,
 )
@@ -322,6 +323,8 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
     The chunk layout depends only on ``n_trials``, so the result is
     bit-stable across worker counts.
     """
+    n_trials = as_integer("n_trials", n_trials)
+    workers = as_integer("workers", workers)
     if not 1 <= n_trials <= MAX_TRIALS:
         raise DomainError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     if workers < 1:

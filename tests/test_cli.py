@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from photonmux.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     _z_score,
+    build_parser,
     main,
 )
 from photonmux.config import MAX_CONFIG_BYTES
@@ -399,18 +401,6 @@ class TestBell:
         assert proc.stderr.splitlines() == [
             f"domain error: eta must be in [0, 1], got {float(eta)}"]
 
-    @pytest.mark.parametrize("text", [None, "nonsense = 1\n",
-                                      "n_bins = 8\nn_bins = 8\n"],
-                             ids=["missing", "unknown-key", "repeated-key"])
-    def test_bad_config_exits_config_error(self, tmp_path, text):
-        cfg = tmp_path / "bell.cfg"
-        if text is not None:
-            cfg.write_text(text)
-        proc = run_cli("bell", "--config", str(cfg))
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-
     def test_valid_config_and_flags_leave_the_output_unchanged(self, tmp_path):
         cfg = tmp_path / "bell.cfg"
         cfg.write_text("lambda = 0.3\npair_dist = thermal\ndetection = array\n")
@@ -526,18 +516,65 @@ class TestNoTraceback:
                         reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"],
                              ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [["eval", "--json"], ["eval"],
-                                      ["bell", "--json"]])
-    def test_full_stdout(self, argv, unbuffered):
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--json"], ["eval"], ["bell", "--json"],
+        ["sweep", "--values", "8", "--out", "{tmp}/c.csv"]])
+    def test_full_stdout(self, capsys, tmp_path, argv, unbuffered):
         # every write to /dev/full fails with ENOSPC; buffered, the failure
         # shows at the flush, unbuffered at the first write
         with open("/dev/full", "w") as full:
-            proc = _fresh_python("-m", "photonmux.cli", *argv, stdout=full,
-                                 PYTHONUNBUFFERED=unbuffered)
+            proc = _fresh_python("-m", "photonmux.cli",
+                                 *(arg.format(tmp=tmp_path) for arg in argv),
+                                 stdout=full, PYTHONUNBUFFERED=unbuffered)
         assert proc.returncode == 1
         [message] = proc.stderr.splitlines()
         assert message.startswith("output error: cannot write to stdout: ")
         assert "No space left on device" in message
+        if "--out" in argv:
+            # the handler writes its file before the answer is printed
+            assert main(["sweep", "--values", "8", "--out",
+                         str(tmp_path / "ref.csv")]) == EXIT_OK
+            assert ((tmp_path / "c.csv").read_text()
+                    == (tmp_path / "ref.csv").read_text())
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand of ``build_parser()`` and its parser."""
+    [sub] = [action for action in build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestEverySubcommand:
+    """The flags and the config that all subcommands share."""
+
+    def test_takes_the_shared_flags(self, tmp_path):
+        shared = ["--config", "c.cfg", "--json", "--literal-loss-exponent",
+                  "--d0-excludes-filter"]
+        for name, sub in _subcommands().items():
+            required = [text for action in sub._actions if action.required
+                        for text in (action.option_strings[0], "x")]
+            args = build_parser().parse_args([name, *shared, *required])
+            assert (args.config, args.json, args.literal_loss_exponent,
+                    args.d0_excludes_filter) == ("c.cfg", True, True, True)
+
+    @pytest.mark.parametrize("text", [None, "nonsense = 1\n",
+                                      "n_bins = 8\nn_bins = 8\n"],
+                             ids=["missing", "unknown-key", "repeated-key"])
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["sweep"], ["optimize"], ["crossing"],
+        ["mc", "--trials", "10"], ["bell"], ["fig3", "--out", "{tmp}/out"]],
+        ids=lambda argv: argv[0])
+    def test_bad_config_exits_config_error(self, capsys, tmp_path, text,
+                                           argv):
+        # the config is read before the subcommand runs, so fig3 writes
+        # nothing
+        cfg = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert_rejected(capsys, [*argv, "--config", str(cfg)], EXIT_CONFIG)
+        assert not (tmp_path / "out").exists()
 
 
 class TestDepthCap:

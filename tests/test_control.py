@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from photonmux.control import (
@@ -42,6 +43,9 @@ class TestPhaseSchedule:
     def test_eight_bin_table_verbatim(self):
         sched = phase_schedule(8)
         assert sched.stage_count == 4
+        # a numpy-integer depth gives the same schedule, with an int n_bins
+        assert phase_schedule(np.int64(8)) == sched
+        assert type(phase_schedule(np.int64(8)).n_bins) is int
         for bin_index, delay, phases in EIGHT_BIN_TABLE:
             assert sched.row(bin_index) == pytest.approx(phases)
             assert sched.decode_delay(bin_index) == delay
@@ -66,7 +70,7 @@ class TestPhaseSchedule:
         assert n.bit_length() == stages == switch_passes(n)
         assert pic == (0.5 ** stages,) * n
 
-    @pytest.mark.parametrize("bad", [1, 3, 6, 12, 100])
+    @pytest.mark.parametrize("bad", [1, 3, 6, 12, 100, 8.0, 2 * MAX_BINS])
     def test_rejects_non_power_of_two(self, bad):
         with pytest.raises(DomainError):
             phase_schedule(bad)
@@ -89,6 +93,7 @@ class TestStageColumns:
         assert clock_divisions(2) == (2, 2)
         assert clock_divisions(4) == (4, 2, 2)
         assert clock_divisions(8) == (8, 4, 4, 2)
+        assert clock_divisions(np.int64(8)) == (8, 4, 4, 2)
         assert clock_divisions(16) == (16, 8, 8, 4, 2)
         # each division is the least period of its column over two frames
         for n in POWERS_OF_TWO:

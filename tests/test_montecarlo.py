@@ -191,10 +191,15 @@ class TestEstimateEta:
             first, *rest = (estimate_eta(p, s, n_trials, seed=5, workers=w)
                             for w in workers)
             assert all(r == first for r in rest)
+        # numpy integers are read as the ints they hold
+        assert estimate_eta(p, s, np.int64(n_trials), seed=np.int64(5),
+                            workers=np.int64(2)) == first
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(DomainError, match="workers must be >= 1"):
+    @pytest.mark.parametrize("workers,message", [
+        (0, ">= 1"), (-3, ">= 1"), (1.5, "an integer")],
+        ids=["0", "-3", "1.5"])
+    def test_rejects_fewer_than_one_worker(self, workers, message):
+        with pytest.raises(DomainError, match=f"workers must be {message}"):
             estimate_eta(SourceParams(), scheme(8), 10_000, seed=1,
                          workers=workers)
 
@@ -293,9 +298,11 @@ class TestEstimateEta:
         sigma = math.sqrt(analytic * (1 - analytic) / n)
         assert abs(mean - analytic) < 3 * sigma / math.sqrt(50)
 
-    @pytest.mark.parametrize("n_trials", [0, MAX_TRIALS + 1])
-    def test_rejects_empty_run(self, n_trials):
-        with pytest.raises(DomainError, match="n_trials must be in"):
+    @pytest.mark.parametrize("n_trials,message", [
+        (0, "in"), (MAX_TRIALS + 1, "in"), (100.0, "an integer")],
+        ids=["0", str(MAX_TRIALS + 1), "100.0"])
+    def test_rejects_empty_run(self, n_trials, message):
+        with pytest.raises(DomainError, match=f"n_trials must be {message}"):
             estimate_eta(SourceParams(), scheme(4), n_trials, seed=0)
 
 

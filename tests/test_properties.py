@@ -5,6 +5,7 @@ The parser tests never evaluate a generated ``n_bins``, because a large N
 makes a single evaluation arbitrarily slow; the command-line test caps every
 evaluation it can reach (see its docstring).
 """
+import argparse
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ from photonmux.config import (
     ConfigError,
     parse_config,
 )
-from photonmux.cli import main
+from photonmux.cli import build_parser, main
 from photonmux.model import DomainError
 
 BOUNDARY = settings(deadline=None, derandomize=True, database=None)
@@ -184,6 +185,14 @@ def test_cli_exits_0_2_or_3(argv, config):
     assert code in (0, 2, 3)
     if code == 0 and "--json" in argv:
         json.loads(stdout.getvalue(), parse_constant=_reject_non_finite)
+
+
+def test_fuzz_covers_every_subcommand():
+    """``SUBCOMMAND_FLAGS`` names each subcommand of the parser, so that
+    none can skip :func:`test_cli_exits_0_2_or_3`."""
+    [sub] = [action for action in build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    assert set(SUBCOMMAND_FLAGS) - {"sweep-values"} == set(sub.choices)
 
 
 def _reject_non_finite(name):
