@@ -538,20 +538,15 @@ class TestNoTraceback:
                     == (tmp_path / "ref.csv").read_text())
 
 
-def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand of ``build_parser()`` and its parser."""
-    [sub] = [action for action in build_parser()._actions
-             if isinstance(action, argparse._SubParsersAction)]
-    return sub.choices
-
-
 class TestEverySubcommand:
     """The flags and the config that all subcommands share."""
 
-    def test_takes_the_shared_flags(self, tmp_path):
+    def test_takes_the_shared_flags(self):
         shared = ["--config", "c.cfg", "--json", "--literal-loss-exponent",
                   "--d0-excludes-filter"]
-        for name, sub in _subcommands().items():
+        [subparsers] = [action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        for name, sub in subparsers.choices.items():
             required = [text for action in sub._actions if action.required
                         for text in (action.option_strings[0], "x")]
             args = build_parser().parse_args([name, *shared, *required])
