@@ -30,7 +30,8 @@ from typing import NoReturn
 from . import __version__
 from .config import ConfigError, load_config
 from .efficiency import detection_efficiency, generation_rate, total_efficiency
-from .model import N_MAX, PROTOCOL_ETA_DET, RNG_ALGORITHM, DomainError
+from .model import (N_MAX, PROTOCOL_ETA_DET, RNG_ALGORITHM, DomainError,
+                    check_unit)
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1  # standard output did not take the result
@@ -168,8 +169,8 @@ def _cmd_bell(args, params, scheme) -> tuple[dict, list[str]]:
     from . import bell  # the Fock-space code no other subcommand needs
 
     eta = args.eta
-    if eta is not None and not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must be in [0, 1], got {eta}")
+    if eta is not None:
+        check_unit("eta", eta)
     enum = bell.hbs_enumeration()
     two_prob, _ = bell.two_source_enumeration()
     payload = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DomainError, check_depth, switch_passes
+from .model import DomainError, as_integer, check_depth, switch_passes
 
 PHASE_PI = math.pi
 
@@ -51,10 +51,8 @@ class PhaseSchedule:
         return len(self.phases[0])
 
     def row(self, bin_index: int) -> tuple[float, ...]:
-        if not 1 <= bin_index <= self.n_bins:
-            raise DomainError(
-                f"bin index must be in [1, {self.n_bins}], got {bin_index}")
-        return self.phases[bin_index - 1]
+        i = as_integer("bin index", bin_index, 1, self.n_bins)
+        return self.phases[i - 1]
 
     def decode_delay(self, bin_index: int) -> int:
         """Recover the delay (in bins) encoded by one row of phases.

@@ -36,6 +36,7 @@ from .model import (
     Topology,
     as_integer,
     check_depth,
+    check_unit,
     pair_generating_derivative,
     pair_generating_function,
     switch_passes,
@@ -87,8 +88,7 @@ def no_herald_probability(params: SourceParams, eta_d: float) -> float:
     the bin passes the filter: :func:`quiet_bin_pass` times G(1 - eta_d),
     the chance that every pair of the bin escapes detection.
     """
-    if not 0.0 <= eta_d <= 1.0:
-        raise DomainError(f"eta_d must be in [0, 1], got {eta_d}")
+    check_unit("eta_d", eta_d)
     return quiet_bin_pass(params) * pair_generating_function(params,
                                                              1.0 - eta_d)
 
@@ -204,11 +204,8 @@ def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
     equally likely placements; the ratio of the exact integers is correctly
     rounded.
     """
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    if not 1 <= n_occupied <= n_bins:
-        raise DomainError(
-            f"occupied-bin count must be in [1, {n_bins}], got {n_occupied}")
+    n_bins = check_depth(n_bins)
+    n_occupied = as_integer("n_occupied", n_occupied, 1, n_bins)
     total = math.comb(n_bins, n_occupied)
     return [math.comb(p - 1, n_occupied - 1) / total
             for p in range(1, n_bins + 1)]
@@ -217,10 +214,9 @@ def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:
 def occupied_bins(n_bins: int, lam: float) -> int:
     """Expected number of occupied bins, ceil(lam * N), of the fig3c
     delay-line model.  A mean pair parameter above 1 would occupy more bins
-    than the frame has.  A depth that is not an integer >= 1 raises
-    DomainError."""
-    if as_integer("n_bins", n_bins) < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
+    than the frame has.  A depth that is not an integer in 1..MAX_BINS
+    raises DomainError."""
+    n_bins = check_depth(n_bins)
     if not 0 < lam <= 1:
         raise DomainError(f"lam must be in (0, 1], got {lam}")
     return math.ceil(lam * n_bins)

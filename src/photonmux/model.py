@@ -74,6 +74,10 @@ def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
     ``c * period / group_index``; the linear propagation loss over that length
     is the per-bin increment used by the transmission model.
     """
+    args = (alpha_lin_db_per_cm, group_index, period)
+    if not all(map(math.isfinite, args)):
+        raise DomainError(
+            f"loss, group index and period must be finite, got {args}")
     if alpha_lin_db_per_cm < 0 or group_index <= 0 or period <= 0:
         raise DomainError("loss, group index and period must be positive")
     length_cm = SPEED_OF_LIGHT * period / group_index * 100.0
@@ -85,7 +89,8 @@ def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
 DEFAULT_ALPHA_INC = incremental_loss_db()
 
 
-def _check_unit(name: str, value: float) -> None:
+def check_unit(name: str, value: float) -> None:
+    """DomainError unless ``value`` lies in [0, 1] (NaN does not)."""
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
@@ -136,7 +141,7 @@ class SourceParams:
         if self.alpha_inc < 0:
             raise DomainError(f"alpha_inc must be >= 0, got {self.alpha_inc}")
         for name in ("eta_f", "eta_c", "eta_sw", "eta_det", "eta_conv"):
-            _check_unit(name, getattr(self, name))
+            check_unit(name, getattr(self, name))
 
     @classmethod
     def table_defaults(cls, detection: Detection = Detection.SINGLE_DETECTOR,
@@ -167,24 +172,26 @@ CANONICAL_SELECTION = {
 }
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` as an int (a numpy integer too), or DomainError."""
+def as_integer(name: str, value, lo: int | None = None,
+               hi: int | None = None) -> int:
+    """``value`` as an int (a numpy integer too); DomainError unless it is
+    an integer in lo..hi, where a bound of None is no bound."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise DomainError(
             f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and n < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise DomainError(f"{name} must be <= {hi}, got {n}")
+    return n
 
 
 def check_depth(n_bins) -> int:
     """``n_bins`` as an int; DomainError unless it is an integer in
     1..MAX_BINS."""
-    n = as_integer("n_bins", n_bins)
-    if n < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n}")
-    if n > MAX_BINS:
-        raise DomainError(f"n_bins must be <= {MAX_BINS}, got {n}")
-    return n
+    return as_integer("n_bins", n_bins, 1, MAX_BINS)
 
 
 def switch_passes(n_bins: int) -> int:
@@ -229,8 +236,7 @@ def pair_count_distribution(params: SourceParams, n: int) -> float:
     sum is e^-lam / (1 - lam/2)^2, so that the distribution is exactly
     normalized and can be sampled.
     """
-    if n < 0:
-        raise DomainError(f"pair count must be >= 0, got {n}")
+    n = as_integer("pair count", n, 0)
     lam = params.lam
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0

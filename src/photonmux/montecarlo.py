@@ -105,17 +105,12 @@ class EstimatorResult:
         return self.n_multi / emitted if emitted else 0.0
 
 
-def _check_seed(seed) -> None:
-    # numpy's SeedSequence raises a bare ValueError for a negative entropy
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-
-
 def _as_rng(rng_seed) -> np.random.Generator:
+    """``rng_seed`` itself when it is a Generator, else a generator seeded
+    with it, which must be an integer >= 0."""
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed
-    _check_seed(rng_seed)
-    return np.random.default_rng(rng_seed)
+    return np.random.default_rng(as_integer("seed", rng_seed, 0))
 
 
 def _sample_pairs(params: SourceParams, rng: np.random.Generator,
@@ -323,15 +318,9 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
     The chunk layout depends only on ``n_trials``, so the result is
     bit-stable across worker counts.
     """
-    n_trials = as_integer("n_trials", n_trials)
-    workers = as_integer("workers", workers)
-    if not 1 <= n_trials <= MAX_TRIALS:
-        raise DomainError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise DomainError(f"workers must be <= {MAX_WORKERS}, got {workers}")
-    _check_seed(seed)
+    n_trials = as_integer("n_trials", n_trials, 1, MAX_TRIALS)
+    workers = as_integer("workers", workers, 1, MAX_WORKERS)
+    seed = as_integer("seed", seed, 0)
     sizes = [_CHUNK_TRIALS] * (n_trials // _CHUNK_TRIALS)
     if n_trials % _CHUNK_TRIALS:
         sizes.append(n_trials % _CHUNK_TRIALS)
@@ -365,10 +354,9 @@ def estimate_avg_lin(params: SourceParams, n_bins: int, lam: float,
     uniformly without replacement (the order-statistics reading checked
     against the closed-form weights).
     """
-    if n_trials < 1:
-        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = as_integer("n_trials", n_trials, 1, MAX_TRIALS)
     n_occ = efficiency.occupied_bins(n_bins, lam)
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     # an oracle for avg_linear_transmission keeps its own delay-loss formula
     exponent = -params.alpha_inc * (n_bins - np.arange(1, n_bins + 1))
     trans = 10.0 ** (exponent if params.literal_exponent else exponent / 10.0)

@@ -48,7 +48,15 @@ class TestPhaseSchedule:
         assert type(phase_schedule(np.int64(8)).n_bins) is int
         for bin_index, delay, phases in EIGHT_BIN_TABLE:
             assert sched.row(bin_index) == pytest.approx(phases)
+            assert sched.row(np.int64(bin_index)) == sched.row(bin_index)
             assert sched.decode_delay(bin_index) == delay
+
+    @pytest.mark.parametrize("bin_index,message", [
+        (0, ">= 1, got 0$"), (9, "<= 8, got 9$"),
+        (1.5, "an integer, got 1.5$")], ids=["0", "9", "1.5"])
+    def test_row_rejects_a_bin_outside_the_frame(self, bin_index, message):
+        with pytest.raises(DomainError, match=f"^bin index must be {message}"):
+            phase_schedule(8).row(bin_index)
 
     @pytest.mark.parametrize("n", POWERS_OF_TWO)
     def test_round_trip_delay(self, n):

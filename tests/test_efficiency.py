@@ -10,6 +10,7 @@ from photonmux.efficiency import (
     generation_rate,
     last_photon_weights,
     no_herald_probability,
+    occupied_bins,
     pic_transmission,
     quiet_bin_pass,
     total_efficiency,
@@ -313,6 +314,24 @@ class TestAvgLinearTransmission:
     def test_overfull_frame_rejected(self):
         with pytest.raises(DomainError):
             avg_linear_transmission(SourceParams(), 10, 1.5)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: occupied_bins(MAX_BINS + 1, 0.1),
+         f"n_bins must be <= {MAX_BINS}, got {MAX_BINS + 1}$"),
+        (lambda: last_photon_weights(MAX_BINS + 1, 1),
+         f"n_bins must be <= {MAX_BINS}, got {MAX_BINS + 1}$"),
+        (lambda: last_photon_weights(8.0, 2),
+         "n_bins must be an integer, got 8.0$"),
+        (lambda: last_photon_weights(8, 8.0),
+         "n_occupied must be an integer, got 8.0$"),
+        (lambda: last_photon_weights(8, 9), "n_occupied must be <= 8, got 9$"),
+        (lambda: last_photon_weights(8, 0), "n_occupied must be >= 1, got 0$")],
+        ids=["occupied-over-cap", "weights-over-cap",
+             "weights-float-depth", "weights-float-count",
+             "weights-overfull", "weights-empty"])
+    def test_counts_read_by_the_depth_rule(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            call()
 
     @pytest.mark.parametrize("lam", [0.0, -0.1, math.nan, math.inf])
     def test_lambda_outside_unit_interval_rejected(self, lam):

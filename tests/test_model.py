@@ -39,6 +39,24 @@ class TestSourceParams:
         assert DEFAULT_ALPHA_INC == pytest.approx(0.03, abs=2e-4)
         assert incremental_loss_db(0.1, 4.0, 40e-12) == DEFAULT_ALPHA_INC
 
+    @pytest.mark.parametrize("args,message", [
+        ((math.nan, 4.0, 40e-12), "must be finite"),
+        ((math.inf, 4.0, 40e-12), "must be finite"),
+        ((0.1, math.inf, 40e-12), "must be finite"),
+        ((0.1, math.nan, 40e-12), "must be finite"),
+        ((0.1, 4.0, math.inf), "must be finite"),
+        ((0.1, 4.0, -math.inf), "must be finite"),
+        ((-0.1, 4.0, 40e-12), "must be positive"),
+        ((0.1, 0.0, 40e-12), "must be positive"),
+        ((0.1, 4.0, -40e-12), "must be positive")],
+        ids=["nan-loss", "inf-loss", "inf-index", "nan-index", "inf-period",
+             "-inf-period", "negative-loss", "zero-index", "negative-period"])
+    def test_incremental_loss_rejects_bad_arguments(self, args, message):
+        with pytest.raises(
+                DomainError,
+                match=f"^loss, group index and period {message}"):
+            incremental_loss_db(*args)
+
     @pytest.mark.parametrize("field,value", [
         ("lam", -0.1), ("period", 0.0), ("alpha_inc", -1e-3),
         ("eta_f", 1.2), ("eta_c", -0.1), ("eta_sw", 2.0),
@@ -131,6 +149,9 @@ class TestPairCountDistribution:
     def test_negative_count_rejected(self):
         with pytest.raises(DomainError):
             pair_count_distribution(SourceParams(), -1)
+        with pytest.raises(DomainError,
+                           match="^pair count must be an integer, got 1.5$"):
+            pair_count_distribution(SourceParams(), 1.5)
 
     def test_thermal_needs_lam_below_two(self):
         p = SourceParams(lam=1.9999, pair_dist=PairDistribution.THERMAL_APPROX)

@@ -13,6 +13,7 @@ from photonmux.efficiency import (
 )
 from photonmux.control import HeraldFrame, select_first, select_last
 from photonmux.model import (
+    MAX_BINS,
     Detection,
     DomainError,
     PairDistribution,
@@ -85,6 +86,8 @@ class TestRunFrame:
         a = run_frame(SourceParams(), scheme(16), 1234)
         b = run_frame(SourceParams(), scheme(16), 1234)
         assert a == b
+        # a numpy-integer seed is read as the int it holds
+        assert run_frame(SourceParams(), scheme(16), np.int64(1234)) == a
 
     def test_different_seeds_differ(self):
         records = {run_frame(SourceParams(), scheme(16), s).pair_counts
@@ -210,12 +213,18 @@ class TestEstimateEta:
             estimate_eta(SourceParams(), scheme(8), 10_000, seed=1,
                          workers=workers)
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
-    def test_rejects_negative_seed(self, seed):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
-            estimate_eta(SourceParams(), scheme(4), 100, seed=seed)
-        with pytest.raises(DomainError, match="seed must be >= 0"):
-            run_frame(SourceParams(), scheme(4), seed)
+    @pytest.mark.parametrize("seed,message", [
+        (-1, ">= 0, got -1$"), (np.int64(-7), ">= 0, got -7$"),
+        (1.5, "an integer, got 1.5$"), ("3", "an integer, got '3'$"),
+        (None, "an integer, got None$")],
+        ids=["-1", "seed1", "1.5", "'3'", "None"])
+    def test_rejects_negative_seed(self, seed, message):
+        for call in (
+                lambda: estimate_eta(SourceParams(), scheme(4), 100, seed=seed),
+                lambda: run_frame(SourceParams(), scheme(4), seed),
+                lambda: estimate_avg_lin(SourceParams(), 8, 0.3, 100, seed)):
+            with pytest.raises(DomainError, match=f"^seed must be {message}"):
+                call()
 
     def test_no_pumping_estimates_zero(self):
         r = estimate_eta(SourceParams(lam=0.0), scheme(8), 10_000, seed=1)
@@ -299,11 +308,16 @@ class TestEstimateEta:
         assert abs(mean - analytic) < 3 * sigma / math.sqrt(50)
 
     @pytest.mark.parametrize("n_trials,message", [
-        (0, "in"), (MAX_TRIALS + 1, "in"), (100.0, "an integer")],
+        (0, ">= 1, got 0$"),
+        (MAX_TRIALS + 1, f"<= {MAX_TRIALS}, got {MAX_TRIALS + 1}$"),
+        (100.0, "an integer")],
         ids=["0", str(MAX_TRIALS + 1), "100.0"])
     def test_rejects_empty_run(self, n_trials, message):
         with pytest.raises(DomainError, match=f"n_trials must be {message}"):
             estimate_eta(SourceParams(), scheme(4), n_trials, seed=0)
+        # the fig3c oracle reads its trial count by the same rule
+        with pytest.raises(DomainError, match=f"n_trials must be {message}"):
+            estimate_avg_lin(SourceParams(), 8, 0.3, n_trials, seed=0)
 
 
 def _reference_frame(params, scheme, rng):
@@ -597,7 +611,7 @@ class TestDesignPlan:
 class TestEstimateAvgLin:
     @pytest.mark.parametrize("n_bins,lam", [
         *((10, lam) for lam in (math.nan, math.inf, 0.0, -0.1, 1.5)),
-        (0, 0.1), (-3, 0.1)])
+        (0, 0.1), (-3, 0.1), (MAX_BINS + 1, 0.1)])
     def test_rejects_what_the_closed_form_rejects(self, n_bins, lam):
         with pytest.raises(DomainError):
             estimate_avg_lin(SourceParams(), n_bins, lam, 10, seed=1)
@@ -607,6 +621,12 @@ class TestEstimateAvgLin:
     def test_lossless_chip_is_unity(self):
         p = SourceParams(alpha_inc=0.0)
         assert estimate_avg_lin(p, 40, 0.1, 5_000, seed=0) == pytest.approx(1.0)
+
+    def test_numpy_integers_read_as_ints(self):
+        p = SourceParams()
+        assert estimate_avg_lin(p, np.int64(40), 0.1, np.int64(2_000),
+                                np.int64(3)) == \
+            estimate_avg_lin(p, 40, 0.1, 2_000, 3)
 
     def _sigma(self, params, n, n_occ, trials):
         weights = last_photon_weights(n, n_occ)
