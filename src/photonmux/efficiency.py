@@ -17,9 +17,11 @@ P(i) (1 - q^i) i t_r (1 - t_r)^(i-1) in closed form.  The Monte Carlo engine
 in :mod:`photonmux.montecarlo` realizes the same process stochastically and
 is used as the independent cross-check.
 
-:func:`eta_curve` gives eta at many N: eta_d, D0, G' and the delay
-transmissions do not depend on N and are built once per curve.
-:func:`total_efficiency` is the one-N case of the same code.
+:func:`eta_curve` gives eta at many N: eta_d, D0, the D0^k table and the
+delay transmissions do not depend on N and are built once per curve.  B(r)
+is one loop per pair law with G' written inline, in the operation order of
+:func:`photonmux.model.pair_generating_derivative`, which stays the
+reference G'.  :func:`total_efficiency` is the one-N case of the same code.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .model import (
     DETECTOR_ARRAY_SIZE,
     Detection,
     DomainError,
+    PairDistribution,
     Selection,
     SchemeConfig,
     SourceParams,
@@ -37,7 +40,6 @@ from .model import (
     as_integer,
     check_depth,
     check_unit,
-    pair_generating_derivative,
     pair_generating_function,
     switch_passes,
     with_readings,
@@ -147,22 +149,43 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     """(D0, chip transmissions, B(r)) of every N in ``n_values``, in order;
     ``scheme.n_bins`` is not read.
 
-    eta_d, D0, q, G' and the delay table depend on the design but not on N,
-    so they are built once for the whole sequence.
+    eta_d, D0, q, the D0^k table and the delay table depend on the design
+    but not on N, so they are built once for the whole sequence.  B(r) is
+    one comprehension per pair law with G' written inline, in the operation
+    order of :func:`photonmux.model.pair_generating_derivative`, so every
+    value keeps the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
     """
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d)
     q = 1.0 - eta_d
-    g1 = pair_generating_derivative(params)
-    delay = delay_table(params, max(n_values, default=0))
+    n_max = max(n_values, default=0)
+    powers = [d0_val ** k for k in range(n_max)]
+    delay = delay_table(params, n_max)
     topology, selection = scheme.topology, scheme.selection
+    lam = params.lam
+    poisson = params.pair_dist is PairDistribution.POISSON
+    if poisson:
+        exp = math.exp
+    else:
+        x = lam / 2.0
+        scale = 2.0 * x * (1.0 - x) ** 2
     for n in n_values:
         pic = _frame(params, topology, n, delay)
         # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
         # of its signal photons survives the chip (see the module docstring)
-        yield d0_val, pic, [
-            d0_val ** k * (t * (g1(1.0 - t) - q * g1(q * (1.0 - t))))
-            for k, t in zip(_quiet(selection, n), pic)]
+        if poisson:
+            per_bin = [
+                powers[k] * (t * (lam * exp(lam * ((1.0 - t) - 1.0))
+                                  - q * (lam * exp(lam * (q * (1.0 - t)
+                                                          - 1.0)))))
+                for k, t in zip(_quiet(selection, n), pic)]
+        else:
+            per_bin = [
+                powers[k] * (t * (scale / (1.0 - x * (1.0 - t)) ** 3
+                                  - q * (scale / (1.0 - x * (q * (1.0 - t)))
+                                         ** 3)))
+                for k, t in zip(_quiet(selection, n), pic)]
+        yield d0_val, pic, per_bin
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,

@@ -175,12 +175,14 @@ CANONICAL_SELECTION = {
 def as_integer(name: str, value, lo: int | None = None,
                hi: int | None = None) -> int:
     """``value`` as an int (a numpy integer too); DomainError unless it is
-    an integer in lo..hi, where a bound of None is no bound."""
+    an integer in lo..hi, where a bound of None is no bound.  A bool is not
+    read as the 0 or 1 it holds."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise DomainError(
-            f"{name} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if lo is not None and n < lo:
         raise DomainError(f"{name} must be >= {lo}, got {n}")
     if hi is not None and n > hi:

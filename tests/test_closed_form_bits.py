@@ -14,7 +14,11 @@ import os
 
 import pytest
 
-from photonmux.efficiency import total_efficiency
+from photonmux.efficiency import (
+    detection_efficiency,
+    quiet_bins,
+    total_efficiency,
+)
 from photonmux.model import (
     Detection,
     PairDistribution,
@@ -22,6 +26,7 @@ from photonmux.model import (
     Selection,
     SourceParams,
     Topology,
+    pair_generating_derivative,
 )
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -70,6 +75,48 @@ def test_every_design_is_recorded(recorded):
 @pytest.mark.parametrize("key", list(DESIGNS))
 def test_total_efficiency_keeps_its_bits(key, recorded):
     assert _bits(*DESIGNS[key]) == recorded[key]
+
+
+POISSON, THERMAL = PairDistribution.POISSON, PairDistribution.THERMAL_APPROX
+#: Designs the pinned ones do not reach: no pumping on either law, a thermal
+#: source at the edge of its domain, a perfect herald (q = 0), a chip that
+#: passes nothing (t = 0) and one that loses nothing (t = 1).
+EDGE_PARAMS = {
+    "poisson-lam=0": SourceParams(lam=0.0, pair_dist=POISSON),
+    "thermal-lam=0": SourceParams(lam=0.0, pair_dist=THERMAL),
+    "thermal-lam=1.999": SourceParams(lam=1.999, pair_dist=THERMAL),
+    "poisson-eta_d=1": SourceParams(lam=0.3, eta_conv=1.0, eta_det=1.0),
+    "thermal-eta_d=1": SourceParams(lam=0.7, pair_dist=THERMAL,
+                                    eta_conv=1.0, eta_det=1.0),
+    "poisson-eta_sw=0": SourceParams(lam=0.3, eta_sw=0.0),
+    "thermal-eta_sw=0": SourceParams(lam=0.7, pair_dist=THERMAL, eta_sw=0.0),
+    **{f"{dist.value}-lossless": SourceParams(
+        lam=0.5, pair_dist=dist, eta_f=1.0, eta_c=1.0, eta_sw=1.0,
+        eta_det=1.0, eta_conv=1.0, alpha_inc=0.0)
+       for dist in (POISSON, THERMAL)},
+}
+
+
+@pytest.mark.parametrize("selection", Selection)
+@pytest.mark.parametrize("topology", Topology)
+@pytest.mark.parametrize("key", list(EDGE_PARAMS))
+def test_per_bin_success_is_the_model_derivative_expression(
+        key, topology, selection):
+    # B(r) writes G' inline; it must keep the bits of the expression built
+    # on the model's G'
+    params = EDGE_PARAMS[key]
+    g1 = pair_generating_derivative(params)
+    for n in (1, 7, 64):
+        scheme = SchemeConfig(n_bins=n, topology=topology, selection=selection,
+                              allow_mismatched_selection=True)
+        result = total_efficiency(params, scheme)
+        q = 1.0 - detection_efficiency(params, scheme)
+        d0 = result.d0
+        expected = [d0 ** k * (t * (g1(1.0 - t) - q * g1(q * (1.0 - t))))
+                    for k, t in zip(quiet_bins(scheme),
+                                    result.pic_transmission)]
+        assert list(map(float.hex, result.per_bin_success)) == list(
+            map(float.hex, expected)), n
 
 
 if __name__ == "__main__":

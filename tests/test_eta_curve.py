@@ -109,7 +109,8 @@ def test_empty_curve():
     ((math.nan,), "n_bins must be an integer, got nan"),
     ((4, math.nan, 8), "n_bins must be an integer, got nan"),
     ((31.0,), "n_bins must be an integer, got 31.0"),
-    ((2.5, 4), "n_bins must be an integer, got 2.5")])
+    ((2.5, 4), "n_bins must be an integer, got 2.5"),
+    ((4, True), "n_bins must be an integer, got True")])
 def test_depth_outside_the_cap_is_rejected(n_values, message):
     with pytest.raises(DomainError, match=message):
         eta_curve(SourceParams(), SchemeConfig(n_bins=1), n_values)
@@ -119,12 +120,13 @@ def test_depth_outside_the_cap_is_rejected(n_values, message):
     lambda: SchemeConfig(n_bins=31.0),
     lambda: SchemeConfig(n_bins=math.nan),
     lambda: SchemeConfig(n_bins=2.5),
+    lambda: SchemeConfig(n_bins=True),
     lambda: optimize_bins(SourceParams(), SchemeConfig(n_bins=1), 1.5, 8),
     lambda: optimize_bins(SourceParams(), SchemeConfig(n_bins=1), 1, math.nan),
     lambda: avg_linear_transmission(SourceParams(), 2.5, 0.5),
     lambda: avg_linear_transmission(SourceParams(), math.nan, 0.5),
-], ids=["scheme-float", "scheme-nan", "scheme-fraction", "n_min-fraction",
-        "n_max-nan", "fig3c-fraction", "fig3c-nan"])
+], ids=["scheme-float", "scheme-nan", "scheme-fraction", "scheme-bool",
+        "n_min-fraction", "n_max-nan", "fig3c-fraction", "fig3c-nan"])
 def test_depth_that_is_not_an_integer_is_rejected(build):
     with pytest.raises(DomainError, match="must be an integer"):
         build()

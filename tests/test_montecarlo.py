@@ -216,8 +216,8 @@ class TestEstimateEta:
     @pytest.mark.parametrize("seed,message", [
         (-1, ">= 0, got -1$"), (np.int64(-7), ">= 0, got -7$"),
         (1.5, "an integer, got 1.5$"), ("3", "an integer, got '3'$"),
-        (None, "an integer, got None$")],
-        ids=["-1", "seed1", "1.5", "'3'", "None"])
+        (None, "an integer, got None$"), (False, "an integer, got False$")],
+        ids=["-1", "seed1", "1.5", "'3'", "None", "False"])
     def test_rejects_negative_seed(self, seed, message):
         for call in (
                 lambda: estimate_eta(SourceParams(), scheme(4), 100, seed=seed),
@@ -310,8 +310,8 @@ class TestEstimateEta:
     @pytest.mark.parametrize("n_trials,message", [
         (0, ">= 1, got 0$"),
         (MAX_TRIALS + 1, f"<= {MAX_TRIALS}, got {MAX_TRIALS + 1}$"),
-        (100.0, "an integer")],
-        ids=["0", str(MAX_TRIALS + 1), "100.0"])
+        (100.0, "an integer, got 100.0$"), (True, "an integer, got True$")],
+        ids=["0", str(MAX_TRIALS + 1), "100.0", "True"])
     def test_rejects_empty_run(self, n_trials, message):
         with pytest.raises(DomainError, match=f"n_trials must be {message}"):
             estimate_eta(SourceParams(), scheme(4), n_trials, seed=0)
