@@ -11,12 +11,14 @@ from .config import _PARAM_KEYS, _SCHEME_KEYS, ConfigError, _parse_value
 from .efficiency import (avg_linear_transmission, delay_table, eta_curve,
                          total_efficiency)
 from .model import (
+    CANONICAL_SELECTION,
     MAX_BINS,
     N_MAX,
     PROTOCOL_ETA_DET,
     Detection,
     DomainError,
     SchemeConfig,
+    Selection,
     SourceParams,
     Topology,
     as_integer,
@@ -170,31 +172,41 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
 #: ``PROTOCOL_ETA_DET``; the configured topology and ``eta_det`` are unused.
 CROSSING_TOPOLOGY = Topology.BINARY_DELAY
 
+#: The last N of each binary octave (one ``N.bit_length()``) of N_RANGE.
+OCTAVE_TOPS = tuple(n for n in N_RANGE if n == N_RANGE[-1]
+                    or (n + 1).bit_length() > n.bit_length())
+
 
 def _protocol_curve(params: SourceParams, eta_sw: float, topology: Topology,
-                    detection: Detection) -> tuple[float, ...]:
-    """Efficiency at each N of N_RANGE of the protocol-matched
+                    detection: Detection, n_values=N_RANGE) -> tuple[float, ...]:
+    """Efficiency at each N of ``n_values`` of the protocol-matched
     design: switch transmission ``eta_sw`` and the protocol's
     ``PROTOCOL_ETA_DET``."""
     matched = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
     scheme = SchemeConfig(n_bins=1, topology=topology, detection=detection)
-    return eta_curve(matched, scheme, N_RANGE)
+    return eta_curve(matched, scheme, n_values)
 
 
 def _protocol_best(params: SourceParams, eta_sw: float) -> tuple[float, float]:
-    """Best single-detector and best detector-array efficiency over
-    N_RANGE at one switch transmission, on CROSSING_TOPOLOGY."""
-    return tuple(
-        max(_protocol_curve(params, eta_sw, CROSSING_TOPOLOGY, detection))
+    """Best single-detector and best detector-array efficiency over N_RANGE
+    at one switch transmission, on CROSSING_TOPOLOGY.  Under last-photon
+    selection a bin's term depends only on its delay and N's octave, so eta
+    gains a term >= 0 per step within an octave and peaks at OCTAVE_TOPS.
+    First-photon k(r) = r - 1 moves with N; that curve is read at every N."""
+    return tuple(max(_protocol_curve(
+        params, eta_sw, CROSSING_TOPOLOGY, detection,
+        OCTAVE_TOPS if CANONICAL_SELECTION[detection] is Selection.LAST_PHOTON
+        else N_RANGE))
         for detection in (Detection.SINGLE_DETECTOR, Detection.DETECTOR_ARRAY))
 
 
 def protocol_gap(params: SourceParams, eta_sw: float, *,
                  include_filter_in_d0: bool | None = None,
                  literal_exponent: bool | None = None) -> float:
-    """Best single-detector efficiency minus best detector-array efficiency
-    over N = 1..N_MAX at one switch transmission (both on the binary
-    topology)."""
+    """Best single-detector minus best detector-array efficiency over
+    N = 1..N_MAX at one eta_sw, both on the binary topology.  The array's
+    last-photon curve never falls within an octave of N, so its best is read
+    at OCTAVE_TOPS; the single detector's can, so its best is read at all N."""
     params = with_readings(params, include_filter_in_d0, literal_exponent)
     single, array = _protocol_best(params, eta_sw)
     return single - array
@@ -267,10 +279,8 @@ _FIG3AB_PROTOCOLS = (
 
 
 def _fig3ab_rows(params: SourceParams, eta_sw: float):
-    curves = [_protocol_curve(params, eta_sw, topology, detection)
-              for topology, detection in _FIG3AB_PROTOCOLS]
-    for n, *etas in zip(N_RANGE, *curves):
-        yield [n, *etas]
+    return zip(N_RANGE, *(_protocol_curve(params, eta_sw, topology, detection)
+                          for topology, detection in _FIG3AB_PROTOCOLS))
 
 
 def _fig3c_rows(params: SourceParams):
