@@ -23,6 +23,7 @@ from .model import (
     Topology,
     as_integer,
     check_depth,
+    switch_passes,
     with_readings,
 )
 
@@ -172,9 +173,18 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
 #: ``PROTOCOL_ETA_DET``; the configured topology and ``eta_det`` are unused.
 CROSSING_TOPOLOGY = Topology.BINARY_DELAY
 
-#: The last N of each binary octave (one ``N.bit_length()``) of N_RANGE.
-OCTAVE_TOPS = tuple(n for n in N_RANGE if n == N_RANGE[-1]
-                    or (n + 1).bit_length() > n.bit_length())
+#: ``PROTOCOL_ETA_DET`` by detection name, as crossing and fig3 report it.
+PROTOCOL_ETA_DET_BY_NAME = {d.value: v for d, v in PROTOCOL_ETA_DET.items()}
+
+
+def _octave_tops() -> tuple[int, ...]:
+    """The last N of each octave of N_RANGE: each run of N with one
+    ``switch_passes(N)``, within which a last-photon curve never falls."""
+    return tuple(n for n in N_RANGE if n == N_RANGE[-1]
+                 or switch_passes(n + 1) != switch_passes(n))
+
+
+OCTAVE_TOPS = _octave_tops()
 
 
 def _protocol_curve(params: SourceParams, eta_sw: float, topology: Topology,
@@ -267,8 +277,12 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
 #: Switch transmission of fig3a and of fig3b.
 FIG3AB_ETA_SW = (0.87, 0.98)
 FIG3C_LAMBDAS = (0.02, 0.06, 0.10)
+#: Files that ``emit_fig3`` writes, in the order it returns them.
+_FIG3_FILES = ("fig3a.csv", "fig3b.csv", "fig3c.csv", "fig3_metadata.json")
 _FIG3AB_COLUMNS = ("N", "eta_binary_single", "eta_binary_array",
                    "eta_singleline_single", "eta_singleline_array")
+_FIG3C_COLUMNS = ("N", *(f"avglin_lambda{lam:g}" for lam in FIG3C_LAMBDAS),
+                  "avglin_control")
 #: (topology, detection) of each fig3a/fig3b efficiency column, in order.
 _FIG3AB_PROTOCOLS = (
     (Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR),
@@ -291,24 +305,29 @@ def _fig3c_rows(params: SourceParams):
                     for lam in FIG3C_LAMBDAS), math.fsum(delay[:n]) / n]
 
 
-def write_csv(path, header, rows) -> None:
-    """Write CSV (ints as is, other cells as float reprs) or raise ConfigError."""
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` or raise ConfigError."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(c) for c in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def write_csv(path, header, rows) -> None:
+    """Write CSV (the header and ints as is, other cells as float reprs) or
+    raise ConfigError."""
+    _write_text(path, "".join(",".join(map(_format_cell, row)) + "\n"
+                              for row in (header, *rows)))
+
+
 def _format_cell(value) -> str:
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
 
-def emit_fig3(out_dir, params: SourceParams | None = None, *,
+def emit_fig3(out_dir, params: SourceParams, *,
               include_filter_in_d0: bool | None = None,
               literal_exponent: bool | None = None) -> list[str]:
     """Write the three reference-curve CSV files plus a metadata sidecar.
@@ -317,51 +336,32 @@ def emit_fig3(out_dir, params: SourceParams | None = None, *,
     switch transmissions of FIG3AB_ETA_SW.  fig3c: expected delay-line
     transmission under last-photon selection for several pumping strengths,
     against the single-photon control curve.  Nothing is random, so the
-    output is byte-stable for a fixed configuration.
+    output is byte-stable for a fixed configuration.  The metadata lists
+    every config parameter; eta_sw and eta_det as the values fig3 sets.
     """
-    params = with_readings(params or SourceParams(), include_filter_in_d0,
-                           literal_exponent)
+    params = with_readings(params, include_filter_in_d0, literal_exponent)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
-    written = []
-
-    for name, eta_sw in zip(("fig3a.csv", "fig3b.csv"), FIG3AB_ETA_SW):
-        path = os.path.join(out_dir, name)
+    written = [os.path.join(out_dir, name) for name in _FIG3_FILES]
+    *ab_paths, c_path, meta_path = written
+    for path, eta_sw in zip(ab_paths, FIG3AB_ETA_SW):
         write_csv(path, _FIG3AB_COLUMNS, _fig3ab_rows(params, eta_sw))
-        written.append(path)
+    write_csv(c_path, _FIG3C_COLUMNS, _fig3c_rows(params))
 
-    path = os.path.join(out_dir, "fig3c.csv")
-    header = ["N"] + [f"avglin_lambda{lam:g}" for lam in FIG3C_LAMBDAS]
-    header.append("avglin_control")
-    write_csv(path, header, _fig3c_rows(params))
-    written.append(path)
-
+    parameters = {key: getattr(params, name)
+                  for key, (name, _) in _PARAM_KEYS.items() if key != "eta_sw"}
+    parameters.update(eta_sw_values=list(FIG3AB_ETA_SW),
+                      eta_det=PROTOCOL_ETA_DET_BY_NAME)
     meta = {
         "code_version": __version__,
         "include_filter_in_d0": params.include_filter_in_d0,
         "literal_loss_exponent": params.literal_exponent,
-        "parameters": {
-            "lambda": params.lam,
-            "period": params.period,
-            "eta_f": params.eta_f,
-            "eta_c": params.eta_c,
-            "eta_sw_values": list(FIG3AB_ETA_SW),
-            "eta_det": {d.value: v for d, v in PROTOCOL_ETA_DET.items()},
-            "eta_conv": params.eta_conv,
-            "alpha_inc": params.alpha_inc,
-            "pair_dist": params.pair_dist.value,
-        },
+        "parameters": parameters,
         "fig3c_lambdas": list(FIG3C_LAMBDAS),
         "n_range": [N_RANGE.start, N_RANGE.stop - 1],
     }
-    meta_path = os.path.join(out_dir, "fig3_metadata.json")
-    try:
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {meta_path}: {exc}") from exc
-    written.append(meta_path)
+    _write_text(meta_path, json.dumps(meta, indent=2, sort_keys=True,
+                                      default=lambda enum: enum.value) + "\n")
     return written

@@ -30,8 +30,7 @@ from typing import NoReturn
 from . import __version__
 from .config import ConfigError, load_config
 from .efficiency import detection_efficiency, generation_rate, total_efficiency
-from .model import (N_MAX, PROTOCOL_ETA_DET, RNG_ALGORITHM, DomainError,
-                    check_unit)
+from .model import N_MAX, RNG_ALGORITHM, DomainError, check_unit
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1  # standard output did not take the result
@@ -112,7 +111,7 @@ def _cmd_crossing(args, params, scheme) -> tuple[dict, list[str]]:
     from . import app
 
     value = app.find_crossing(params, args.lo, args.hi, args.tol)
-    eta_det = {d.value: v for d, v in PROTOCOL_ETA_DET.items()}
+    eta_det = app.PROTOCOL_ETA_DET_BY_NAME
     topology = app.CROSSING_TOPOLOGY.value
     payload = {"crossing_eta_sw": value, "lo": args.lo, "hi": args.hi,
                "topology": topology, "eta_det": eta_det}

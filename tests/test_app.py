@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from enum import Enum
 
 import numpy as np
@@ -350,7 +351,7 @@ class TestEmitFig3:
     def test_out_dir_blocked_by_a_file(self, tmp_path, target):
         (tmp_path / "file").write_text("")
         with pytest.raises(ConfigError, match="cannot create"):
-            emit_fig3(tmp_path / target)
+            emit_fig3(tmp_path / target, SourceParams())
 
     def test_files_and_headers(self, outputs):
         out, written = outputs
@@ -400,12 +401,23 @@ class TestEmitFig3:
                                       detection=detection)
                 assert cell == repr(total_efficiency(params, scheme).eta_total)
 
+    def test_sidecar_blocked_by_a_directory(self, tmp_path):
+        sidecar = tmp_path / "fig3_metadata.json"
+        sidecar.mkdir()
+        with pytest.raises(ConfigError,
+                           match=f"^cannot write {re.escape(str(sidecar))}: "):
+            emit_fig3(tmp_path, SourceParams())
+
     def test_metadata_records_provenance_fields(self, outputs):
         out, _ = outputs
         meta = json.loads((out / "fig3_metadata.json").read_text())
         assert meta["code_version"]
         assert "rng_algorithm" not in meta
+        # every config parameter; fig3 sets eta_sw itself and lists its values
+        assert set(meta["parameters"]) == (
+            set(_PARAM_KEYS) - {"eta_sw"} | {"eta_sw_values"})
         assert meta["parameters"]["lambda"] == 0.1
+        assert meta["parameters"]["pair_dist"] == "poisson"
         assert meta["parameters"]["eta_det"] == {"single": 0.7, "array": 0.8}
         assert "seed" not in meta
 

@@ -499,11 +499,13 @@ class TestNoTraceback:
         (["eval", "--config", "{tmp}/binary.cfg"], EXIT_CONFIG),
         (["optimize", "--n-min", "5", "--n-max", "3"], EXIT_DOMAIN),
         (["eval", "--json", "--config", "{tmp}/tiny-period.cfg"], EXIT_DOMAIN),
+        (["fig3", "--out", "{tmp}/out"], EXIT_CONFIG),
     ], ids=["mc-negative-seed", "fig3-out-is-a-file", "fig3-out-under-a-file",
             "config-not-utf8", "optimize-empty-range",
-            "eval-rate-not-finite"])
+            "eval-rate-not-finite", "fig3-sidecar-is-a-directory"])
     def test_rejected_with_one_line(self, tmp_path, argv, code):
         (tmp_path / "file").write_text("")
+        (tmp_path / "out" / "fig3_metadata.json").mkdir(parents=True)
         (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe")
         (tmp_path / "tiny-period.cfg").write_text("period = 5e-324\n")
         proc = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
@@ -716,7 +718,7 @@ class TestProcessExit:
     def test_fig3_files_equal_in_process(self, tmp_path):
         proc = run_cli("fig3", "--out", str(tmp_path / "cold"))
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-        written = emit_fig3(tmp_path / "warm")
+        written = emit_fig3(tmp_path / "warm", SourceParams())
         assert len(written) == 4
         for path in written:
             name = os.path.basename(path)

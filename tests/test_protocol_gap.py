@@ -2,14 +2,17 @@
 
 ``protocol_gap`` reads the detector array's best efficiency at the octave
 tops of 1..N_MAX only.  That is exact because a last-photon curve on the
-binary tree never falls within an octave of N (one ``N.bit_length()``); a
-first-photon curve can, so the single detector is read at every N.
+binary tree never falls within an octave of N (a run of N with one
+``switch_passes(N)``); a first-photon curve can, so the single detector is
+read at every N.
 """
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from photonmux import app
 from photonmux.app import protocol_gap
 from photonmux.efficiency import eta_curve
 from photonmux.model import (
@@ -21,15 +24,29 @@ from photonmux.model import (
     Selection,
     SourceParams,
     Topology,
+    switch_passes,
 )
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None,
                     max_examples=150)
 
 DEPTHS = range(1, N_MAX + 1)
-#: Depths of N_MAX's range by octave: 1, 2..3, 4..7, ..., 64..127, 128.
-OCTAVES = [[n for n in DEPTHS if n.bit_length() == bits]
-           for bits in range(1, N_MAX.bit_length() + 1)]
+#: Depths of N_MAX's range by octave, each a run of one switch count:
+#: 1, 2..3, 4..7, ..., 64..127, 128.
+OCTAVES = [list(run) for _, run in groupby(DEPTHS, key=switch_passes)]
+
+
+def test_octave_tops_are_the_last_depth_of_each_octave():
+    assert app.OCTAVE_TOPS == tuple(octave[-1] for octave in OCTAVES) == (
+        1, 3, 7, 15, 31, 63, 127, 128)
+
+
+def test_octave_tops_follow_the_switch_count(monkeypatch):
+    """Under the hardware count (N - 1).bit_length() + 1 the octaves are
+    1, 2, 3..4, ..., 65..128, so the tops are the powers of two."""
+    monkeypatch.setattr(app, "switch_passes",
+                        lambda n: (n - 1).bit_length() + 1)
+    assert app._octave_tops() == (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 @st.composite
