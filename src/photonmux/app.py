@@ -133,13 +133,11 @@ class EfficiencyCurve:
     eta_max: float
 
 
-def sweep(spec: SweepSpec, *, include_filter_in_d0: bool | None = None,
-          literal_exponent: bool | None = None) -> EfficiencyCurve:
+def sweep(spec: SweepSpec, **readings) -> EfficiencyCurve:
     """Evaluate the total efficiency at every sweep point; a value outside
     the modeled domain raises DomainError.  An ``n_bins`` sweep is one
     :func:`~photonmux.efficiency.eta_curve`."""
-    spec = replace(spec, params=with_readings(
-        spec.params, include_filter_in_d0, literal_exponent))
+    spec = replace(spec, params=with_readings(spec.params, **readings))
     if spec.parameter == "n_bins":
         etas = eta_curve(spec.params, spec.scheme, spec.values)
     else:
@@ -156,15 +154,14 @@ def sweep(spec: SweepSpec, *, include_filter_in_d0: bool | None = None,
 
 
 def optimize_bins(params: SourceParams, scheme: SchemeConfig,
-                  n_min: int = 1, n_max: int = N_MAX, *,
-                  include_filter_in_d0: bool | None = None,
-                  literal_exponent: bool | None = None) -> EfficiencyCurve:
+                  n_min: int = 1, n_max: int = N_MAX,
+                  **readings) -> EfficiencyCurve:
     """Sweep the multiplexing depth and report the maximizing N."""
+    params = with_readings(params, **readings)
     n_min, n_max = as_integer("n_min", n_min), as_integer("n_max", n_max)
     if not 1 <= n_min <= n_max <= MAX_BINS:
         raise DomainError(f"need 1 <= n_min <= n_max <= {MAX_BINS}, "
                           f"got n_min={n_min}, n_max={n_max}")
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
     spec = SweepSpec("n_bins", tuple(range(n_min, n_max + 1)), params, scheme)
     return sweep(spec)
 
@@ -210,22 +207,18 @@ def _protocol_best(params: SourceParams, eta_sw: float) -> tuple[float, float]:
         for detection in (Detection.SINGLE_DETECTOR, Detection.DETECTOR_ARRAY))
 
 
-def protocol_gap(params: SourceParams, eta_sw: float, *,
-                 include_filter_in_d0: bool | None = None,
-                 literal_exponent: bool | None = None) -> float:
+def protocol_gap(params: SourceParams, eta_sw: float, **readings) -> float:
     """Best single-detector minus best detector-array efficiency over
     N = 1..N_MAX at one eta_sw, both on the binary topology.  The array's
     last-photon curve never falls within an octave of N, so its best is read
     at OCTAVE_TOPS; the single detector's can, so its best is read at all N."""
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    params = with_readings(params, **readings)
     single, array = _protocol_best(params, eta_sw)
     return single - array
 
 
 def find_crossing(params: SourceParams, lo: float, hi: float,
-                  tol: float = 1e-3, *,
-                  include_filter_in_d0: bool | None = None,
-                  literal_exponent: bool | None = None) -> float:
+                  tol: float = 1e-3, **readings) -> float:
     """Switch transmission at which the two detection protocols reach the
     same maximum efficiency, by bisection on the protocol gap.
 
@@ -235,11 +228,11 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
     is a crossing only where the protocols' best efficiency is > 0; where
     both are 0 the gap has no sign, and DomainError says so.
     """
+    params = with_readings(params, **readings)
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if not 0.0 < lo <= hi:
         raise DomainError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
 
     def zero_gap(eta_sw: float) -> float:
         if max(_protocol_best(params, eta_sw)) > 0.0:
@@ -327,9 +320,7 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def emit_fig3(out_dir, params: SourceParams, *,
-              include_filter_in_d0: bool | None = None,
-              literal_exponent: bool | None = None) -> list[str]:
+def emit_fig3(out_dir, params: SourceParams, **readings) -> list[str]:
     """Write the three reference-curve CSV files plus a metadata sidecar.
 
     fig3a/fig3b: efficiency versus N for every topology and protocol at the
@@ -339,7 +330,7 @@ def emit_fig3(out_dir, params: SourceParams, *,
     output is byte-stable for a fixed configuration.  The metadata lists
     every config parameter; eta_sw and eta_det as the values fig3 sets.
     """
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    params = with_readings(params, **readings)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

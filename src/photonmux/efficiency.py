@@ -188,13 +188,11 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
         yield d0_val, pic, per_bin
 
 
-def total_efficiency(params: SourceParams, scheme: SchemeConfig, *,
-                     include_filter_in_d0: bool | None = None,
-                     literal_exponent: bool | None = None
-                     ) -> EfficiencyBreakdown:
+def total_efficiency(params: SourceParams, scheme: SchemeConfig,
+                     **readings) -> EfficiencyBreakdown:
     """Generation efficiency eta with its full per-bin decomposition; B(r) is
     ``per_bin_success[r - 1]``."""
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    params = with_readings(params, **readings)
     d0_val, pic, per_bin = next(
         _success_terms(params, scheme, (scheme.n_bins,)))
     return EfficiencyBreakdown(

@@ -142,6 +142,9 @@ class SourceParams:
             raise DomainError(f"alpha_inc must be >= 0, got {self.alpha_inc}")
         for name in ("eta_f", "eta_c", "eta_sw", "eta_det", "eta_conv"):
             check_unit(name, getattr(self, name))
+        for name in ("include_filter_in_d0", "literal_exponent"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise DomainError(f"{name} must be a bool, got {value!r}")
 
     @classmethod
     def table_defaults(cls, detection: Detection = Detection.SINGLE_DETECTOR,
@@ -152,14 +155,16 @@ class SourceParams:
         return cls(**overrides)
 
 
-def with_readings(params: SourceParams, include_filter_in_d0: bool | None,
-                  literal_exponent: bool | None) -> SourceParams:
-    """``params`` with the readings given (not None) set; ``params`` itself
-    when they match its fields.  Exists only for the keywords that perfbench
-    passes to eight entry points; it goes once perfbench sets the fields."""
+def with_readings(params: SourceParams, *,
+                  include_filter_in_d0: bool | None = None,
+                  literal_exponent: bool | None = None) -> SourceParams:
+    """``params`` with the readings given (not None) set, ``params`` itself
+    if each is its field's object.  The one place naming the keywords that
+    perfbench passes to eight entry points as ``**readings``; a misspelt one
+    raises TypeError here.  It goes once perfbench sets the fields."""
     changes = {k: v for k, v in (("include_filter_in_d0", include_filter_in_d0),
                                  ("literal_exponent", literal_exponent))
-               if v is not None and v != getattr(params, k)}
+               if v is not None and v is not getattr(params, k)}
     return replace(params, **changes) if changes else params
 
 

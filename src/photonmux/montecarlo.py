@@ -169,13 +169,11 @@ class _Plan:
         return p_herald, cond_cum, t, w
 
 
-@functools.lru_cache(maxsize=8)
-def _plan(params: SourceParams, scheme: SchemeConfig,
-          include_filter_in_d0: bool | None,
-          literal_exponent: bool | None) -> _Plan:
+@functools.lru_cache(maxsize=8, typed=True)
+def _plan(params: SourceParams, scheme: SchemeConfig, **readings) -> _Plan:
     """The design plan, which consecutive frames and estimates of one design
-    share."""
-    params = with_readings(params, include_filter_in_d0, literal_exponent)
+    share; keyed on the readings as passed, typed, so a 1 misses a True."""
+    params = with_readings(params, **readings)
     return _Plan(
         params=params,
         eta_d=efficiency.detection_efficiency(params, scheme),
@@ -189,9 +187,8 @@ def _plan(params: SourceParams, scheme: SchemeConfig,
 _OUTCOMES = (Outcome.VACUUM, Outcome.SINGLE, Outcome.MULTI)
 
 
-def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
-              include_filter_in_d0: bool | None = None,
-              literal_exponent: bool | None = None) -> TrialRecord:
+def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed,
+              **readings) -> TrialRecord:
     """Simulate one frame and return its full record.
 
     Draws, in this order: the pair count of every bin; one uniform per idler
@@ -202,7 +199,7 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed, *,
     chip.  Deterministic for a given integer seed.  Pass a
     ``numpy.random.Generator`` to draw consecutive frames from one stream.
     """
-    plan = _plan(params, scheme, include_filter_in_d0, literal_exponent)
+    plan = _plan(params, scheme, **readings)
     rng = _as_rng(rng_seed)
 
     pairs = _sample_pairs(plan.params, rng, scheme.n_bins)
@@ -310,14 +307,13 @@ def _chunk_counts(plan: _Plan, n_trials: int, child_seed):
 
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
-                 seed, *, workers: int = 1,
-                 include_filter_in_d0: bool | None = None,
-                 literal_exponent: bool | None = None) -> EstimatorResult:
+                 seed, *, workers: int = 1, **readings) -> EstimatorResult:
     """Monte Carlo estimate of the generation efficiency.
 
     The chunk layout depends only on ``n_trials``, so the result is
     bit-stable across worker counts.
     """
+    plan = _plan(params, scheme, **readings)
     n_trials = as_integer("n_trials", n_trials, 1, MAX_TRIALS)
     workers = as_integer("workers", workers, 1, MAX_WORKERS)
     seed = as_integer("seed", seed, 0)
@@ -325,7 +321,6 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
     if n_trials % _CHUNK_TRIALS:
         sizes.append(n_trials % _CHUNK_TRIALS)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    plan = _plan(params, scheme, include_filter_in_d0, literal_exponent)
     plan.chunk_tables  # built, or refused, once, before the workers start
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(functools.partial(_chunk_counts, plan),

@@ -61,6 +61,8 @@ class TestSourceParams:
         ("lam", -0.1), ("period", 0.0), ("alpha_inc", -1e-3),
         ("eta_f", 1.2), ("eta_c", -0.1), ("eta_sw", 2.0),
         ("eta_det", 1.0001), ("eta_conv", -1e-9),
+        ("literal_exponent", "false"), ("include_filter_in_d0", "no"),
+        ("literal_exponent", 1), ("include_filter_in_d0", 0),
     ])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(DomainError):

@@ -384,7 +384,7 @@ def _designs():
 
 
 def _chunk_args(params, s):
-    return _plan(params, s, None, None)
+    return _plan(params, s)
 
 
 def _pool_small_cells(observed, expected, floor=5.0):
@@ -606,6 +606,18 @@ class TestDesignPlan:
             assert self._answer(name, call) == want[name, call], (name, call)
         for name, call in itertools.product(order, ("frames", "estimate")):
             assert self._answer(name, call) == want[name, call], (name, call)
+
+    def test_one_plan_per_design_and_readings(self):
+        """The readings are merged once per design, in the cached plan, not
+        once per frame."""
+        params, s = SourceParams(), scheme(8)
+        readings = {"literal_exponent": True}
+        _plan.cache_clear()
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            run_frame(params, s, rng, **readings)
+        estimate_eta(params, s, 20_000, seed=5, **readings)
+        assert _plan.cache_info().misses == 1
 
 
 class TestEstimateAvgLin:

@@ -1,6 +1,9 @@
 """The two model readings are ``SourceParams`` fields; eight entry points
 still take them as keywords, because the benchmark harness passes them so.
-The keyword form must give exactly the answer of the field form."""
+Each passes ``**readings`` to ``model.with_readings``, the one function that
+names the keywords.  The keyword form must give exactly the answer of the
+field form; a misspelt keyword raises TypeError and a non-bool reading
+DomainError, wherever it is given."""
 import itertools
 from pathlib import Path
 
@@ -8,7 +11,12 @@ import numpy as np
 import pytest
 
 from photonmux import app, efficiency, montecarlo
-from photonmux.model import SchemeConfig, SourceParams, with_readings
+from photonmux.model import (
+    DomainError,
+    SchemeConfig,
+    SourceParams,
+    with_readings,
+)
 
 SCHEME = SchemeConfig(n_bins=8)
 
@@ -59,5 +67,30 @@ def test_keywords_give_the_field_answer(name, filt, lit, tmp_path):
     assert call(opposite, tmp_path / "override", **readings) == want
     assert call(opposite, tmp_path / "opposite") != want
     # keywords equal to the fields build no new SourceParams
-    assert with_readings(fielded, filt, lit) is fielded
-    assert with_readings(fielded, None, None) is fielded
+    assert with_readings(fielded, **readings) is fielded
+    assert with_readings(fielded) is fielded
+    assert with_readings(fielded, include_filter_in_d0=None,
+                         literal_exponent=None) is fielded
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_misspelt_keyword_is_refused(name, tmp_path):
+    with pytest.raises(TypeError, match="literal_exponnent"):
+        ENTRY_POINTS[name](SourceParams(), tmp_path / "out",
+                           literal_exponnent=True)
+    # refused before any work: fig3 creates no directory
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reading", ["include_filter_in_d0",
+                                     "literal_exponent"])
+@pytest.mark.parametrize("value", ["no", 1, 0])
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_a_non_bool_keyword_is_refused(name, reading, value, tmp_path):
+    """Even a 1 or 0 equal to the field it would set; a warm plan cache
+    keyed on an equal True or False does not let it through."""
+    ENTRY_POINTS[name](SourceParams(), tmp_path / "warm",
+                       **{reading: bool(value)})
+    with pytest.raises(DomainError, match=reading):
+        ENTRY_POINTS[name](SourceParams(), tmp_path / "out",
+                           **{reading: value})
