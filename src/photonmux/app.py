@@ -233,35 +233,27 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if not 0.0 < lo <= hi:
         raise DomainError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
-
-    def zero_gap(eta_sw: float) -> float:
-        if max(_protocol_best(params, eta_sw)) > 0.0:
-            return eta_sw
-        raise DomainError(
-            f"no protocol crossing in [{lo}, {hi}]: both protocols reach "
-            f"eta = 0 at eta_sw = {eta_sw}")
-
-    g_lo = protocol_gap(params, lo)
-    g_hi = protocol_gap(params, hi)
-    if g_lo == 0.0:
-        return zero_gap(lo)
-    if g_hi == 0.0:
-        return zero_gap(hi)
-    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
+    g_lo, g_hi = protocol_gap(params, lo), protocol_gap(params, hi)
+    if g_lo and g_hi and math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise DomainError(
             f"no protocol crossing in [{lo}, {hi}]: "
             f"gap {g_lo:+.3g} -> {g_hi:+.3g}")
-    while hi - lo > tol:
+    while g_lo and g_hi and hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
         g_mid = protocol_gap(params, mid)
-        if g_mid == 0.0:
-            return zero_gap(mid)
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
             lo, g_lo = mid, g_mid
         else:
-            hi = mid
+            hi, g_hi = mid, g_mid
+    for eta_sw, gap in ((lo, g_lo), (hi, g_hi)):
+        if gap == 0.0:
+            if max(_protocol_best(params, eta_sw)) > 0.0:
+                return eta_sw
+            raise DomainError(
+                f"no protocol crossing in [{lo}, {hi}]: both protocols "
+                f"reach eta = 0 at eta_sw = {eta_sw}")
     return 0.5 * (lo + hi)
 
 

@@ -5,7 +5,6 @@ from enum import Enum
 
 from .model import (
     Detection,
-    DomainError,
     PairDistribution,
     SchemeConfig,
     Selection,
@@ -94,13 +93,8 @@ def parse_config(text: str) -> tuple[SourceParams, SchemeConfig]:
         else:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
     scheme_values.setdefault("n_bins", 31)
-    try:
-        scheme = SchemeConfig(**scheme_values)
-        params = SourceParams.table_defaults(scheme.detection, **param_values)
-    except DomainError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    scheme = SchemeConfig(**scheme_values)
+    params = SourceParams.table_defaults(scheme.detection, **param_values)
     return params, scheme
 
 

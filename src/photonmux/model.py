@@ -95,6 +95,12 @@ def check_unit(name: str, value: float) -> None:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
+def check_kind(name: str, value, kind: type) -> None:
+    """DomainError unless ``value`` is a ``kind``, say an enum or bool."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Physical parameters of the pumped pair source and the chip.
@@ -126,6 +132,9 @@ class SourceParams:
     literal_exponent: bool = False
 
     def __post_init__(self) -> None:
+        check_kind("pair_dist", self.pair_dist, PairDistribution)
+        for name in ("include_filter_in_d0", "literal_exponent"):
+            check_kind(name, getattr(self, name), bool)
         # the unit-interval check below also rejects non-finite efficiencies
         for name in ("lam", "period", "alpha_inc"):
             if not math.isfinite(getattr(self, name)):
@@ -142,9 +151,6 @@ class SourceParams:
             raise DomainError(f"alpha_inc must be >= 0, got {self.alpha_inc}")
         for name in ("eta_f", "eta_c", "eta_sw", "eta_det", "eta_conv"):
             check_unit(name, getattr(self, name))
-        for name in ("include_filter_in_d0", "literal_exponent"):
-            if not isinstance(value := getattr(self, name), bool):
-                raise DomainError(f"{name} must be a bool, got {value!r}")
 
     @classmethod
     def table_defaults(cls, detection: Detection = Detection.SINGLE_DETECTOR,
@@ -225,6 +231,11 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_bins", check_depth(self.n_bins))
+        for name, kind in (("topology", Topology), ("detection", Detection),
+                           ("allow_mismatched_selection", bool)):
+            check_kind(name, getattr(self, name), kind)
+        if self.selection is not None:
+            check_kind("selection", self.selection, Selection)
         canonical = CANONICAL_SELECTION[self.detection]
         if self.selection is None:
             object.__setattr__(self, "selection", canonical)

@@ -331,6 +331,25 @@ class TestCrossing:
                                               "protocols reach eta = 0"):
             find_crossing(params, 0.85, 0.99)
 
+    @pytest.mark.parametrize("gaps,calls,expected", [
+        ((0.0, 1.0), (0.5, 1.0), 0.5),
+        ((1.0, 0.0), (0.5, 1.0), 1.0),
+        ((1.0, -1.0, 1.0, -1.0, 0.0), (0.5, 1.0, 0.75, 0.875, 0.8125), 0.8125),
+        ((1.0, -1.0, -1.0, 0.0), (0.5, 1.0, 0.75, 0.625), 0.625),
+    ], ids=["lo", "hi", "mid-below", "mid-above"])
+    def test_zero_gap_is_the_crossing(self, monkeypatch, gaps, calls,
+                                      expected):
+        # scripted gaps: one per bracket end, then one per midpoint; the
+        # zero's eta_sw is returned after one check that eta there is > 0
+        script, received, best = iter(gaps), [], []
+        monkeypatch.setattr("photonmux.app.protocol_gap", lambda p, eta_sw: (
+            received.append(eta_sw) or next(script)))
+        monkeypatch.setattr("photonmux.app._protocol_best", lambda p, eta_sw: (
+            best.append(eta_sw) or (0.3, 0.2)))
+        assert find_crossing(SourceParams(), 0.5, 1.0) == expected
+        assert received == list(calls)
+        assert best == [expected]
+
     def test_gap_is_monotone_decreasing_on_bracket(self):
         params = SourceParams()
         grid = [0.85 + 0.14 * k / 49 for k in range(50)]

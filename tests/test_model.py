@@ -63,6 +63,7 @@ class TestSourceParams:
         ("eta_det", 1.0001), ("eta_conv", -1e-9),
         ("literal_exponent", "false"), ("include_filter_in_d0", "no"),
         ("literal_exponent", 1), ("include_filter_in_d0", 0),
+        ("pair_dist", "poisson"), ("pair_dist", "junk"), ("pair_dist", None),
     ])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(DomainError):
@@ -82,6 +83,9 @@ class TestSourceParams:
         for lam in (2.0, 2.5):
             with pytest.raises(DomainError, match="lam < 2"):
                 SourceParams(lam=lam, pair_dist=PairDistribution.THERMAL_APPROX)
+        # a string is refused before the bound, whatever the pair law it names
+        with pytest.raises(DomainError, match="^pair_dist must be a Pair"):
+            SourceParams(lam=2.5, pair_dist="thermal")
 
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -100,6 +104,18 @@ class TestSchemeConfig:
         cfg = SchemeConfig(n_bins=4, selection=Selection.LAST_PHOTON,
                            allow_mismatched_selection=True)
         assert cfg.selection is Selection.LAST_PHOTON
+
+    @pytest.mark.parametrize("kwargs", [
+        {"topology": "binary"}, {"detection": "array"},
+        {"selection": "first", "allow_mismatched_selection": True},
+        {"allow_mismatched_selection": "no"},
+        {"allow_mismatched_selection": 1},
+    ], ids=["topology-str", "detection-str", "selection-str",
+            "allow-str", "allow-int"])
+    def test_variants_take_only_their_kind(self, kwargs):
+        field = next(iter(kwargs))
+        with pytest.raises(DomainError, match=f"^{field} must be a "):
+            SchemeConfig(n_bins=31, **kwargs)
 
     def test_rejects_empty_frame(self):
         with pytest.raises(DomainError):
