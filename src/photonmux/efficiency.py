@@ -21,7 +21,13 @@ is used as the independent cross-check.
 delay transmissions do not depend on N and are built once per curve.  B(r)
 is one loop per pair law with G' written inline, in the operation order of
 :func:`photonmux.model.pair_generating_derivative`, which stays the
-reference G'.  :func:`total_efficiency` is the one-N case of the same code.
+reference G'.  Under last-photon selection k(r) = N - r is bin r's delay,
+so B(r) depends on N only through ``switch_passes(N)`` on the binary tree
+and not at all on the single delay line: eta(N) is a running sum, and a
+curve computes each term once per switch count and takes the ``math.fsum``
+of N's terms.  First-photon curves evaluate every term at every N, because
+bin r's power D0^(r-1) moves with N at a fixed delay.
+:func:`total_efficiency` is the one-N case of the same code.
 """
 from __future__ import annotations
 
@@ -107,11 +113,13 @@ def delay_table(params: SourceParams, n: int) -> list[float]:
 
 
 def _frame(params: SourceParams, topology: Topology, n: int,
-           delay: list[float]) -> list[float]:
-    """Chip transmission of every bin of an N = ``n`` frame, bin r at index
-    r - 1, from a delay table that covers d < n (see
+           delay: list[float], delays: range | None = None) -> list[float]:
+    """Chip transmission in an N = ``n`` frame at each delay of ``delays``,
+    by default every bin's in bin order (bin r at index r - 1 has delay
+    N - r), from a delay table that covers them (see
     :func:`pic_transmission`)."""
-    delays = range(n - 1, -1, -1)
+    if delays is None:
+        delays = range(n - 1, -1, -1)
     fixed = params.eta_f * params.eta_c
     if topology is Topology.BINARY_DELAY:
         fixed *= params.eta_sw ** switch_passes(n)
@@ -133,16 +141,13 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig
     return tuple(_frame(params, scheme.topology, n, delay_table(params, n)))
 
 
-def _quiet(selection: Selection, n: int) -> range:
-    if selection is Selection.FIRST_PHOTON:
-        return range(n)
-    return range(n - 1, -1, -1)
-
-
 def quiet_bins(scheme: SchemeConfig) -> range:
     """k(r), the number of bins that must stay quiet when bin r is selected,
     at index r - 1: r - 1 for first-photon selection, N - r for last."""
-    return _quiet(scheme.selection, scheme.n_bins)
+    n = scheme.n_bins
+    if scheme.selection is Selection.FIRST_PHOTON:
+        return range(n)
+    return range(n - 1, -1, -1)
 
 
 def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
@@ -151,9 +156,18 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
 
     eta_d, D0, q, the D0^k table and the delay table depend on the design
     but not on N, so they are built once for the whole sequence.  B(r) is
-    one comprehension per pair law with G' written inline, in the operation
-    order of :func:`photonmux.model.pair_generating_derivative`, so every
-    value keeps the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
+    one comprehension per pair law over (k, t) pairs with G' written inline,
+    in the operation order of
+    :func:`photonmux.model.pair_generating_derivative`, so every value keeps
+    the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
+
+    Under last-photon selection k(r) = N - r is bin r's delay d, and t
+    moves with N only through ``switch_passes(N)`` (binary tree), so one
+    tuple of transmissions and one of terms per switch count (one on the
+    single line), in bin order of the largest N asked for so far, serve
+    every N of that count as their last N entries; a larger N computes
+    only its new delays, which go in front.  First-photon k(r) = N - 1 - d
+    moves with N, so each N is evaluated afresh.  Nothing outlives the call.
     """
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d)
@@ -161,31 +175,48 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     n_max = max(n_values, default=0)
     powers = [d0_val ** k for k in range(n_max)]
     delay = delay_table(params, n_max)
-    topology, selection = scheme.topology, scheme.selection
+    topology = scheme.topology
     lam = params.lam
-    poisson = params.pair_dist is PairDistribution.POISSON
-    if poisson:
+    # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one of
+    # its signal photons survives the chip (see the module docstring)
+    if params.pair_dist is PairDistribution.POISSON:
         exp = math.exp
-    else:
-        x = lam / 2.0
-        scale = 2.0 * x * (1.0 - x) ** 2
-    for n in n_values:
-        pic = _frame(params, topology, n, delay)
-        # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one
-        # of its signal photons survives the chip (see the module docstring)
-        if poisson:
-            per_bin = [
+
+        def terms(pairs):
+            return [
                 powers[k] * (t * (lam * exp(lam * ((1.0 - t) - 1.0))
                                   - q * (lam * exp(lam * (q * (1.0 - t)
                                                           - 1.0)))))
-                for k, t in zip(_quiet(selection, n), pic)]
-        else:
-            per_bin = [
+                for k, t in pairs]
+    else:
+        x = lam / 2.0
+        scale = 2.0 * x * (1.0 - x) ** 2
+
+        def terms(pairs):
+            return [
                 powers[k] * (t * (scale / (1.0 - x * (1.0 - t)) ** 3
                                   - q * (scale / (1.0 - x * (q * (1.0 - t)))
                                          ** 3)))
-                for k, t in zip(_quiet(selection, n), pic)]
-        yield d0_val, pic, per_bin
+                for k, t in pairs]
+
+    if scheme.selection is Selection.FIRST_PHOTON:
+        for n in n_values:
+            pic = _frame(params, topology, n, delay)
+            yield d0_val, pic, terms(zip(range(n), pic))
+        return
+    binary = topology is Topology.BINARY_DELAY
+    by_count = {}
+    for n in n_values:
+        key = switch_passes(n) if binary else 0
+        pic, per_bin = by_count.get(key, ((), ()))
+        have = len(pic)
+        if have < n:
+            # delays n - 1 .. have, which lead in bin order
+            delays = range(n - 1, have - 1, -1)
+            new = _frame(params, topology, n, delay, delays)
+            pic, per_bin = by_count[key] = (
+                tuple(new) + pic, tuple(terms(zip(delays, new))) + per_bin)
+        yield d0_val, pic[-n:], per_bin[-n:]
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig,

@@ -9,6 +9,7 @@ instances can be shared freely between worker threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -101,6 +102,12 @@ def check_kind(name: str, value, kind: type) -> None:
         raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
+#: The fields of :class:`SourceParams` that hold a real number.
+_FLOAT_FIELDS = ("lam", "period", "eta_f", "eta_c", "eta_sw", "eta_det",
+                 "eta_conv", "alpha_inc")
+_float_values = operator.attrgetter(*_FLOAT_FIELDS)
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Physical parameters of the pumped pair source and the chip.
@@ -135,6 +142,13 @@ class SourceParams:
         check_kind("pair_dist", self.pair_dist, PairDistribution)
         for name in ("include_filter_in_d0", "literal_exponent"):
             check_kind(name, getattr(self, name), bool)
+        # floats and ints pass at once; the ABC check is slow
+        if not {float, int}.issuperset(map(type, _float_values(self))):
+            for name, value in zip(_FLOAT_FIELDS, _float_values(self)):
+                if isinstance(value, bool) or not isinstance(value,
+                                                             numbers.Real):
+                    raise DomainError(
+                        f"{name} must be a real number, got {value!r}")
         # the unit-interval check below also rejects non-finite efficiencies
         for name in ("lam", "period", "alpha_inc"):
             if not math.isfinite(getattr(self, name)):

@@ -74,7 +74,8 @@ def test_curve_to_128_is_the_closed_form(key):
 
 @pytest.mark.parametrize("key", [
     "poisson/single-line/array/last/d0=True/literal=False",
-    "thermal/binary/single/first/d0=False/literal=True"])
+    "thermal/binary/single/first/d0=False/literal=True",
+    "poisson/binary/array/last/d0=True/literal=False"])
 def test_curve_to_max_bins_is_the_closed_form(key):
     params, scheme = DESIGNS[key]
     n_values = range(1, MAX_BINS + 1)
@@ -84,7 +85,8 @@ def test_curve_to_max_bins_is_the_closed_form(key):
 
 @pytest.mark.parametrize("key", [
     "poisson/binary/single/first/d0=True/literal=False",
-    "thermal/single-line/array/last/d0=False/literal=True"])
+    "thermal/single-line/array/last/d0=False/literal=True",
+    "poisson/binary/array/last/d0=True/literal=False"])
 def test_unsorted_and_repeated_depths(key):
     params, scheme = DESIGNS[key]
     n_values = (64, 3, MAX_BINS, 3, 1, 64, 17, 1)

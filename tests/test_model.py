@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from photonmux.model import (
@@ -64,6 +65,8 @@ class TestSourceParams:
         ("literal_exponent", "false"), ("include_filter_in_d0", "no"),
         ("literal_exponent", 1), ("include_filter_in_d0", 0),
         ("pair_dist", "poisson"), ("pair_dist", "junk"), ("pair_dist", None),
+        ("lam", True), ("lam", "0.1"), ("eta_f", "0.9"), ("period", None),
+        ("alpha_inc", False), ("eta_sw", 0.5 + 0j), ("eta_det", [0.7]),
     ])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(DomainError):
@@ -76,6 +79,17 @@ class TestSourceParams:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(DomainError, match=f"^{field} must be"):
             SourceParams(**{field: value})
+
+    def test_float_fields_take_only_real_numbers(self):
+        p = SourceParams(lam=np.float32(0.25), period=np.float64(40e-12),
+                         eta_f=1, alpha_inc=0)
+        assert (p.lam, p.eta_f, p.alpha_inc) == (np.float32(0.25), 1, 0)
+        with pytest.raises(DomainError,
+                           match=r"^lam must be a real number, got True$"):
+            SourceParams(lam=True)
+        with pytest.raises(DomainError,
+                           match=r"^eta_f must be a real number, got '0.9'$"):
+            SourceParams(eta_f="0.9")
 
     def test_thermal_pumping_bounded_at_construction(self):
         SourceParams(lam=1.9999, pair_dist=PairDistribution.THERMAL_APPROX)
