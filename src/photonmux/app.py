@@ -8,22 +8,19 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .config import _PARAM_KEYS, _SCHEME_KEYS, ConfigError, _parse_value
-from .efficiency import (avg_linear_transmission, delay_table, eta_curve,
-                         total_efficiency)
+from .efficiency import (avg_linear_transmission, best_eta, delay_table,
+                         eta_curve, total_efficiency)
 from .model import (
-    CANONICAL_SELECTION,
     MAX_BINS,
     N_MAX,
     PROTOCOL_ETA_DET,
     Detection,
     DomainError,
     SchemeConfig,
-    Selection,
     SourceParams,
     Topology,
     as_integer,
     check_depth,
-    switch_passes,
     with_readings,
 )
 
@@ -174,44 +171,29 @@ CROSSING_TOPOLOGY = Topology.BINARY_DELAY
 PROTOCOL_ETA_DET_BY_NAME = {d.value: v for d, v in PROTOCOL_ETA_DET.items()}
 
 
-def _octave_tops() -> tuple[int, ...]:
-    """The last N of each octave of N_RANGE: each run of N with one
-    ``switch_passes(N)``, within which a last-photon curve never falls."""
-    return tuple(n for n in N_RANGE if n == N_RANGE[-1]
-                 or switch_passes(n + 1) != switch_passes(n))
-
-
-OCTAVE_TOPS = _octave_tops()
-
-
-def _protocol_curve(params: SourceParams, eta_sw: float, topology: Topology,
-                    detection: Detection, n_values=N_RANGE) -> tuple[float, ...]:
-    """Efficiency at each N of ``n_values`` of the protocol-matched
-    design: switch transmission ``eta_sw`` and the protocol's
-    ``PROTOCOL_ETA_DET``."""
-    matched = replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection])
-    scheme = SchemeConfig(n_bins=1, topology=topology, detection=detection)
-    return eta_curve(matched, scheme, n_values)
+def _protocol_design(params: SourceParams, eta_sw: float, topology: Topology,
+                     detection: Detection) -> tuple[SourceParams, SchemeConfig]:
+    """The protocol-matched design: switch transmission ``eta_sw`` and the
+    protocol's ``PROTOCOL_ETA_DET``, with the protocol's selection."""
+    return (replace(params, eta_sw=eta_sw, eta_det=PROTOCOL_ETA_DET[detection]),
+            SchemeConfig(n_bins=1, topology=topology, detection=detection))
 
 
 def _protocol_best(params: SourceParams, eta_sw: float) -> tuple[float, float]:
     """Best single-detector and best detector-array efficiency over N_RANGE
-    at one switch transmission, on CROSSING_TOPOLOGY.  Under last-photon
-    selection a bin's term depends only on its delay and N's octave, so eta
-    gains a term >= 0 per step within an octave and peaks at OCTAVE_TOPS.
-    First-photon k(r) = r - 1 moves with N; that curve is read at every N."""
-    return tuple(max(_protocol_curve(
-        params, eta_sw, CROSSING_TOPOLOGY, detection,
-        OCTAVE_TOPS if CANONICAL_SELECTION[detection] is Selection.LAST_PHOTON
-        else N_RANGE))
-        for detection in (Detection.SINGLE_DETECTOR, Detection.DETECTOR_ARRAY))
+    at one switch transmission, on CROSSING_TOPOLOGY."""
+    return tuple(best_eta(*_protocol_design(params, eta_sw, CROSSING_TOPOLOGY,
+                                            detection), N_RANGE)
+                 for detection in (Detection.SINGLE_DETECTOR,
+                                   Detection.DETECTOR_ARRAY))
 
 
 def protocol_gap(params: SourceParams, eta_sw: float, **readings) -> float:
     """Best single-detector minus best detector-array efficiency over
     N = 1..N_MAX at one eta_sw, both on the binary topology.  The array's
-    last-photon curve never falls within an octave of N, so its best is read
-    at OCTAVE_TOPS; the single detector's can, so its best is read at all N."""
+    last-photon curve never falls within an octave of N, so ``best_eta``
+    reads it at each octave's last N; the single detector's can, so its
+    best is read at all N."""
     params = with_readings(params, **readings)
     single, array = _protocol_best(params, eta_sw)
     return single - array
@@ -278,8 +260,8 @@ _FIG3AB_PROTOCOLS = (
 
 
 def _fig3ab_rows(params: SourceParams, eta_sw: float):
-    return zip(N_RANGE, *(_protocol_curve(params, eta_sw, topology, detection)
-                          for topology, detection in _FIG3AB_PROTOCOLS))
+    return zip(N_RANGE, *(eta_curve(*_protocol_design(params, eta_sw, *p),
+                                    N_RANGE) for p in _FIG3AB_PROTOCOLS))
 
 
 def _fig3c_rows(params: SourceParams):

@@ -21,11 +21,12 @@ is used as the independent cross-check.
 delay transmissions do not depend on N and are built once per curve.  B(r)
 is one loop per pair law with G' written inline, in the operation order of
 :func:`photonmux.model.pair_generating_derivative`, which stays the
-reference G'.  Under last-photon selection k(r) = N - r is bin r's delay,
-so B(r) depends on N only through ``switch_passes(N)`` on the binary tree
-and not at all on the single delay line: eta(N) is a running sum, and a
-curve computes each term once per switch count and takes the ``math.fsum``
-of N's terms.  First-photon curves evaluate every term at every N, because
+reference G'.  Within an octave of N (one ``switch_passes(N)`` on the
+binary tree, every N on the single delay line) a bin's chip transmission
+depends only on its delay, and so, under last-photon selection, where
+k(r) = N - r is the delay, does B(r): eta(N) is a running sum, each term
+is computed once per octave, and :func:`best_eta` reads only each octave's
+largest N.  First-photon curves evaluate every term at every N, because
 bin r's power D0^(r-1) moves with N at a fixed delay.
 :func:`total_efficiency` is the one-N case of the same code.
 """
@@ -113,19 +114,21 @@ def delay_table(params: SourceParams, n: int) -> list[float]:
 
 
 def _frame(params: SourceParams, topology: Topology, n: int,
-           delay: list[float], delays: range | None = None) -> list[float]:
-    """Chip transmission in an N = ``n`` frame at each delay of ``delays``,
-    by default every bin's in bin order (bin r at index r - 1 has delay
-    N - r), from a delay table that covers them (see
-    :func:`pic_transmission`)."""
-    if delays is None:
-        delays = range(n - 1, -1, -1)
+           delay: list[float], delays: range) -> list[float]:
+    """Chip transmission in an N = ``n`` frame at each delay of ``delays``
+    (bin r has delay N - r; see :func:`pic_transmission`)."""
     fixed = params.eta_f * params.eta_c
     if topology is Topology.BINARY_DELAY:
         fixed *= params.eta_sw ** switch_passes(n)
         return [fixed * delay[d] for d in delays]
     eta_sw = params.eta_sw
     return [fixed * eta_sw ** d * delay[d] for d in delays]
+
+
+def _octave(n: int, topology: Topology) -> int:
+    """Key of N's octave, within which a bin's chip transmission depends only
+    on its delay: ``switch_passes(N)`` on the binary tree, one key otherwise."""
+    return switch_passes(n) if topology is Topology.BINARY_DELAY else 0
 
 
 def pic_transmission(params: SourceParams, scheme: SchemeConfig
@@ -138,12 +141,14 @@ def pic_transmission(params: SourceParams, scheme: SchemeConfig
     :func:`delay_table`).
     """
     n = scheme.n_bins
-    return tuple(_frame(params, scheme.topology, n, delay_table(params, n)))
+    return tuple(_frame(params, scheme.topology, n, delay_table(params, n),
+                        range(n - 1, -1, -1)))
 
 
 def quiet_bins(scheme: SchemeConfig) -> range:
     """k(r), the number of bins that must stay quiet when bin r is selected,
-    at index r - 1: r - 1 for first-photon selection, N - r for last."""
+    at index r - 1: r - 1 for first-photon selection, N - r for last.  Only
+    the Monte Carlo plan reads it; :func:`_success_terms` writes k(r) itself."""
     n = scheme.n_bins
     if scheme.selection is Selection.FIRST_PHOTON:
         return range(n)
@@ -161,13 +166,13 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     :func:`photonmux.model.pair_generating_derivative`, so every value keeps
     the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
 
-    Under last-photon selection k(r) = N - r is bin r's delay d, and t
-    moves with N only through ``switch_passes(N)`` (binary tree), so one
-    tuple of transmissions and one of terms per switch count (one on the
-    single line), in bin order of the largest N asked for so far, serve
-    every N of that count as their last N entries; a larger N computes
-    only its new delays, which go in front.  First-photon k(r) = N - 1 - d
-    moves with N, so each N is evaluated afresh.  Nothing outlives the call.
+    k(r) is written here: r - 1 for first-photon selection, bin r's delay
+    N - r for last.  Each :func:`_octave` keeps one tuple of transmissions,
+    in bin order of its largest N so far, whose last N entries serve each N
+    of it; a larger N computes only its new delays, which go in front.
+    Last-photon B(r) depends only on the delay too, so the octave keeps its
+    terms beside; first-photon terms are evaluated afresh for each N.
+    Nothing outlives the call.
     """
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d)
@@ -199,24 +204,22 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
                                          ** 3)))
                 for k, t in pairs]
 
-    if scheme.selection is Selection.FIRST_PHOTON:
-        for n in n_values:
-            pic = _frame(params, topology, n, delay)
-            yield d0_val, pic, terms(zip(range(n), pic))
-        return
-    binary = topology is Topology.BINARY_DELAY
-    by_count = {}
+    last = scheme.selection is Selection.LAST_PHOTON
+    by_octave = {}
     for n in n_values:
-        key = switch_passes(n) if binary else 0
-        pic, per_bin = by_count.get(key, ((), ()))
-        have = len(pic)
-        if have < n:
-            # delays n - 1 .. have, which lead in bin order
-            delays = range(n - 1, have - 1, -1)
+        key = _octave(n, topology)
+        pic, per_bin = by_octave.get(key, ((), ()))
+        if len(pic) < n:
+            # the new delays, which lead in bin order
+            delays = range(n - 1, len(pic) - 1, -1)
             new = _frame(params, topology, n, delay, delays)
-            pic, per_bin = by_count[key] = (
-                tuple(new) + pic, tuple(terms(zip(delays, new))) + per_bin)
-        yield d0_val, pic[-n:], per_bin[-n:]
+            pic = tuple(new) + pic
+            if last:
+                per_bin = tuple(terms(zip(delays, new))) + per_bin
+            by_octave[key] = pic, per_bin
+        pic = pic[-n:]
+        yield d0_val, pic, (per_bin[-n:] if last
+                            else terms(zip(range(n), pic)))
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig,
@@ -246,6 +249,21 @@ def eta_curve(params: SourceParams, scheme: SchemeConfig, n_values
     n_values = [check_depth(n) for n in n_values]
     return tuple(math.fsum(per_bin) for _, _, per_bin
                  in _success_terms(params, scheme, n_values))
+
+
+def best_eta(params: SourceParams, scheme: SchemeConfig, n_values) -> float:
+    """``max(eta_curve(params, scheme, n_values))``, bit for bit.  Under
+    last-photon selection eta gains a term >= 0 per N within an
+    :func:`_octave`, so only each octave's largest N is evaluated.  An empty
+    ``n_values``, or a depth that is not an integer in 1..MAX_BINS, raises
+    DomainError before any depth is evaluated."""
+    n_values = [check_depth(n) for n in n_values]
+    if not n_values:
+        raise DomainError("best_eta needs at least one depth")
+    if scheme.selection is Selection.LAST_PHOTON:
+        n_values = {_octave(n, scheme.topology): n
+                    for n in sorted(n_values)}.values()
+    return max(eta_curve(params, scheme, n_values))
 
 
 def last_photon_weights(n_bins: int, n_occupied: int) -> list[float]:

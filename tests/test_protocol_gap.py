@@ -1,52 +1,82 @@
 """The protocol gap against both full curves, and the premise it rests on.
 
-``protocol_gap`` reads the detector array's best efficiency at the octave
-tops of 1..N_MAX only.  That is exact because a last-photon curve on the
-binary tree never falls within an octave of N (a run of N with one
-``switch_passes(N)``); a first-photon curve can, so the single detector is
-read at every N.
+``protocol_gap`` reads each protocol's best efficiency through
+``efficiency.best_eta``, which evaluates a last-photon curve only at the
+last N of each octave of 1..N_MAX.  That is exact because a last-photon
+curve never falls within an octave of N (a run of N with one
+``efficiency._octave``: one ``switch_passes(N)`` on the binary tree, all N
+on the single delay line); a first-photon curve can, so the single detector
+is read at every N.
 """
+import re
 from dataclasses import replace
 from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photonmux import app
+from photonmux import efficiency
 from photonmux.app import protocol_gap
-from photonmux.efficiency import eta_curve
+from photonmux.efficiency import best_eta, eta_curve
 from photonmux.model import (
+    MAX_BINS,
     N_MAX,
     PROTOCOL_ETA_DET,
     Detection,
+    DomainError,
     PairDistribution,
     SchemeConfig,
     Selection,
     SourceParams,
     Topology,
-    switch_passes,
 )
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None,
                     max_examples=150)
 
 DEPTHS = range(1, N_MAX + 1)
-#: Depths of N_MAX's range by octave, each a run of one switch count:
-#: 1, 2..3, 4..7, ..., 64..127, 128.
-OCTAVES = [list(run) for _, run in groupby(DEPTHS, key=switch_passes)]
 
 
-def test_octave_tops_are_the_last_depth_of_each_octave():
-    assert app.OCTAVE_TOPS == tuple(octave[-1] for octave in OCTAVES) == (
-        1, 3, 7, 15, 31, 63, 127, 128)
+def octaves(topology):
+    """Depths of N_MAX's range by the octave key ``best_eta`` uses: on the
+    binary tree 1, 2..3, 4..7, ..., 64..127, 128; one run on the single
+    delay line."""
+    return [list(run) for _, run in
+            groupby(DEPTHS, key=lambda n: efficiency._octave(n, topology))]
+
+
+OCTAVES = octaves(Topology.BINARY_DELAY)
+
+
+def _evaluated(monkeypatch):
+    """The depth lists that ``protocol_gap`` evaluates at eta_sw = 0.87,
+    single detector first."""
+    calls = []
+
+    def recording(params, scheme, n_values):
+        calls.append(list(n_values))
+        return eta_curve(params, scheme, calls[-1])
+
+    monkeypatch.setattr(efficiency, "eta_curve", recording)
+    protocol_gap(SourceParams(), 0.87)
+    return calls
+
+
+def test_octave_tops_are_the_last_depth_of_each_octave(monkeypatch):
+    single, array = _evaluated(monkeypatch)
+    assert single == list(DEPTHS)
+    assert array == [octave[-1] for octave in OCTAVES] == [
+        1, 3, 7, 15, 31, 63, 127, 128]
 
 
 def test_octave_tops_follow_the_switch_count(monkeypatch):
     """Under the hardware count (N - 1).bit_length() + 1 the octaves are
     1, 2, 3..4, ..., 65..128, so the tops are the powers of two."""
-    monkeypatch.setattr(app, "switch_passes",
+    monkeypatch.setattr(efficiency, "switch_passes",
                         lambda n: (n - 1).bit_length() + 1)
-    assert app._octave_tops() == (1, 2, 4, 8, 16, 32, 64, 128)
+    single, array = _evaluated(monkeypatch)
+    assert single == list(DEPTHS)
+    assert array == [1, 2, 4, 8, 16, 32, 64, 128]
 
 
 @st.composite
@@ -65,12 +95,13 @@ def designs(draw):
 SWITCH = st.floats(0.0, 1.0, exclude_min=True)
 
 
-def _curve(params, eta_sw, detection, selection=None):
-    """Efficiency at every N of 1..N_MAX of the protocol-matched binary-tree
-    design: switch transmission ``eta_sw``, the protocol's detector."""
+def _curve(params, eta_sw, detection, selection=None,
+           topology=Topology.BINARY_DELAY):
+    """Efficiency at every N of 1..N_MAX of the protocol-matched design:
+    switch transmission ``eta_sw``, the protocol's detector."""
     matched = replace(params, eta_sw=eta_sw,
                       eta_det=PROTOCOL_ETA_DET[detection])
-    scheme = SchemeConfig(n_bins=1, topology=Topology.BINARY_DELAY,
+    scheme = SchemeConfig(n_bins=1, topology=topology,
                           detection=detection, selection=selection,
                           allow_mismatched_selection=True)
     return eta_curve(matched, scheme, DEPTHS)
@@ -115,14 +146,60 @@ def test_gap_at_the_edges(edge, dist, literal, d0):
     _assert_gap_is_the_full_curves_gap(params, eta_sw)
 
 
+def test_single_delay_line_is_one_octave():
+    assert octaves(Topology.SINGLE_DELAY_LINE) == [list(DEPTHS)]
+
+
 @PROPERTY
-@given(designs(), SWITCH, st.sampled_from(Detection))
+@given(designs(), SWITCH, st.sampled_from(Detection),
+       st.sampled_from(Topology))
 def test_last_photon_curve_never_falls_within_an_octave(params, eta_sw,
-                                                        detection):
-    curve = _curve(params, eta_sw, detection, Selection.LAST_PHOTON)
-    for octave in OCTAVES:
+                                                        detection, topology):
+    curve = _curve(params, eta_sw, detection, Selection.LAST_PHOTON,
+                   topology)
+    for octave in octaves(topology):
         etas = [curve[n - 1] for n in octave]
         assert etas == sorted(etas)
+
+
+#: A depth in 1..MAX_BINS, often a small one: deep curves go flat in floats,
+#: so only short ones tell an octave's largest N from another of its N.
+DEPTH = st.one_of(st.integers(1, 40), st.integers(1, MAX_BINS))
+
+
+@PROPERTY
+@given(designs(), SWITCH, st.floats(0.0, 1.0), st.sampled_from(Topology),
+       st.sampled_from(Detection), st.sampled_from(Selection),
+       st.lists(DEPTH, min_size=1, max_size=12))
+def test_best_eta_is_the_curve_maximum(params, eta_sw, eta_det, topology,
+                                       detection, selection, n_values):
+    """Unsorted and repeated depths, on every topology, detection and
+    selection, mismatched pairings included."""
+    params = replace(params, eta_sw=eta_sw, eta_det=eta_det)
+    scheme = SchemeConfig(n_bins=1, topology=topology, detection=detection,
+                          selection=selection,
+                          allow_mismatched_selection=True)
+    assert float.hex(best_eta(params, scheme, n_values)) == float.hex(
+        max(eta_curve(params, scheme, n_values)))
+
+
+@pytest.mark.parametrize("n_values, message", [
+    ((), "best_eta needs at least one depth"),
+    ((5, 0), "n_bins must be >= 1, got 0"),
+    ((MAX_BINS + 1, 5), f"n_bins must be <= {MAX_BINS}, got {MAX_BINS + 1}"),
+    ((3, 2.5), "n_bins must be an integer, got 2.5"),
+])
+@pytest.mark.parametrize("selection", list(Selection))
+def test_best_eta_rejects_depths_before_evaluating(monkeypatch, n_values,
+                                                   message, selection):
+    def unreachable(*args):
+        raise AssertionError("a depth was evaluated")
+
+    monkeypatch.setattr(efficiency, "_success_terms", unreachable)
+    scheme = SchemeConfig(n_bins=1, selection=selection,
+                          allow_mismatched_selection=True)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        best_eta(SourceParams(), scheme, n_values)
 
 
 #: First-photon counterexample: the protocol-matched single detector on the
