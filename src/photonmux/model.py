@@ -17,8 +17,8 @@ from enum import Enum
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Last pair count in the Monte Carlo sampling table (:func:`pair_pmf_array`);
-#: the closed forms need no truncation.
+#: Last pair count of the table the Monte Carlo estimator sums over, not
+#: samples from (:func:`pair_pmf_array`); the closed forms need no truncation.
 MAX_PAIRS = 200
 
 #: Largest multiplexing depth a scheme may have.  One evaluation costs O(N)
@@ -304,6 +304,6 @@ def pair_generating_derivative(params: SourceParams
 
 
 def pair_pmf_array(params: SourceParams) -> list[float]:
-    """pmf values for n = 0..MAX_PAIRS, used for table-driven sampling."""
+    """pmf values for n = 0..MAX_PAIRS, summed over by the Monte Carlo tables."""
     return [pair_count_distribution(params, n) for n in range(MAX_PAIRS + 1)]
 

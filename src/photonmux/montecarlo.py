@@ -8,28 +8,25 @@ vetoed when any is at or above eta_f; then the binomial number of the
 selected bin's signal photons that survive the chip.  Everything that
 depends only on the design (the readings, eta_d, the transmission frame, the
 policy and k(r)) is built once per design into a cached plan, the one place
-that reads the design; its ``chunk_tables`` (the herald tables, and t and w
-below by quiet count) are built on an estimate's first use.
+that reads the design; its ``chunk_tables`` (the herald probability, and
+the single and emission chances by quiet count) are built on an estimate's
+first use.
 :func:`estimate_eta` runs the same process vectorized over
-many trials, sampling the selected bin directly from its geometric law, the
-selected bin's pair count m from the heralded conditional table, and the
-outcome from the per-trial law of the literal process; the joint law of
-(selected bin, outcome) is identical to the literal per-bin process, which
-the test suite checks statistically.
+many trials, sampling the selected bin directly from its geometric law and
+the outcome from the law of the literal process summed over the selected
+bin's heralded pair count; the joint law of (selected bin, outcome) is
+identical to the literal per-bin process, which the test suite checks
+statistically.
 
 Trials are independent.  ``n_trials`` is split into fixed-size chunks, each
 driven by its own generator spawned from the master seed, and chunk tallies
 merge by summation, so results are identical for any worker count.
 
 Each chunk draws, in this order: one herald-position uniform per trial,
-then one pair-count uniform and one outcome uniform per heralded trial.
-With t the selected bin's chip transmission and w = f ** k the chance
-that the k quiet bins pass the filter (f from
-:func:`efficiency.quiet_bin_pass`: eta_f, or 1 when the no-herald
-probability leaves the filter out), the outcome uniform u gives a single
-photon below w m t (1-t)^(m-1), more than one from there up to
-w (1 - (1-t)^m), and vacuum above: the binomial law of the survivors after
-the filter veto, with no binomial draw.
+then one outcome uniform per heralded trial.  The outcome uniform gives a
+single photon below the selected bin's single chance, more than one from
+there up to its emission chance, and vacuum above: the binomial law of the
+survivors after the filter veto, with no pair-count or binomial draw.
 """
 from __future__ import annotations
 
@@ -65,7 +62,7 @@ MAX_TRIALS = 10**8
 #: its own temporaries.
 MAX_WORKERS = 64
 
-#: Largest pair-number mass the herald table may drop by ending at MAX_PAIRS.
+#: Largest pair-number mass the pair table may drop by ending at MAX_PAIRS.
 MAX_DROPPED_MASS = 1e-12
 
 
@@ -131,7 +128,8 @@ class _Plan:
     frame and the quiet counts k(r) (:func:`efficiency.quiet_bins`), both
     bin r at index r - 1, the policy, and the chance that one quiet bin
     passes the filter (:func:`efficiency.quiet_bin_pass`), below 1 only
-    where the filter can veto."""
+    where the filter can veto.  Its :attr:`chunk_tables` are the law
+    :func:`_chunk_counts` draws from."""
 
     params: SourceParams
     eta_d: float
@@ -142,13 +140,16 @@ class _Plan:
 
     @functools.cached_property
     def chunk_tables(self):
-        """What :func:`_chunk_counts` samples from, built on first use,
-        because only an estimate needs the pair table and its limit: the
-        herald probability per bin, the cumulative conditional pair-count
-        table P(i | heralded), i = 1..MAX_PAIRS (None when no bin can
-        herald), and, indexed by the quiet count k, the selected bin's
-        transmission t and the chance w = filter_pass ** k that its quiet
-        bins pass the filter."""
+        """The herald probability per bin and, by quiet count k, a heralded
+        trial's chances of a single photon and of any photon, built on
+        first use, because only an estimate needs the pair table and its
+        limit.  With t the selected bin's transmission, w = filter_pass ** k
+        the chance that its quiet bins pass the filter, and
+        c_m = P(m) (1 - (1-eta_d)^m) / p_herald the chance of m pairs in a
+        heralded bin, the single chance is w t sum_m c_m m (1-t)^(m-1) and
+        the emission chance w (1 - sum_m c_m (1-t)^m), m = 1..MAX_PAIRS.
+        The sums run over the pmf, not the closed form's G and G', which
+        keeps the oracle independent of the closed form's algebra."""
         params = self.params
         pmf = np.array(pair_pmf_array(params))
         dropped = 1.0 - math.fsum(pmf)
@@ -157,16 +158,20 @@ class _Plan:
                 f"lam = {params.lam}: a pair table ending at {MAX_PAIRS} pairs "
                 f"would drop {dropped:.3g} of the {params.pair_dist.value} "
                 f"pair-number mass (limit {MAX_DROPPED_MASS:g})")
-        i = np.arange(pmf.size)
-        herald_weight = pmf * (1.0 - (1.0 - self.eta_d) ** i)
+        m = np.arange(pmf.size)
+        herald_weight = pmf * (1.0 - (1.0 - self.eta_d) ** m)
         p_herald = float(herald_weight.sum())
-        cond_cum = (None if p_herald <= 0.0
-                    else np.cumsum(herald_weight[1:] / p_herald))
+        c = herald_weight / (p_herald or 1.0)  # c[0] = 0: no pair, no herald
         t = np.empty(len(self.quiet))
         t[list(self.quiet)] = self.pic
         w = self.filter_pass ** np.arange(t.size)
-        t.flags.writeable = w.flags.writeable = False
-        return p_herald, cond_cum, t, w
+        rest = (1.0 - t)[:, None] ** m  # (1-t)^m by k and m
+        single = w * t * (rest[:, :-1] @ (c * m)[1:])
+        # rounding can leave the emission chance an ulp below the single
+        # chance, as 1 - (1-t) can fall below t when one pair is certain
+        emit = np.maximum(single, w * (1.0 - rest @ c))
+        single.flags.writeable = emit.flags.writeable = False
+        return p_herald, single, emit
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -243,13 +248,13 @@ def _chunk_counts(plan: _Plan, n_trials: int, child_seed):
     histogram.
 
     Draw order (see the module docstring): one uniform of length
-    ``n_trials`` for the herald position, then a pair-count uniform and an
-    outcome uniform per heralded trial, each into the head of the same
-    buffer.  Trials are indexed by their quiet count k, and the histogram
-    is read back to bin order through the plan's quiet counts.
+    ``n_trials`` for the herald position, then an outcome uniform per
+    heralded trial into the head of the same buffer.  Trials are indexed by
+    their quiet count k, and the histogram is read back to bin order
+    through the plan's quiet counts.
     """
-    p_herald, cond_cum, t_by_k, w_by_k = plan.chunk_tables
-    n = t_by_k.size
+    p_herald, single_by_k, emit_by_k = plan.chunk_tables
+    n = single_by_k.size
     rng = np.random.default_rng(child_seed)
     if p_herald == 0.0:
         return 0, 0, np.zeros(n, dtype=np.int64)
@@ -268,42 +273,13 @@ def _chunk_counts(plan: _Plan, n_trials: int, child_seed):
             u /= math.log1p(-p_herald)
         np.floor(u, out=u)
     quiet = np.compress(u < n, u).astype(np.intp)
-    h = quiet.size
 
-    # a uniform at or below cond_cum[0] means one pair, any other one
-    # searchsorted + 1 pairs
-    pair_u = rng.random(out=u[:h])
-    many = np.flatnonzero(pair_u > cond_cum[0])
-    extra = np.searchsorted(cond_cum, pair_u.take(many))
-
-    # m = extra + 1 pairs give a single below w m t (1-t)^(m-1) and a multi
-    # from there up to w (1 - (1-t)^m) = w (1 - (1-t)^(m-1) + t (1-t)^(m-1));
-    # for one pair both bounds are w t.  Arrays are reused in place, which
-    # bounds a chunk's peak memory.
-    k_many = quiet.take(many)
-    single_cut = t_by_k.take(k_many)
-    w = w_by_k.take(k_many)
-    del k_many
-    rest = np.subtract(1.0, single_cut)
-    np.power(rest, extra, out=rest)  # (1-t)^(m-1)
-    single_cut *= rest  # t (1-t)^(m-1)
-    emit_cut = np.subtract(1.0, rest, out=rest)
-    emit_cut += single_cut
-    emit_cut *= w
-    extra += 1
-    single_cut *= extra
-    single_cut *= w
-    del extra, w
-
-    out_u = rng.random(out=u[:h])
-    many_u = out_u.take(many)
-    many_single = many_u < single_cut
-    n_multi = int(np.count_nonzero(~many_single & (many_u < emit_cut)))
-    del many_u, single_cut, emit_cut
-    single = out_u < (t_by_k * w_by_k).take(quiet)
-    single[many] = many_single
+    out_u = rng.random(out=u[:quiet.size])
+    single = out_u < single_by_k.take(quiet)
+    n_emitted = int(np.count_nonzero(out_u < emit_by_k.take(quiet)))
     by_k = np.bincount(np.compress(single, quiet), minlength=n)
-    return int(by_k.sum()), n_multi, by_k.take(plan.quiet)
+    n_single = int(by_k.sum())
+    return n_single, n_emitted - n_single, by_k.take(plan.quiet)
 
 
 def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -21,6 +22,8 @@ from photonmux.model import (
     Selection,
     SourceParams,
     Topology,
+    pair_generating_function,
+    pair_pmf_array,
 )
 from photonmux.montecarlo import (
     _CHUNK_TRIALS,
@@ -475,6 +478,42 @@ class TestChunkSampler:
                 assert repr(rec.pair_counts) == repr(want[0])
                 assert repr(rec.herald_bits) == repr(want[1])
 
+    def test_chances_match_closed_form_across_designs(self):
+        # with D = 1 - p_herald, a trial selects bin r, k = k(r) bins after
+        # the policy's start, and gives a single with chance
+        # p_herald D^k single_k, which is B(r), and any photon with chance
+        # p_herald D^k emit_k, which is (f G(q))^k [1 - G(q) - G(1-t)
+        # + G(q (1-t))]: P(>= 1 photon out) with no sampling noise
+        n_bins = 0
+        for params, s in _designs():
+            plan = _chunk_args(params, s)
+            p_herald, single_by_k, emit_by_k = plan.chunk_tables
+            assert plan.quiet == tuple(efficiency.quiet_bins(s))
+            b = total_efficiency(params, s).per_bin_success
+            f = efficiency.quiet_bin_pass(params)
+            q = 1.0 - efficiency.detection_efficiency(params, s)
+            G = functools.partial(pair_generating_function, params)
+            for r, (k, t) in enumerate(zip(plan.quiet, plan.pic), 1):
+                reach = p_herald * (1.0 - p_herald) ** k
+                emit = (f * G(q)) ** k * (1.0 - G(q) - G(1.0 - t)
+                                          + G(q * (1.0 - t)))
+                assert reach * single_by_k[k] == pytest.approx(
+                    b[r - 1], rel=0, abs=1e-12), (params, s, r)
+                assert reach * emit_by_k[k] == pytest.approx(
+                    emit, rel=0, abs=1e-12), (params, s, r)
+            n_bins += s.n_bins
+        assert n_bins == 3_192
+
+    def test_emission_chance_never_below_single_chance(self):
+        # at lam = 1e-20 almost every heralded bin holds one pair, and
+        # 1 - (1-t) rounds below t on some bins; a negative gap would let
+        # the multi count go below zero
+        for dist in PairDistribution:
+            plan = _chunk_args(SourceParams(lam=1e-20, pair_dist=dist),
+                               scheme(128))
+            _, single_by_k, emit_by_k = plan.chunk_tables
+            assert (emit_by_k >= single_by_k).all()
+
     def test_chunk_peak_memory_is_bounded(self):
         # thermal lam = 0.6 at N = 49 heralds almost every trial, the chunk
         # with the most live temporaries; a 250,000-trial call and one
@@ -482,8 +521,8 @@ class TestChunkSampler:
         params = SourceParams(lam=0.6, pair_dist=PairDistribution.THERMAL_APPROX)
         plan = _chunk_args(params, scheme(49))
         _chunk_counts(plan, 1_000, 0)
-        for n_trials, bound in ((250_000, 12_000_000),
-                                (_CHUNK_TRIALS, 4_000_000)):
+        for n_trials, bound in ((250_000, 8_000_000),
+                                (_CHUNK_TRIALS, 2_200_000)):
             tracemalloc.start()
             try:
                 _chunk_counts(plan, n_trials, np.random.SeedSequence(3))
@@ -494,17 +533,30 @@ class TestChunkSampler:
 
 
 def _oriented_by_hand(params, s):
-    """The chunk tables' t and w by quiet count k, oriented by hand: the
-    selected bin lies k bins from the start of the frame under first-photon
-    selection and from its end under last-photon; w = eta_f ** k where the
-    filter can veto, else 1."""
+    """The chunk tables' single and emission chances by quiet count k,
+    oriented by hand: the selected bin lies k bins from the start of the
+    frame under first-photon selection and from its end under last-photon;
+    its quiet bins pass the filter with w = eta_f ** k where the filter can
+    veto, else 1.  A heralded bin holds m pairs with chance
+    c_m = P(m) (1 - q^m) / p_herald, and m pairs give one photon out with
+    chance m t (1-t)^(m-1) and none with chance (1-t)^m."""
     by_k = (slice(None) if s.selection is Selection.FIRST_PHOTON
             else slice(None, None, -1))
     vetoes = params.include_filter_in_d0 and params.eta_f < 1.0
     veto_bins = (np.array(efficiency.quiet_bins(s)) if vetoes
                  else np.zeros(s.n_bins, dtype=np.int64))
     t = np.array(efficiency.pic_transmission(params, s))[by_k]
-    return t, params.eta_f ** veto_bins[by_k]
+    w = params.eta_f ** veto_bins[by_k]
+    q = 1.0 - efficiency.detection_efficiency(params, s)
+    pmf = np.array(pair_pmf_array(params))
+    m = np.arange(1, pmf.size)
+    heralded = pmf[1:] * (1.0 - q ** m)
+    c = heralded / heralded.sum()
+    single = [w_k * t_k * np.sum(c * m * (1.0 - t_k) ** (m - 1))
+              for t_k, w_k in zip(t, w)]
+    emit = [w_k * (1.0 - np.sum(c * (1.0 - t_k) ** m))
+            for t_k, w_k in zip(t, w)]
+    return np.array(single), np.array(emit)
 
 
 def _one_chunk_by_hand(params, s, n_trials, seed):
@@ -513,19 +565,14 @@ def _one_chunk_by_hand(params, s, n_trials, seed):
     by hand under last-photon selection; returns (n_single, n_multi,
     per-bin histogram)."""
     n = s.n_bins
-    t, w = _oriented_by_hand(params, s)
-    p_herald, cond_cum = _chunk_args(params, s).chunk_tables[:2]
+    single_by_k, emit_by_k = _oriented_by_hand(params, s)
+    p_herald = _chunk_args(params, s).chunk_tables[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     k = np.floor(np.log(rng.random(n_trials)) / math.log1p(-p_herald))
     quiet = k[k < n].astype(np.intp)
-    pair_u = rng.random(quiet.size)
-    m = np.where(pair_u > cond_cum[0],
-                 np.searchsorted(cond_cum, pair_u) + 1, 1)
     out_u = rng.random(quiet.size)
-    tq, wq = t[quiet], w[quiet]
-    rest = (1.0 - tq) ** (m - 1)
-    single = out_u < tq * rest * m * wq
-    multi = ~single & (out_u < ((1.0 - rest) + tq * rest) * wq)
+    single = out_u < single_by_k[quiet]
+    multi = ~single & (out_u < emit_by_k[quiet])
     by_k = np.bincount(quiet[single], minlength=n)
     hist = by_k if s.selection is Selection.FIRST_PHOTON else by_k[::-1]
     return int(single.sum()), int(multi.sum()), tuple(int(c) for c in hist)
@@ -548,12 +595,12 @@ class TestQuietBinOrder:
 
     @pytest.mark.parametrize("params,s", DESIGNS)
     def test_tables_by_quiet_count(self, params, s):
-        t, w = _oriented_by_hand(params, s)
+        single, emit = _oriented_by_hand(params, s)
         plan = _chunk_args(params, s)
-        _, _, t_by_k, w_by_k = plan.chunk_tables
+        _, single_by_k, emit_by_k = plan.chunk_tables
         assert plan.quiet == tuple(efficiency.quiet_bins(s))
-        assert t_by_k.tolist() == t.tolist()
-        assert w_by_k.tolist() == w.tolist()
+        np.testing.assert_allclose(single_by_k, single, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(emit_by_k, emit, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("params,s", DESIGNS)
     def test_histogram_in_bin_order(self, params, s):
