@@ -8,14 +8,14 @@ emitted photon:
 
 where G is the pair-number generating function of :mod:`photonmux.model`,
 q = 1 - eta_d the probability that one idler escapes the heralding detector,
-t_r the chip transmission of bin r, D0 = f G(q) the per-bin probability
-that no herald fires and the bin passes the filter (f from
-:func:`quiet_bin_pass`), and k(r) counts the bins that must stay quiet under
-the selection policy (the bins before r for first-photon selection, after r
-for last-photon).  The bracket is the sum over pair counts i of
-P(i) (1 - q^i) i t_r (1 - t_r)^(i-1) in closed form.  The Monte Carlo engine
-in :mod:`photonmux.montecarlo` realizes the same process stochastically and
-is used as the independent cross-check.
+t_r the chip transmission of bin r (:func:`_frame`), D0 = f G(q) the
+per-bin probability that no herald fires and the bin passes the filter (f
+from :func:`quiet_bin_pass`), and k(r) = :func:`quiet_bins` counts the bins
+that must stay quiet under the selection policy (the bins before r for
+first-photon selection, after r for last-photon).  The bracket is the sum
+over pair counts i of P(i) (1 - q^i) i t_r (1 - t_r)^(i-1) in closed form.
+The Monte Carlo engine in :mod:`photonmux.montecarlo` realizes the same
+process stochastically and is used as the independent cross-check.
 
 :func:`eta_curve` gives eta at many N: eta_d, D0, the D0^k table and the
 delay transmissions do not depend on N and are built once per curve.  B(r)
@@ -28,7 +28,8 @@ k(r) = N - r is the delay, does B(r): eta(N) is a running sum, each term
 is computed once per octave, and :func:`best_eta` reads only each octave's
 largest N.  First-photon curves evaluate every term at every N, because
 bin r's power D0^(r-1) moves with N at a fixed delay.
-:func:`total_efficiency` is the one-N case of the same code.
+:func:`total_efficiency` is the one-N case of the same code, and its
+breakdown's ``pic_transmission`` is the one public view of the chip frame.
 """
 from __future__ import annotations
 
@@ -115,8 +116,10 @@ def delay_table(params: SourceParams, n: int) -> list[float]:
 
 def _frame(params: SourceParams, topology: Topology, n: int,
            delay: list[float], delays: range) -> list[float]:
-    """Chip transmission in an N = ``n`` frame at each delay of ``delays``
-    (bin r has delay N - r; see :func:`pic_transmission`)."""
+    """Chip transmission in an N = ``n`` frame at each delay of ``delays``:
+    eta_f eta_c, the :func:`delay_table` entry (bin r is delayed N - r bins)
+    and ``switch_passes(N)`` switch passes on the binary tree, one per bin
+    of delay on the single delay line."""
     fixed = params.eta_f * params.eta_c
     if topology is Topology.BINARY_DELAY:
         fixed *= params.eta_sw ** switch_passes(n)
@@ -131,26 +134,12 @@ def _octave(n: int, topology: Topology) -> int:
     return switch_passes(n) if topology is Topology.BINARY_DELAY else 0
 
 
-def pic_transmission(params: SourceParams, scheme: SchemeConfig
-                     ) -> tuple[float, ...]:
-    """End-to-end on-chip transmission of every bin; bin r at index r - 1.
-
-    Binary topology: every bin makes ``switch_passes(N)`` switch passes;
-    the single-delay-line comparison pays one switch pass per bin of
-    delay.  The photon of bin r is delayed by N - r bins (see
-    :func:`delay_table`).
-    """
-    n = scheme.n_bins
-    return tuple(_frame(params, scheme.topology, n, delay_table(params, n),
-                        range(n - 1, -1, -1)))
-
-
-def quiet_bins(scheme: SchemeConfig) -> range:
-    """k(r), the number of bins that must stay quiet when bin r is selected,
-    at index r - 1: r - 1 for first-photon selection, N - r for last.  Only
-    the Monte Carlo plan reads it; :func:`_success_terms` writes k(r) itself."""
-    n = scheme.n_bins
-    if scheme.selection is Selection.FIRST_PHOTON:
+def quiet_bins(selection: Selection, n: int) -> range:
+    """k(r), the number of bins that must stay quiet when bin r of an
+    N = ``n`` frame is selected, at index r - 1: r - 1 for first-photon
+    selection, bin r's delay N - r for last.  The one writer of k(r):
+    :func:`_success_terms` and the Monte Carlo plan both read it."""
+    if selection is Selection.FIRST_PHOTON:
         return range(n)
     return range(n - 1, -1, -1)
 
@@ -166,13 +155,14 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     :func:`photonmux.model.pair_generating_derivative`, so every value keeps
     the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
 
-    k(r) is written here: r - 1 for first-photon selection, bin r's delay
-    N - r for last.  Each :func:`_octave` keeps one tuple of transmissions,
-    in bin order of its largest N so far, whose last N entries serve each N
-    of it; a larger N computes only its new delays, which go in front.
-    Last-photon B(r) depends only on the delay too, so the octave keeps its
-    terms beside; first-photon terms are evaluated afresh for each N.
-    Nothing outlives the call.
+    Every k(r) comes from :func:`quiet_bins`.  Each :func:`_octave` keeps
+    one tuple of transmissions, in bin order of its largest N so far, whose
+    last N entries serve each N of it; a larger N computes only its new
+    delays, which go in front.  Under last-photon selection k(r) is the
+    delay, so B(r) depends only on the delay too: the octave keeps its
+    terms beside, and only the new leading bins are zipped with their k(r).
+    First-photon terms are evaluated afresh for each N.  Nothing outlives
+    the call.
     """
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d)
@@ -204,22 +194,23 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
                                          ** 3)))
                 for k, t in pairs]
 
-    last = scheme.selection is Selection.LAST_PHOTON
+    selection = scheme.selection
+    last = selection is Selection.LAST_PHOTON
     by_octave = {}
     for n in n_values:
         key = _octave(n, topology)
+        quiet = quiet_bins(selection, n)
         pic, per_bin = by_octave.get(key, ((), ()))
         if len(pic) < n:
-            # the new delays, which lead in bin order
-            delays = range(n - 1, len(pic) - 1, -1)
-            new = _frame(params, topology, n, delay, delays)
+            # the new delays, which lead in bin order; zip stops at them
+            new = _frame(params, topology, n, delay,
+                         range(n - 1, len(pic) - 1, -1))
             pic = tuple(new) + pic
             if last:
-                per_bin = tuple(terms(zip(delays, new))) + per_bin
+                per_bin = tuple(terms(zip(quiet, new))) + per_bin
             by_octave[key] = pic, per_bin
         pic = pic[-n:]
-        yield d0_val, pic, (per_bin[-n:] if last
-                            else terms(zip(range(n), pic)))
+        yield d0_val, pic, (per_bin[-n:] if last else terms(zip(quiet, pic)))
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig,

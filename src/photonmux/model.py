@@ -303,6 +303,16 @@ def pair_generating_derivative(params: SourceParams
     return lambda z: scale / (1.0 - x * z) ** 3
 
 
+def sample_pairs(params: SourceParams, rng, size: int):
+    """``size`` int64 pair counts drawn with the numpy Generator ``rng``.
+    Thermal pairs are negative-binomial with 2 successes; at lam = 0 either
+    law takes the Poisson draw, which gives zeros and consumes nothing."""
+    lam = params.lam
+    if params.pair_dist is PairDistribution.POISSON or lam == 0.0:
+        return rng.poisson(lam, size)
+    return rng.negative_binomial(2, 1.0 - lam / 2.0, size)
+
+
 def pair_pmf_array(params: SourceParams) -> list[float]:
     """pmf values for n = 0..MAX_PAIRS, summed over by the Monte Carlo tables."""
     return [pair_count_distribution(params, n) for n in range(MAX_PAIRS + 1)]

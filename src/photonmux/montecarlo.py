@@ -1,22 +1,21 @@
 """Stochastic frame simulation, the independent oracle for the closed forms.
 
 :func:`run_frame` realizes one frame literally.  It draws, in this order:
-the pair count of every bin; one uniform per idler photon, bin by bin, a bin
-heralding when any of its idler uniforms falls below eta_d; after policy
-selection, when the filter can veto, one uniform per quiet bin, the frame
-vetoed when any is at or above eta_f; then the binomial number of the
-selected bin's signal photons that survive the chip.  Everything that
-depends only on the design (the readings, eta_d, the transmission frame, the
-policy and k(r)) is built once per design into a cached plan, the one place
-that reads the design; its ``chunk_tables`` (the herald probability, and
-the single and emission chances by quiet count) are built on an estimate's
-first use.
-:func:`estimate_eta` runs the same process vectorized over
-many trials, sampling the selected bin directly from its geometric law and
-the outcome from the law of the literal process summed over the selected
-bin's heralded pair count; the joint law of (selected bin, outcome) is
-identical to the literal per-bin process, which the test suite checks
-statistically.
+the pair count of every bin (:func:`photonmux.model.sample_pairs`); one
+uniform per idler photon, bin by bin, a bin heralding when any of its idler
+uniforms falls below eta_d; after policy selection, when the filter can
+veto, one uniform per quiet bin, the frame vetoed when any is at or above
+eta_f; then the binomial number of the selected bin's signal photons that
+survive the chip.  Everything that depends only on the design (the readings,
+eta_d, the closed form's transmission frame and k(r), and the policy) is
+built once per design into a cached plan, the one place that reads the
+design; its ``chunk_tables`` (the herald probability, and the single and
+emission chances by quiet count) are built on an estimate's first use.
+:func:`estimate_eta` runs the same process vectorized over many trials,
+sampling the selected bin directly from its geometric law and the outcome
+from the law of the literal process summed over the selected bin's heralded
+pair count; the joint law of (selected bin, outcome) is identical to the
+literal per-bin process, which the test suite checks statistically.
 
 Trials are independent.  ``n_trials`` is split into fixed-size chunks, each
 driven by its own generator spawned from the master seed, and chunk tallies
@@ -43,12 +42,12 @@ from .control import HeraldFrame, select_first, select_last
 from .model import (
     MAX_PAIRS,
     DomainError,
-    PairDistribution,
     SchemeConfig,
     Selection,
     SourceParams,
     as_integer,
     pair_pmf_array,
+    sample_pairs,
     with_readings,
 )
 
@@ -110,23 +109,13 @@ def _as_rng(rng_seed) -> np.random.Generator:
     return np.random.default_rng(as_integer("seed", rng_seed, 0))
 
 
-def _sample_pairs(params: SourceParams, rng: np.random.Generator,
-                  size: int) -> np.ndarray:
-    lam = params.lam
-    if lam == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    if params.pair_dist is PairDistribution.POISSON:
-        return rng.poisson(lam, size)
-    # (n+1) x^n (1-x)^2 with x = lam/2 is negative-binomial with 2 successes
-    return rng.negative_binomial(2, 1.0 - lam / 2.0, size)
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """Everything a frame or an estimate needs that depends only on the
     design: the params with the readings merged, eta_d, the transmission
-    frame and the quiet counts k(r) (:func:`efficiency.quiet_bins`), both
-    bin r at index r - 1, the policy, and the chance that one quiet bin
+    frame (the ``pic_transmission`` of :func:`efficiency.total_efficiency`)
+    and the quiet counts k(r) (:func:`efficiency.quiet_bins`), both bin r at
+    index r - 1, the policy, and the chance that one quiet bin
     passes the filter (:func:`efficiency.quiet_bin_pass`), below 1 only
     where the filter can veto.  Its :attr:`chunk_tables` are the law
     :func:`_chunk_counts` draws from."""
@@ -182,8 +171,8 @@ def _plan(params: SourceParams, scheme: SchemeConfig, **readings) -> _Plan:
     return _Plan(
         params=params,
         eta_d=efficiency.detection_efficiency(params, scheme),
-        pic=efficiency.pic_transmission(params, scheme),
-        quiet=tuple(efficiency.quiet_bins(scheme)),
+        pic=efficiency.total_efficiency(params, scheme).pic_transmission,
+        quiet=tuple(efficiency.quiet_bins(scheme.selection, scheme.n_bins)),
         first=scheme.selection is Selection.FIRST_PHOTON,
         filter_pass=efficiency.quiet_bin_pass(params),
     )
@@ -207,7 +196,7 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed,
     plan = _plan(params, scheme, **readings)
     rng = _as_rng(rng_seed)
 
-    pairs = _sample_pairs(plan.params, rng, scheme.n_bins)
+    pairs = sample_pairs(plan.params, rng, scheme.n_bins)
     pair_counts = tuple(pairs.tolist())
     idlers = rng.random(sum(pair_counts)).tolist()
     eta_d = plan.eta_d

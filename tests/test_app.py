@@ -94,6 +94,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words")
 
+    @pytest.mark.parametrize("text", ["yes", "true", "on", "1", " Yes "])
+    def test_mismatched_selection_override(self, text):
+        _, scheme = parse_config("detection = array\nselection = first\n"
+                                 f"allow_mismatched_selection = {text}")
+        assert scheme.allow_mismatched_selection is True
+        assert scheme.detection is Detection.DETECTOR_ARRAY
+        assert scheme.selection is Selection.FIRST_PHOTON
+
     def test_explicit_eta_det_kept(self):
         params, _ = parse_config("detection = array\neta_det = 0.75")
         assert params.eta_det == 0.75
@@ -349,6 +357,32 @@ class TestCrossing:
         assert find_crossing(SourceParams(), 0.5, 1.0) == expected
         assert received == list(calls)
         assert best == [expected]
+
+    def test_tiny_tol_ends_at_adjacent_floats(self, monkeypatch):
+        # no bracket is narrower than 1e-300, so bisection ends only where
+        # the midpoint rounds to a bracket end
+        calls = []
+
+        def gap(params, eta_sw):
+            calls.append((eta_sw, protocol_gap(params, eta_sw)))
+            return calls[-1][1]
+
+        monkeypatch.setattr("photonmux.app.protocol_gap", gap)
+        value = find_crossing(SourceParams(), 0.85, 0.99, tol=1e-300)
+        assert 0.85 <= value <= 0.99
+        assert all(g for _, g in calls)
+        # replay the bisection from the recorded gaps to its last bracket
+        (lo, g_lo), (hi, _) = calls[:2]
+        for mid, g in calls[2:]:
+            if math.copysign(1.0, g) == math.copysign(1.0, g_lo):
+                lo, g_lo = mid, g
+            else:
+                hi = mid
+        assert math.nextafter(lo, hi) == hi
+        assert value in (lo, hi)
+        # floats in [0.5, 1) lie 2**-53 apart, so halving a bracket of 0.14
+        # there reaches adjacent floats within 51 midpoints
+        assert len(calls) <= 2 + 51
 
     def test_gap_is_monotone_decreasing_on_bracket(self):
         params = SourceParams()

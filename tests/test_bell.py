@@ -103,6 +103,16 @@ class TestFockState:
             nonpolarizing_coupler(0, 1))
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
+    def test_element_beyond_the_modes_rejected(self):
+        # polarizing_coupler(0, 1) acts on modes 0..3; the state has two
+        with pytest.raises(ValueError, match="mode out of range"):
+            FockState(2, {(1, 0): 1.0}).apply(polarizing_coupler(0, 1))
+
+    def test_mixed_photon_numbers_have_no_photon_number(self):
+        state = FockState(2, {(1, 0): 0.6, (1, 1): 0.8})
+        with pytest.raises(ValueError, match="mixes photon-number sectors"):
+            state.photon_number()
+
 
 class TestHeraldedBellCircuit:
     def test_herald_probability_is_three_sixteenths(self):

@@ -113,7 +113,8 @@ def test_per_bin_success_is_the_model_derivative_expression(
         q = 1.0 - detection_efficiency(params, scheme)
         d0 = result.d0
         expected = [d0 ** k * (t * (g1(1.0 - t) - q * g1(q * (1.0 - t))))
-                    for k, t in zip(quiet_bins(scheme),
+                    for k, t in zip(quiet_bins(scheme.selection,
+                                               scheme.n_bins),
                                     result.pic_transmission)]
         assert list(map(float.hex, result.per_bin_success)) == list(
             map(float.hex, expected)), n

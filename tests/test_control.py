@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 
 from photonmux.control import (
+    PHASE_PI,
     HeraldFrame,
     clock_divisions,
     phase_schedule,
     select_first,
     select_last,
 )
-from photonmux.efficiency import pic_transmission
+from photonmux.efficiency import total_efficiency
 from photonmux.model import (
     MAX_BINS,
     DomainError,
@@ -64,6 +66,16 @@ class TestPhaseSchedule:
         for r in range(1, n + 1):
             assert sched.decode_delay(r) == n - r
 
+    def test_flipped_exit_phase_is_inconsistent(self):
+        sched = phase_schedule(8)
+        for r, row in enumerate(sched.phases, start=1):
+            flipped = row[:-1] + (0.0 if row[-1] == PHASE_PI else PHASE_PI,)
+            phases = sched.phases[:r - 1] + (flipped,) + sched.phases[r:]
+            bad = dataclasses.replace(sched, phases=phases)
+            with pytest.raises(DomainError,
+                               match=f"inconsistent exit phase .* bin {r}$"):
+                bad.decode_delay(r)
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
     def test_stage_count_is_log_depth_plus_exit(self, n):
         assert phase_schedule(n).stage_count == int(math.log2(n)) + 1
@@ -73,7 +85,7 @@ class TestPhaseSchedule:
         # with only switch loss, every bin of the binary tree passes
         # eta_sw ** N.bit_length(): one pass per stage of the schedule
         params = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=0.5, alpha_inc=0.0)
-        pic = pic_transmission(params, SchemeConfig(n_bins=n))
+        pic = total_efficiency(params, SchemeConfig(n_bins=n)).pic_transmission
         stages = phase_schedule(n).stage_count
         assert n.bit_length() == stages == switch_passes(n)
         assert pic == (0.5 ** stages,) * n

@@ -11,7 +11,6 @@ from photonmux.efficiency import (
     last_photon_weights,
     no_herald_probability,
     occupied_bins,
-    pic_transmission,
     quiet_bin_pass,
     total_efficiency,
 )
@@ -99,28 +98,33 @@ class TestQuietBinPass:
 class TestPicTransmission:
     def test_single_line_last_bin_is_lossless(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0)
-        assert pic_transmission(p, scheme(8, Topology.SINGLE_DELAY_LINE))[7] == 1.0
+        frame = total_efficiency(
+            p, scheme(8, Topology.SINGLE_DELAY_LINE)).pic_transmission
+        assert frame[7] == 1.0
 
     def test_binary_pass_count_is_depth_plus_one(self):
         # with every other loss at 1, each entry is eta_sw^(passes) exactly
         half = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=0.5, alpha_inc=0.0)
         for n in range(1, MAX_BINS + 1):
             passes = math.floor(math.log2(n)) + 1
-            assert pic_transmission(half, scheme(n)) == (0.5**passes,) * n
+            frame = total_efficiency(half, scheme(n)).pic_transmission
+            assert frame == (0.5**passes,) * n
         p_unit = SourceParams(eta_f=1.0, eta_c=1.0, alpha_inc=0.0)
-        assert pic_transmission(p_unit, scheme(8))[4] == pytest.approx(
-            0.87**4, rel=1e-12)
+        frame = total_efficiency(p_unit, scheme(8)).pic_transmission
+        assert frame[4] == pytest.approx(0.87**4, rel=1e-12)
 
     def test_single_line_passes_equal_the_delay(self):
         half = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=0.5, alpha_inc=0.0)
         for n in (1, 2, 7, 64):
-            frame = pic_transmission(half, scheme(n, Topology.SINGLE_DELAY_LINE))
+            frame = total_efficiency(
+                half, scheme(n, Topology.SINGLE_DELAY_LINE)).pic_transmission
             assert frame == tuple(0.5 ** (n - r) for r in range(1, n + 1))
 
     def test_binary_beats_single_line_for_early_bins(self):
         p = SourceParams(alpha_inc=0.0)
-        binary = pic_transmission(p, scheme(32))
-        line = pic_transmission(p, scheme(32, Topology.SINGLE_DELAY_LINE))
+        binary = total_efficiency(p, scheme(32)).pic_transmission
+        line = total_efficiency(
+            p, scheme(32, Topology.SINGLE_DELAY_LINE)).pic_transmission
         assert binary[0] / line[0] == pytest.approx(0.87**6 / 0.87**31,
                                                     rel=1e-9)
         # the binary topology dominates whenever fewer passes are needed
@@ -129,12 +133,13 @@ class TestPicTransmission:
 
     def test_decibel_convention(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0, alpha_inc=3.0)
-        assert pic_transmission(p, scheme(2))[0] == pytest.approx(
-            10 ** (-3.0 / 10.0), rel=1e-12)
+        frame = total_efficiency(p, scheme(2)).pic_transmission
+        assert frame[0] == pytest.approx(10 ** (-3.0 / 10.0), rel=1e-12)
 
     def test_literal_exponent_flag(self):
         p = SourceParams(eta_f=1.0, eta_c=1.0, eta_sw=1.0, alpha_inc=0.03)
-        assert pic_transmission(replace(p, literal_exponent=True), scheme(2))[0] \
+        literal = replace(p, literal_exponent=True)
+        assert total_efficiency(literal, scheme(2)).pic_transmission[0] \
             == pytest.approx(10 ** (-0.03), rel=1e-12)
 
 
@@ -216,7 +221,7 @@ class TestBinSuccess:
         if filter_in_d0:
             d0 *= p.eta_f
         for r in (1, 5, 12):
-            t = pic_transmission(p, s)[r - 1]
+            t = total_efficiency(p, s).pic_transmission[r - 1]
             survives = math.fsum(
                 w * (1 - q**i) * i * t * (1 - t) ** (i - 1)
                 for i, w in enumerate(pmf) if i >= 1)

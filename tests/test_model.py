@@ -17,6 +17,7 @@ from photonmux.model import (
     pair_count_distribution,
     pair_generating_derivative,
     pair_generating_function,
+    sample_pairs,
 )
 
 
@@ -191,6 +192,18 @@ class TestPairCountDistribution:
         with pytest.raises(DomainError):
             pair_count_distribution(
                 SourceParams(lam=2.0, pair_dist=PairDistribution.THERMAL_APPROX), 0)
+
+
+class TestSamplePairs:
+    @pytest.mark.parametrize("dist", list(PairDistribution))
+    def test_no_pumping_gives_zeros_and_draws_nothing(self, dist):
+        # negative_binomial(2, 1.0) would also give zeros, but it consumes
+        # draws; the Poisson draw at lam = 0 leaves the stream where it was
+        rng = np.random.default_rng(7)
+        pairs = sample_pairs(SourceParams(lam=0.0, pair_dist=dist), rng, 9)
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [0] * 9
+        assert rng.random() == np.random.default_rng(7).random()
 
 
 class TestPairGeneratingFunction:

@@ -24,6 +24,7 @@ from photonmux.model import (
     Topology,
     pair_generating_function,
     pair_pmf_array,
+    sample_pairs,
 )
 from photonmux.montecarlo import (
     _CHUNK_TRIALS,
@@ -32,7 +33,6 @@ from photonmux.montecarlo import (
     Outcome,
     _chunk_counts,
     _plan,
-    _sample_pairs,
     estimate_avg_lin,
     estimate_eta,
     run_frame,
@@ -151,7 +151,7 @@ class TestRunFrame:
                                   include_filter_in_d0=in_d0)
             s = scheme(n)
             eta_d = efficiency.detection_efficiency(params, s)
-            (t,) = set(efficiency.pic_transmission(params, s))
+            (t,) = set(efficiency.total_efficiency(params, s).pic_transmission)
             bins = {i: [0, 0] for i in heralds}
             # per k: frames with survivors, and the sum and variance of
             # their probabilities
@@ -329,9 +329,9 @@ def _reference_frame(params, scheme, rng):
     filter coin per quiet bin of the selected bin, then the binomial
     survivors."""
     eta_d = efficiency.detection_efficiency(params, scheme)
-    pic = efficiency.pic_transmission(params, scheme)
+    pic = efficiency.total_efficiency(params, scheme).pic_transmission
 
-    pairs = tuple(int(m) for m in _sample_pairs(params, rng, scheme.n_bins))
+    pairs = tuple(int(m) for m in sample_pairs(params, rng, scheme.n_bins))
     bits = []
     for m in pairs:
         fired = 0
@@ -350,7 +350,8 @@ def _reference_frame(params, scheme, rng):
     if selected is not None:
         vetoed = False
         if params.include_filter_in_d0 and params.eta_f < 1.0:
-            for _ in range(efficiency.quiet_bins(scheme)[selected - 1]):
+            quiet = efficiency.quiet_bins(scheme.selection, scheme.n_bins)
+            for _ in range(quiet[selected - 1]):
                 if rng.random() >= params.eta_f:
                     vetoed = True
         if not vetoed:
@@ -488,7 +489,8 @@ class TestChunkSampler:
         for params, s in _designs():
             plan = _chunk_args(params, s)
             p_herald, single_by_k, emit_by_k = plan.chunk_tables
-            assert plan.quiet == tuple(efficiency.quiet_bins(s))
+            assert plan.quiet == tuple(
+                efficiency.quiet_bins(s.selection, s.n_bins))
             b = total_efficiency(params, s).per_bin_success
             f = efficiency.quiet_bin_pass(params)
             q = 1.0 - efficiency.detection_efficiency(params, s)
@@ -543,9 +545,9 @@ def _oriented_by_hand(params, s):
     by_k = (slice(None) if s.selection is Selection.FIRST_PHOTON
             else slice(None, None, -1))
     vetoes = params.include_filter_in_d0 and params.eta_f < 1.0
-    veto_bins = (np.array(efficiency.quiet_bins(s)) if vetoes
-                 else np.zeros(s.n_bins, dtype=np.int64))
-    t = np.array(efficiency.pic_transmission(params, s))[by_k]
+    veto_bins = (np.array(efficiency.quiet_bins(s.selection, s.n_bins))
+                 if vetoes else np.zeros(s.n_bins, dtype=np.int64))
+    t = np.array(efficiency.total_efficiency(params, s).pic_transmission)[by_k]
     w = params.eta_f ** veto_bins[by_k]
     q = 1.0 - efficiency.detection_efficiency(params, s)
     pmf = np.array(pair_pmf_array(params))
@@ -598,7 +600,8 @@ class TestQuietBinOrder:
         single, emit = _oriented_by_hand(params, s)
         plan = _chunk_args(params, s)
         _, single_by_k, emit_by_k = plan.chunk_tables
-        assert plan.quiet == tuple(efficiency.quiet_bins(s))
+        assert plan.quiet == tuple(
+            efficiency.quiet_bins(s.selection, s.n_bins))
         np.testing.assert_allclose(single_by_k, single, rtol=1e-13, atol=0)
         np.testing.assert_allclose(emit_by_k, emit, rtol=1e-13, atol=0)
 
