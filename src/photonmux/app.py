@@ -21,6 +21,7 @@ from .model import (
     Topology,
     as_integer,
     check_depth,
+    is_finite,
     with_readings,
 )
 
@@ -75,7 +76,7 @@ def sweep_values(parameter: str, values: str | None = None,
         raise ConfigError("numeric sweeps need --min, --max and --step "
                           "(or --values)")
     grid = f"min={lo!r} max={hi!r} step={step!r}"
-    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0:
+    if not all(map(is_finite, (lo, hi, step))) or step <= 0:
         raise ConfigError(f"sweep grid needs finite bounds and a step > 0, "
                           f"got {grid}")
     if kind is int and not all(float(v).is_integer() for v in (lo, hi, step)):
@@ -134,12 +135,12 @@ def sweep(spec: SweepSpec, **readings) -> EfficiencyCurve:
     """Evaluate the total efficiency at every sweep point; a value outside
     the modeled domain raises DomainError.  An ``n_bins`` sweep is one
     :func:`~photonmux.efficiency.eta_curve`."""
-    spec = replace(spec, params=with_readings(spec.params, **readings))
+    params = with_readings(spec.params, **readings)
     if spec.parameter == "n_bins":
-        etas = eta_curve(spec.params, spec.scheme, spec.values)
+        etas = eta_curve(params, spec.scheme, spec.values)
     else:
         field_name, _ = _sweep_key(spec.parameter)
-        etas = [total_efficiency(replace(spec.params, **{field_name: value}),
+        etas = [total_efficiency(replace(params, **{field_name: value}),
                                  spec.scheme).eta_total
                 for value in spec.values]
     points = tuple(zip(spec.values, etas))
@@ -154,13 +155,12 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
                   n_min: int = 1, n_max: int = N_MAX,
                   **readings) -> EfficiencyCurve:
     """Sweep the multiplexing depth and report the maximizing N."""
-    params = with_readings(params, **readings)
     n_min, n_max = as_integer("n_min", n_min), as_integer("n_max", n_max)
     if not 1 <= n_min <= n_max <= MAX_BINS:
         raise DomainError(f"need 1 <= n_min <= n_max <= {MAX_BINS}, "
                           f"got n_min={n_min}, n_max={n_max}")
     spec = SweepSpec("n_bins", tuple(range(n_min, n_max + 1)), params, scheme)
-    return sweep(spec)
+    return sweep(spec, **readings)
 
 
 #: Topology on which ``protocol_gap`` compares the protocols, each at its
@@ -211,7 +211,7 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
     both are 0 the gap has no sign, and DomainError says so.
     """
     params = with_readings(params, **readings)
-    if not (math.isfinite(tol) and tol > 0):
+    if not (is_finite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if not 0.0 < lo <= hi:
         raise DomainError(f"need 0 < lo <= hi, got [{lo}, {hi}]")

@@ -1,16 +1,7 @@
-"""Flat key-value configuration files."""
+"""Flat key-value configuration files, parsed by ``model.field_kinds``."""
 from __future__ import annotations
 
-from enum import Enum
-
-from .model import (
-    Detection,
-    PairDistribution,
-    SchemeConfig,
-    Selection,
-    SourceParams,
-    Topology,
-)
+from .model import SchemeConfig, SourceParams, field_kinds
 
 #: Largest configuration file read, in bytes; a longer one is rejected
 #: before it is parsed, so a device such as /dev/zero cannot fill memory.
@@ -21,25 +12,13 @@ class ConfigError(Exception):
     """Invalid configuration file or sweep specification."""
 
 
-_PARAM_KEYS = {
-    "lambda": ("lam", float),
-    "period": ("period", float),
-    "eta_f": ("eta_f", float),
-    "eta_c": ("eta_c", float),
-    "eta_sw": ("eta_sw", float),
-    "eta_det": ("eta_det", float),
-    "eta_conv": ("eta_conv", float),
-    "alpha_inc": ("alpha_inc", float),
-    "pair_dist": ("pair_dist", PairDistribution),
-}
-
-_SCHEME_KEYS = {
-    "n_bins": ("n_bins", int),
-    "topology": ("topology", Topology),
-    "detection": ("detection", Detection),
-    "selection": ("selection", Selection),
-    "allow_mismatched_selection": ("allow_mismatched_selection", bool),
-}
+#: {key: (field name, kind)}: each key is its field's name (``lambda`` for
+#: ``lam``); the two readings are command-line flags, not keys.
+_PARAM_KEYS = {("lambda" if name == "lam" else name): (name, kind)
+               for name, kind, _ in field_kinds(SourceParams)
+               if name not in ("include_filter_in_d0", "literal_exponent")}
+_SCHEME_KEYS = {name: (name, kind)
+                for name, kind, _ in field_kinds(SchemeConfig)}
 
 
 def _parse_bool(text: str) -> bool:
@@ -55,9 +34,9 @@ def _parse_value(key: str, text: str, kind):
     try:
         if kind is bool:
             return _parse_bool(text)
-        if issubclass(kind, Enum):
-            return kind(text.strip().lower())
-        return kind(text)
+        if kind in (int, float):
+            return kind(text)
+        return kind(text.strip().lower())  # an enum, by its value
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid value for {key!r}: {text!r}") from exc
 

@@ -4,15 +4,15 @@ Everything downstream (closed-form efficiency, Monte Carlo, the CLI) consumes
 the two value types defined here: :class:`SourceParams` bundles the physical
 efficiencies of the pumped pair source and the chip, :class:`SchemeConfig`
 selects the multiplexing topology and detection protocol.  Both are frozen, so
-instances can be shared freely between worker threads.
+instances can be shared freely between worker threads.  A field's kind is
+stated once, by its annotation, which :func:`check_fields` and ``config`` read.
 """
-from __future__ import annotations
-
+import functools
 import math
 import numbers
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -66,6 +66,14 @@ PROTOCOL_ETA_DET = {Detection.SINGLE_DETECTOR: 0.7,
                     Detection.DETECTOR_ARRAY: 0.8}
 
 
+def is_finite(value) -> bool:
+    """math.isfinite, but False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
                         group_index: float = 4.0,
                         period: float = 40e-12) -> float:
@@ -76,7 +84,7 @@ def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
     is the per-bin increment used by the transmission model.
     """
     args = (alpha_lin_db_per_cm, group_index, period)
-    if not all(map(math.isfinite, args)):
+    if not all(map(is_finite, args)):
         raise DomainError(
             f"loss, group index and period must be finite, got {args}")
     if alpha_lin_db_per_cm < 0 or group_index <= 0 or period <= 0:
@@ -96,16 +104,34 @@ def check_unit(name: str, value: float) -> None:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
-def check_kind(name: str, value, kind: type) -> None:
-    """DomainError unless ``value`` is a ``kind``, say an enum or bool."""
-    if not isinstance(value, kind):
-        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+@functools.cache
+def field_kinds(cls) -> tuple[tuple[str, type, bool], ...]:
+    """(name, kind, None allowed) of each field of the dataclass ``cls``, read
+    once from its annotation, not postponed here; ``X | None`` allows None."""
+    table = []
+    for f in fields(cls):
+        kinds = set(getattr(f.type, "__args__", (f.type,)))
+        (kind,) = kinds - {type(None)}
+        table.append((f.name, kind, type(None) in kinds))
+    return tuple(table)
 
 
-#: The fields of :class:`SourceParams` that hold a real number.
-_FLOAT_FIELDS = ("lam", "period", "eta_f", "eta_c", "eta_sw", "eta_det",
-                 "eta_conv", "alpha_inc")
-_float_values = operator.attrgetter(*_FLOAT_FIELDS)
+def check_fields(obj) -> None:
+    """DomainError unless each field of the dataclass ``obj`` holds its
+    annotation's kind, a float field any real number but a bool.  An
+    ``int`` field is left to its own range check."""
+    for name, kind, none_allowed in field_kinds(type(obj)):
+        value = getattr(obj, name)
+        if type(value) is kind or kind is int:
+            continue
+        if kind is float:  # an int passes before the slow ABC check
+            if type(value) is int or (isinstance(value, numbers.Real)
+                                      and not isinstance(value, bool)):
+                continue
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        if not (isinstance(value, kind) or none_allowed and value is None):
+            raise DomainError(
+                f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,21 +165,11 @@ class SourceParams:
     literal_exponent: bool = False
 
     def __post_init__(self) -> None:
-        check_kind("pair_dist", self.pair_dist, PairDistribution)
-        for name in ("include_filter_in_d0", "literal_exponent"):
-            check_kind(name, getattr(self, name), bool)
-        # floats and ints pass at once; the ABC check is slow
-        if not {float, int}.issuperset(map(type, _float_values(self))):
-            for name, value in zip(_FLOAT_FIELDS, _float_values(self)):
-                if isinstance(value, bool) or not isinstance(value,
-                                                             numbers.Real):
-                    raise DomainError(
-                        f"{name} must be a real number, got {value!r}")
+        check_fields(self)
         # the unit-interval check below also rejects non-finite efficiencies
         for name in ("lam", "period", "alpha_inc"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+            if not is_finite(value := getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise DomainError(f"lam must be >= 0, got {self.lam}")
         if self.pair_dist is PairDistribution.THERMAL_APPROX and self.lam >= 2:
@@ -244,12 +260,8 @@ class SchemeConfig:
     allow_mismatched_selection: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         object.__setattr__(self, "n_bins", check_depth(self.n_bins))
-        for name, kind in (("topology", Topology), ("detection", Detection),
-                           ("allow_mismatched_selection", bool)):
-            check_kind(name, getattr(self, name), kind)
-        if self.selection is not None:
-            check_kind("selection", self.selection, Selection)
         canonical = CANONICAL_SELECTION[self.detection]
         if self.selection is None:
             object.__setattr__(self, "selection", canonical)

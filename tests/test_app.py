@@ -249,6 +249,10 @@ class TestSweepValues:
         ("eta_sw", 0.5, 0.6, -0.1, "step > 0"),
         ("eta_sw", 0.5, 0.6, math.nan, "step > 0"),
         ("eta_sw", 0.5, math.inf, 0.1, "finite bounds"),
+        pytest.param("eta_sw", 0.5, 10**400, 0.1,
+                     "finite bounds.* max=10{400} ", id="huge-int-max"),
+        pytest.param("eta_sw", 0.5, 0.6, 10**400,
+                     "finite bounds.* step=10{400}$", id="huge-int-step"),
         ("eta_sw", 0.5, None, 0.1, "need --min, --max and --step"),
         ("n_bins", None, None, 0.0, "step > 0"),
         ("n_bins", None, None, 0.5, "integral"),
@@ -320,7 +324,8 @@ class TestCrossing:
         with pytest.raises(DomainError):
             find_crossing(SourceParams(), 0.9, 0.9)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf,
+                                     pytest.param(10**400, id="huge-int")])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(DomainError, match="tol must be finite"):
             find_crossing(SourceParams(), 0.85, 0.99, tol)

@@ -48,11 +48,15 @@ class TestSourceParams:
         ((0.1, math.nan, 40e-12), "must be finite"),
         ((0.1, 4.0, math.inf), "must be finite"),
         ((0.1, 4.0, -math.inf), "must be finite"),
+        ((10**400, 4.0, 40e-12), "must be finite"),
+        ((0.1, 10**400, 40e-12), "must be finite"),
+        ((0.1, 4.0, 10**400), "must be finite"),
         ((-0.1, 4.0, 40e-12), "must be positive"),
         ((0.1, 0.0, 40e-12), "must be positive"),
         ((0.1, 4.0, -40e-12), "must be positive")],
         ids=["nan-loss", "inf-loss", "inf-index", "nan-index", "inf-period",
-             "-inf-period", "negative-loss", "zero-index", "negative-period"])
+             "-inf-period", "huge-int-loss", "huge-int-index",
+             "huge-int-period", "negative-loss", "zero-index", "negative-period"])
     def test_incremental_loss_rejects_bad_arguments(self, args, message):
         with pytest.raises(
                 DomainError,
@@ -73,7 +77,9 @@ class TestSourceParams:
         with pytest.raises(DomainError):
             SourceParams(**{field: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10**400, id="huge-int")])
     @pytest.mark.parametrize("field", ["lam", "period", "eta_f", "eta_c",
                                        "eta_sw", "eta_det", "eta_conv",
                                        "alpha_inc"])
@@ -140,6 +146,22 @@ class TestSchemeConfig:
         assert SchemeConfig(n_bins=MAX_BINS).n_bins == MAX_BINS
         with pytest.raises(DomainError, match=f"<= {MAX_BINS}"):
             SchemeConfig(n_bins=MAX_BINS + 1)
+
+
+#: Values that put another field out of range; a wrong kind is still named.
+OUT_OF_RANGE = {
+    SourceParams: {"lam": -1.0, "eta_f": 2.0},
+    SchemeConfig: {"n_bins": 0, "selection": Selection.LAST_PHOTON},
+}
+
+
+@pytest.mark.parametrize("cls,field", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in OUT_OF_RANGE for f in dataclasses.fields(cls)])
+def test_every_field_refuses_a_wrong_kind(cls, field):
+    """A field added without a kind check fails here by name."""
+    with pytest.raises(DomainError, match=f"^{field} must be "):
+        cls(**{**OUT_OF_RANGE[cls], field: object()})
 
 
 class TestPairCountDistribution:
