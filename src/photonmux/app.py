@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .config import _PARAM_KEYS, _SCHEME_KEYS, ConfigError, _parse_value
+from .config import KEYS, ConfigError, _parse_value
 from .efficiency import (avg_linear_transmission, best_eta, delay_table,
                          eta_curve, total_efficiency)
 from .model import (
@@ -20,15 +20,16 @@ from .model import (
     SourceParams,
     Topology,
     as_integer,
+    as_real,
     check_depth,
-    is_finite,
+    shown,
     with_readings,
 )
 
 
-#: Configuration keys accepted by sweep specifications.
-SWEEPABLE = frozenset({"n_bins", "lambda", "eta_f", "eta_c", "eta_sw",
-                       "eta_det", "eta_conv", "alpha_inc"})
+#: Configuration keys a sweep takes: every int or float key but ``period``.
+SWEEPABLE = frozenset(key for key, (_, _, kind) in KEYS.items()
+                      if kind in (int, float) and key != "period")
 
 #: Depths of the protocol curves (crossing, fig3a, fig3b) and of fig3c.
 N_RANGE = range(1, N_MAX + 1)
@@ -38,12 +39,12 @@ MAX_SWEEP_POINTS = 100_000
 
 
 def _sweep_key(parameter: str) -> tuple:
-    """(field name, type) of a sweepable configuration key."""
+    """(class, field name, kind) of a sweepable configuration key."""
     if parameter not in SWEEPABLE:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r}; "
             f"choose one of {sorted(SWEEPABLE)}")
-    return _SCHEME_KEYS.get(parameter) or _PARAM_KEYS[parameter]
+    return KEYS[parameter]
 
 
 def sweep_values(parameter: str, values: str | None = None,
@@ -54,11 +55,12 @@ def sweep_values(parameter: str, values: str | None = None,
     k = 0..floor((hi - lo + 1e-12)/step), less any rounded point above
     ``hi`` (the slack keeps an endpoint that float error puts a hair past
     ``hi``, not a whole step past it); an ``n_bins`` grid is integral and
-    defaults to 1..N_MAX step 1.  Bad input raises ConfigError, as does a
+    defaults to 1..N_MAX step 1, and each bound and the step is read as a
+    float (``model.as_real``).  Bad input raises ConfigError, as does a
     sweep of more than MAX_SWEEP_POINTS points or a grid whose rounded
     points are not strictly increasing.
     """
-    _, kind = _sweep_key(parameter)
+    _, _, kind = _sweep_key(parameter)
     if values is not None:
         if (lo, hi, step) != (None, None, None):
             raise ConfigError("give either --values or --min/--max/--step, "
@@ -75,11 +77,16 @@ def sweep_values(parameter: str, values: str | None = None,
     elif None in (lo, hi, step):
         raise ConfigError("numeric sweeps need --min, --max and --step "
                           "(or --values)")
-    grid = f"min={lo!r} max={hi!r} step={step!r}"
-    if not all(map(is_finite, (lo, hi, step))) or step <= 0:
+    grid = "min={} max={} step={}".format(
+        *(shown(v, repr) for v in (lo, hi, step)))
+    try:
+        lo, hi, step = map(as_real, ("min", "max", "step"), (lo, hi, step))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
         raise ConfigError(f"sweep grid needs finite bounds and a step > 0, "
                           f"got {grid}")
-    if kind is int and not all(float(v).is_integer() for v in (lo, hi, step)):
+    if kind is int and not all(v.is_integer() for v in (lo, hi, step)):
         raise ConfigError(f"{parameter} grid needs integral bounds and step, "
                           f"got {grid}")
     last = (hi - lo + 1e-12) / step
@@ -139,7 +146,7 @@ def sweep(spec: SweepSpec, **readings) -> EfficiencyCurve:
     if spec.parameter == "n_bins":
         etas = eta_curve(params, spec.scheme, spec.values)
     else:
-        field_name, _ = _sweep_key(spec.parameter)
+        _, field_name, _ = _sweep_key(spec.parameter)
         etas = [total_efficiency(replace(params, **{field_name: value}),
                                  spec.scheme).eta_total
                 for value in spec.values]
@@ -158,7 +165,7 @@ def optimize_bins(params: SourceParams, scheme: SchemeConfig,
     n_min, n_max = as_integer("n_min", n_min), as_integer("n_max", n_max)
     if not 1 <= n_min <= n_max <= MAX_BINS:
         raise DomainError(f"need 1 <= n_min <= n_max <= {MAX_BINS}, "
-                          f"got n_min={n_min}, n_max={n_max}")
+                          f"got n_min={shown(n_min)}, n_max={shown(n_max)}")
     spec = SweepSpec("n_bins", tuple(range(n_min, n_max + 1)), params, scheme)
     return sweep(spec, **readings)
 
@@ -206,19 +213,22 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
 
     Bisection stops once the bracket is narrower than ``tol`` or its ends
     are adjacent floats, so any finite ``tol`` > 0 ends.  The bracket must
-    satisfy 0 < lo <= hi: at eta_sw = 0 neither protocol emits.  A zero gap
+    satisfy 0 < lo <= hi: at eta_sw = 0 neither protocol emits.  ``lo``,
+    ``hi`` and ``tol`` are read as floats (``model.as_real``).  A zero gap
     is a crossing only where the protocols' best efficiency is > 0; where
     both are 0 the gap has no sign, and DomainError says so.
     """
     params = with_readings(params, **readings)
-    if not (is_finite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    bracket, tol_text = f"[{shown(lo)}, {shown(hi)}]", shown(tol, repr)
+    lo, hi, tol = map(as_real, ("lo", "hi", "tol"), (lo, hi, tol))
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol_text}")
     if not 0.0 < lo <= hi:
-        raise DomainError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
+        raise DomainError(f"need 0 < lo <= hi, got {bracket}")
     g_lo, g_hi = protocol_gap(params, lo), protocol_gap(params, hi)
     if g_lo and g_hi and math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise DomainError(
-            f"no protocol crossing in [{lo}, {hi}]: "
+            f"no protocol crossing in {bracket}: "
             f"gap {g_lo:+.3g} -> {g_hi:+.3g}")
     while g_lo and g_hi and hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -315,8 +325,8 @@ def emit_fig3(out_dir, params: SourceParams, **readings) -> list[str]:
         write_csv(path, _FIG3AB_COLUMNS, _fig3ab_rows(params, eta_sw))
     write_csv(c_path, _FIG3C_COLUMNS, _fig3c_rows(params))
 
-    parameters = {key: getattr(params, name)
-                  for key, (name, _) in _PARAM_KEYS.items() if key != "eta_sw"}
+    parameters = {key: getattr(params, name) for key, (cls, name, _)
+                  in KEYS.items() if cls is SourceParams and key != "eta_sw"}
     parameters.update(eta_sw_values=list(FIG3AB_ETA_SW),
                       eta_det=PROTOCOL_ETA_DET_BY_NAME)
     meta = {

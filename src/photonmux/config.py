@@ -1,6 +1,5 @@
-"""Flat key-value configuration files, parsed by ``model.field_kinds``."""
-from __future__ import annotations
-
+"""Flat key-value configuration files.  Every key comes from one table,
+:data:`KEYS`, which ``app.SWEEPABLE`` is derived from."""
 from .model import SchemeConfig, SourceParams, field_kinds
 
 #: Largest configuration file read, in bytes; a longer one is rejected
@@ -12,13 +11,12 @@ class ConfigError(Exception):
     """Invalid configuration file or sweep specification."""
 
 
-#: {key: (field name, kind)}: each key is its field's name (``lambda`` for
-#: ``lam``); the two readings are command-line flags, not keys.
-_PARAM_KEYS = {("lambda" if name == "lam" else name): (name, kind)
-               for name, kind, _ in field_kinds(SourceParams)
-               if name not in ("include_filter_in_d0", "literal_exponent")}
-_SCHEME_KEYS = {name: (name, kind)
-                for name, kind, _ in field_kinds(SchemeConfig)}
+#: {key: (class, field name, kind)} from ``model.field_kinds``: each key is
+#: its field's name (``lambda`` for ``lam``); readings are flags, not keys.
+KEYS = {("lambda" if name == "lam" else name): (cls, name, kind)
+        for cls in (SourceParams, SchemeConfig)
+        for name, kind, _, _ in field_kinds(cls)
+        if name not in ("include_filter_in_d0", "literal_exponent")}
 
 
 def _parse_bool(text: str) -> bool:
@@ -49,8 +47,7 @@ def parse_config(text: str) -> tuple[SourceParams, SchemeConfig]:
     value when omitted (0.7 single detector, 0.8 array); ``n_bins`` defaults
     to 31.
     """
-    param_values: dict = {}
-    scheme_values: dict = {}
+    given: dict = {SourceParams: {}, SchemeConfig: {"n_bins": 31}}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -63,17 +60,12 @@ def parse_config(text: str) -> tuple[SourceParams, SchemeConfig]:
             raise ConfigError(f"line {lineno}: repeated configuration key "
                               f"{key!r} (first set on line {first_line[key]})")
         first_line[key] = lineno
-        if key in _PARAM_KEYS:
-            field_name, kind = _PARAM_KEYS[key]
-            param_values[field_name] = _parse_value(key, value, kind)
-        elif key in _SCHEME_KEYS:
-            field_name, kind = _SCHEME_KEYS[key]
-            scheme_values[field_name] = _parse_value(key, value, kind)
-        else:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-    scheme_values.setdefault("n_bins", 31)
-    scheme = SchemeConfig(**scheme_values)
-    params = SourceParams.table_defaults(scheme.detection, **param_values)
+        cls, field_name, kind = KEYS[key]
+        given[cls][field_name] = _parse_value(key, value, kind)
+    scheme = SchemeConfig(**given[SchemeConfig])
+    params = SourceParams.table_defaults(scheme.detection, **given[SourceParams])
     return params, scheme
 
 

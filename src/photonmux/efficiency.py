@@ -41,6 +41,7 @@ from .model import (
     Detection,
     DomainError,
     PairDistribution,
+    Range,
     Selection,
     SchemeConfig,
     SourceParams,
@@ -98,7 +99,7 @@ def no_herald_probability(params: SourceParams, eta_d: float) -> float:
     the bin passes the filter: :func:`quiet_bin_pass` times G(1 - eta_d),
     the chance that every pair of the bin escapes detection.
     """
-    check_unit("eta_d", eta_d)
+    eta_d = check_unit("eta_d", eta_d)
     return quiet_bin_pass(params) * pair_generating_function(params,
                                                              1.0 - eta_d)
 
@@ -276,10 +277,9 @@ def occupied_bins(n_bins: int, lam: float) -> int:
     """Expected number of occupied bins, ceil(lam * N), of the fig3c
     delay-line model.  A mean pair parameter above 1 would occupy more bins
     than the frame has.  A depth that is not an integer in 1..MAX_BINS
-    raises DomainError."""
+    raises DomainError, as does a ``lam`` that is not a real in (0, 1]."""
     n_bins = check_depth(n_bins)
-    if not 0 < lam <= 1:
-        raise DomainError(f"lam must be in (0, 1], got {lam}")
+    lam = Range(math.ulp(0.0), 1.0, "in (0, 1]").check("lam", lam)
     return math.ceil(lam * n_bins)
 
 

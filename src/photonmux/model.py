@@ -4,16 +4,19 @@ Everything downstream (closed-form efficiency, Monte Carlo, the CLI) consumes
 the two value types defined here: :class:`SourceParams` bundles the physical
 efficiencies of the pumped pair source and the chip, :class:`SchemeConfig`
 selects the multiplexing topology and detection protocol.  Both are frozen, so
-instances can be shared freely between worker threads.  A field's kind is
-stated once, by its annotation, which :func:`check_fields` and ``config`` read.
+instances can be shared freely between worker threads.  Each field's kind and
+range are its annotation, read by :func:`check_fields` (which stores a float
+field as a Python float) and by ``config``.
 """
 import functools
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from typing import Annotated, NamedTuple
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -66,12 +69,30 @@ PROTOCOL_ETA_DET = {Detection.SINGLE_DETECTOR: 0.7,
                     Detection.DETECTOR_ARRAY: 0.8}
 
 
-def is_finite(value) -> bool:
-    """math.isfinite, but False for an int too large for a float."""
+def shown(value, text=str) -> str:
+    """``text(value)``, or the size of an int too long for Python to turn
+    into text (more than 4,300 digits by default)."""
     try:
-        return math.isfinite(value)
+        return text(value)
+    except ValueError:
+        article = "a negative" if value < 0 else "an"
+        return f"{article} integer of {value.bit_length()} bits"
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a Python float (an int or a numpy float too);
+    DomainError unless it is a real number that is not a bool.  An int too
+    large for a float rounds to infinity with its sign, as IEEE rounding
+    would, so that no range takes it."""
+    if type(value) is float:
+        return value
+    if type(value) is not int and (isinstance(value, bool) or
+                                   not isinstance(value, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
     except OverflowError:
-        return False
+        return math.inf if value > 0 else -math.inf
 
 
 def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
@@ -81,16 +102,19 @@ def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
 
     One time bin of delay corresponds to a waveguide length of
     ``c * period / group_index``; the linear propagation loss over that length
-    is the per-bin increment used by the transmission model.
+    is the per-bin increment used by the transmission model.  Each argument
+    is read by :func:`as_real`.
     """
     args = (alpha_lin_db_per_cm, group_index, period)
-    if not all(map(is_finite, args)):
-        raise DomainError(
-            f"loss, group index and period must be finite, got {args}")
-    if alpha_lin_db_per_cm < 0 or group_index <= 0 or period <= 0:
+    alpha, index, period = map(
+        as_real, ("alpha_lin_db_per_cm", "group_index", "period"), args)
+    if not all(map(math.isfinite, (alpha, index, period))):
+        raise DomainError("loss, group index and period must be finite, "
+                          f"got ({', '.join(shown(a, repr) for a in args)})")
+    if alpha < 0 or index <= 0 or period <= 0:
         raise DomainError("loss, group index and period must be positive")
-    length_cm = SPEED_OF_LIGHT * period / group_index * 100.0
-    return alpha_lin_db_per_cm * length_cm
+    length_cm = SPEED_OF_LIGHT * period / index * 100.0
+    return alpha * length_cm
 
 
 #: Default per-bin delay loss: 0.1 dB/cm ridge waveguide, group index 4,
@@ -98,40 +122,62 @@ def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
 DEFAULT_ALPHA_INC = incremental_loss_db()
 
 
-def check_unit(name: str, value: float) -> None:
-    """DomainError unless ``value`` lies in [0, 1] (NaN does not)."""
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must be in [0, 1], got {value}")
+class Range(NamedTuple):
+    """A range [low, high] that ``Annotated[float, R]`` states for a field."""
+    low: float
+    high: float
+    words: str  # what a value in the range must be
+
+    def check(self, name: str, value) -> float:
+        """``value`` read by :func:`as_real`; DomainError outside the range."""
+        real = as_real(name, value)
+        if not self.low <= real <= self.high:
+            finite = self.high < sys.float_info.max or math.isfinite(real)
+            words = self.words if finite else "finite"
+            raise DomainError(f"{name} must be {words}, got {shown(value)}")
+        return real
+
+
+NONNEGATIVE = Range(0.0, sys.float_info.max, ">= 0")
+POSITIVE = Range(math.ulp(0.0), sys.float_info.max, "> 0")
+UNIT = Range(0.0, 1.0, "in [0, 1]")
+check_unit = UNIT.check
 
 
 @functools.cache
-def field_kinds(cls) -> tuple[tuple[str, type, bool], ...]:
-    """(name, kind, None allowed) of each field of the dataclass ``cls``, read
-    once from its annotation, not postponed here; ``X | None`` allows None."""
+def field_kinds(cls) -> tuple[tuple[str, type, bool, Range | None], ...]:
+    """(name, kind, None allowed, range) of each field of ``cls``, from its
+    annotation (``Annotated[float, R]`` gives R, ``X | None`` allows None)."""
     table = []
     for f in fields(cls):
+        (bounds,) = getattr(f.type, "__metadata__", (None,))
         kinds = set(getattr(f.type, "__args__", (f.type,)))
         (kind,) = kinds - {type(None)}
-        table.append((f.name, kind, type(None) in kinds))
+        table.append((f.name, kind, type(None) in kinds, bounds))
     return tuple(table)
 
 
 def check_fields(obj) -> None:
     """DomainError unless each field of the dataclass ``obj`` holds its
-    annotation's kind, a float field any real number but a bool.  An
-    ``int`` field is left to its own range check."""
-    for name, kind, none_allowed in field_kinds(type(obj)):
+    annotation's kind (a float any real but a bool; an int is checked by its
+    class), then lies in its range, each pass in field order.  A field with
+    a range is stored as a float."""
+    table = field_kinds(type(obj))
+    for name, kind, none_allowed, _ in table:
         value = getattr(obj, name)
         if type(value) is kind or kind is int:
             continue
-        if kind is float:  # an int passes before the slow ABC check
-            if type(value) is int or (isinstance(value, numbers.Real)
-                                      and not isinstance(value, bool)):
-                continue
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-        if not (isinstance(value, kind) or none_allowed and value is None):
+        if kind is float:
+            if type(value) is not int:  # an int is read once, below
+                as_real(name, value)
+        elif not (isinstance(value, kind) or none_allowed and value is None):
             raise DomainError(
                 f"{name} must be a {kind.__name__}, got {value!r}")
+    for name, _, _, bounds in table:
+        if bounds is not None and not (
+                type(value := getattr(obj, name)) is float
+                and bounds.low <= value <= bounds.high):
+            object.__setattr__(obj, name, bounds.check(name, value))
 
 
 @dataclass(frozen=True)
@@ -152,35 +198,23 @@ class SourceParams:
     literal_exponent      reading: alpha_inc is a bare decadic exponent, not dB
     """
 
-    lam: float = 0.1
-    period: float = 40e-12
-    eta_f: float = 0.99
-    eta_c: float = 0.84
-    eta_sw: float = 0.87
-    eta_det: float = PROTOCOL_ETA_DET[Detection.SINGLE_DETECTOR]
-    eta_conv: float = 0.85
-    alpha_inc: float = DEFAULT_ALPHA_INC
+    lam: Annotated[float, NONNEGATIVE] = 0.1
+    period: Annotated[float, POSITIVE] = 40e-12
+    eta_f: Annotated[float, UNIT] = 0.99
+    eta_c: Annotated[float, UNIT] = 0.84
+    eta_sw: Annotated[float, UNIT] = 0.87
+    eta_det: Annotated[float, UNIT] = PROTOCOL_ETA_DET[Detection.SINGLE_DETECTOR]
+    eta_conv: Annotated[float, UNIT] = 0.85
+    alpha_inc: Annotated[float, NONNEGATIVE] = DEFAULT_ALPHA_INC
     pair_dist: PairDistribution = PairDistribution.POISSON
     include_filter_in_d0: bool = True
     literal_exponent: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self)
-        # the unit-interval check below also rejects non-finite efficiencies
-        for name in ("lam", "period", "alpha_inc"):
-            if not is_finite(value := getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {value}")
-        if self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
         if self.pair_dist is PairDistribution.THERMAL_APPROX and self.lam >= 2:
             raise DomainError(
                 f"thermal pair distribution requires lam < 2, got {self.lam}")
-        if self.period <= 0:
-            raise DomainError(f"period must be > 0, got {self.period}")
-        if self.alpha_inc < 0:
-            raise DomainError(f"alpha_inc must be >= 0, got {self.alpha_inc}")
-        for name in ("eta_f", "eta_c", "eta_sw", "eta_det", "eta_conv"):
-            check_unit(name, getattr(self, name))
 
     @classmethod
     def table_defaults(cls, detection: Detection = Detection.SINGLE_DETECTOR,
@@ -225,9 +259,9 @@ def as_integer(name: str, value, lo: int | None = None,
     if n is None or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if lo is not None and n < lo:
-        raise DomainError(f"{name} must be >= {lo}, got {n}")
+        raise DomainError(f"{name} must be >= {lo}, got {shown(n)}")
     if hi is not None and n > hi:
-        raise DomainError(f"{name} must be <= {hi}, got {n}")
+        raise DomainError(f"{name} must be <= {hi}, got {shown(n)}")
     return n
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from photonmux.app import (
     MAX_SWEEP_POINTS,
+    SWEEPABLE,
     SweepSpec,
     emit_fig3,
     find_crossing,
@@ -19,8 +20,7 @@ from photonmux.app import (
     write_csv,
 )
 from photonmux.config import (
-    _PARAM_KEYS,
-    _SCHEME_KEYS,
+    KEYS,
     MAX_CONFIG_BYTES,
     ConfigError,
     _parse_value,
@@ -78,7 +78,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key,kind", [
         (key, kind)
-        for key, (_, kind) in {**_PARAM_KEYS, **_SCHEME_KEYS}.items()
+        for key, (_, _, kind) in KEYS.items()
         if issubclass(kind, Enum)])
     def test_enum_values_are_stripped_and_lowercased(self, key, kind):
         for member in kind:
@@ -204,6 +204,12 @@ def _accumulated_grid(lo, hi, step):
 
 
 class TestSweepValues:
+    def test_every_int_or_float_key_but_period_is_sweepable(self):
+        assert SWEEPABLE == {key for key, (_, _, kind) in KEYS.items()
+                             if kind in (int, float)} - {"period"}
+        assert SWEEPABLE == {"n_bins", "lambda", "eta_f", "eta_c", "eta_sw",
+                             "eta_det", "eta_conv", "alpha_inc"}
+
     def test_values_take_the_key_type(self):
         assert sweep_values("n_bins", "8, 16,31") == (8, 16, 31)
         assert sweep_values("lambda", "0.1,1e-2") == (0.1, 0.01)
@@ -473,7 +479,8 @@ class TestEmitFig3:
         assert "rng_algorithm" not in meta
         # every config parameter; fig3 sets eta_sw itself and lists its values
         assert set(meta["parameters"]) == (
-            set(_PARAM_KEYS) - {"eta_sw"} | {"eta_sw_values"})
+            {key for key, (cls, _, _) in KEYS.items() if cls is SourceParams}
+            - {"eta_sw"} | {"eta_sw_values"})
         assert meta["parameters"]["lambda"] == 0.1
         assert meta["parameters"]["pair_dist"] == "poisson"
         assert meta["parameters"]["eta_det"] == {"single": 0.7, "array": 0.8}

@@ -1,24 +1,46 @@
 import dataclasses
+import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from photonmux.app import find_crossing, optimize_bins, sweep_values
+from photonmux.config import ConfigError
+from photonmux.efficiency import (
+    avg_linear_transmission,
+    no_herald_probability,
+    occupied_bins,
+    total_efficiency,
+)
+from photonmux.montecarlo import estimate_avg_lin, estimate_eta
 from photonmux.model import (
     DEFAULT_ALPHA_INC,
     MAX_BINS,
+    NONNEGATIVE,
+    POSITIVE,
+    UNIT,
     Detection,
     DomainError,
     PairDistribution,
+    Range,
     SchemeConfig,
     Selection,
     SourceParams,
+    check_unit,
+    field_kinds,
     incremental_loss_db,
     pair_count_distribution,
     pair_generating_derivative,
     pair_generating_function,
     sample_pairs,
 )
+
+#: Every float field of SourceParams, in field order.
+FLOAT_FIELDS = [name for name, kind, _, _ in field_kinds(SourceParams)
+                if kind is float]
 
 
 class TestSourceParams:
@@ -80,9 +102,7 @@ class TestSourceParams:
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf,
         pytest.param(10**400, id="huge-int")])
-    @pytest.mark.parametrize("field", ["lam", "period", "eta_f", "eta_c",
-                                       "eta_sw", "eta_det", "eta_conv",
-                                       "alpha_inc"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(DomainError, match=f"^{field} must be"):
             SourceParams(**{field: value})
@@ -162,6 +182,134 @@ def test_every_field_refuses_a_wrong_kind(cls, field):
     """A field added without a kind check fails here by name."""
     with pytest.raises(DomainError, match=f"^{field} must be "):
         cls(**{**OUT_OF_RANGE[cls], field: object()})
+
+
+def test_range_words():
+    assert (NONNEGATIVE.words, POSITIVE.words, UNIT.words) == (
+        ">= 0", "> 0", "in [0, 1]")
+
+
+@pytest.mark.parametrize("cls,field", [
+    pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+    for cls in (SourceParams, SchemeConfig)
+    for name, kind, _, _ in field_kinds(cls) if kind is float])
+def test_every_float_field_states_a_range(cls, field):
+    """A float field added without a range fails here by name."""
+    ranges = {name: bounds for name, *_, bounds in field_kinds(cls)}
+    assert isinstance(ranges[field], Range), f"{field} states no range"
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_range_edges(field):
+    """The floats just outside a field's range are refused in the range's
+    words, and its ends are kept."""
+    bounds = {name: b for name, *_, b in field_kinds(SourceParams)}[field]
+    outside = [math.nextafter(bounds.low, -math.inf)]
+    if bounds.high < sys.float_info.max:
+        outside.append(math.nextafter(bounds.high, math.inf))
+    for value in outside:
+        with pytest.raises(DomainError, match=(
+                f"^{field} must be {re.escape(bounds.words)}, got {value}$")):
+            SourceParams(**{field: value})
+    for value in (bounds.low, bounds.high):
+        assert getattr(SourceParams(**{field: value}), field) == value
+
+
+def test_faults_are_reported_kinds_then_ranges_then_the_thermal_bound():
+    """Every field's kind, then every range, each in field order, and the
+    thermal bound last."""
+    thermal = PairDistribution.THERMAL_APPROX
+    cases = [
+        ({"lam": -1.0, "eta_f": "0.9"}, "eta_f must be a real number"),
+        ({"eta_f": 2.0, "alpha_inc": math.inf}, "eta_f must be in [0, 1]"),
+        ({"lam": math.nan, "period": 0.0}, "lam must be finite"),
+        ({"pair_dist": thermal, "lam": 3.0, "period": 0.0},
+         "period must be > 0"),
+        ({"pair_dist": thermal, "lam": 3.0},
+         "thermal pair distribution requires lam < 2"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            SourceParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_float_fields_are_stored_as_floats(field):
+    """A numpy float32 design gives the bits of the same value given as a
+    Python float, and its breakdown serializes."""
+    default = next(f.default for f in dataclasses.fields(SourceParams)
+                   if f.name == field)
+    single = np.float32(default)
+    p32 = SourceParams(**{field: single})
+    p64 = SourceParams(**{field: float(single)})
+    assert type(getattr(p32, field)) is float
+    s = SchemeConfig(n_bins=31)
+    b32, b64 = total_efficiency(p32, s), total_efficiency(p64, s)
+    assert b32.eta_total.hex() == b64.eta_total.hex()
+    assert (optimize_bins(p32, s).eta_max.hex()
+            == optimize_bins(p64, s).eta_max.hex())
+    json.dumps(b32.per_bin_success)
+
+
+BIG = 10**5000
+P, S = SourceParams(), SchemeConfig(n_bins=31)
+
+
+@pytest.mark.parametrize("call,name,error", [
+    (lambda: SchemeConfig(n_bins=BIG), "n_bins", DomainError),
+    (lambda: SourceParams(lam=BIG), "lam", DomainError),
+    (lambda: SourceParams(eta_f=BIG), "eta_f", DomainError),
+    (lambda: SourceParams(alpha_inc=-BIG), "alpha_inc", DomainError),
+    (lambda: find_crossing(P, 0.85, 0.99, BIG), "tol", DomainError),
+    (lambda: estimate_eta(P, S, BIG, 0), "n_trials", DomainError),
+    (lambda: check_unit("eta", BIG), "eta", DomainError),
+    (lambda: incremental_loss_db(BIG), "loss", DomainError),
+    (lambda: occupied_bins(8, BIG), "lam", DomainError),
+    (lambda: sweep_values("eta_sw", None, 0.5, BIG, 0.1), "max", ConfigError),
+    (lambda: optimize_bins(P, S, 1, BIG), "n_max", DomainError),
+], ids=["n_bins", "lam", "eta_f", "alpha_inc", "tol", "n_trials",
+        "check_unit", "loss", "occupied_bins", "sweep_values", "n_max"])
+def test_int_too_long_to_print_is_named_by_size(call, name, error):
+    """Python refuses to print an int of more than 4,300 digits; the
+    message gives its size instead."""
+    with pytest.raises(error, match=(
+            rf"{name}.*(a negative|an) integer of 16610 bits\b")):
+        call()
+
+
+@pytest.mark.parametrize("call,name,error", [
+    (lambda v: check_unit("eta_d", v), "eta_d", DomainError),
+    (lambda v: no_herald_probability(P, v), "eta_d", DomainError),
+    (lambda v: occupied_bins(8, v), "lam", DomainError),
+    (lambda v: avg_linear_transmission(P, 8, v), "lam", DomainError),
+    (lambda v: estimate_avg_lin(P, 8, v, 10, 0), "lam", DomainError),
+    (lambda v: incremental_loss_db(v), "alpha_lin_db_per_cm", DomainError),
+    (lambda v: incremental_loss_db(0.1, v), "group_index", DomainError),
+    (lambda v: find_crossing(P, v, 0.99), "lo", DomainError),
+    (lambda v: find_crossing(P, 0.85, v), "hi", DomainError),
+    (lambda v: find_crossing(P, 0.85, 0.99, tol=v), "tol", DomainError),
+    (lambda v: sweep_values("eta_sw", None, v, 1, 0.1), "min", ConfigError),
+    (lambda v: sweep_values("eta_sw", None, 0, 1, v), "step", ConfigError),
+], ids=["check_unit", "no_herald", "occupied_bins", "avg_lin",
+        "estimate_avg_lin", "loss", "group_index", "lo", "hi", "tol",
+        "sweep_min", "sweep_step"])
+@pytest.mark.parametrize("value", ["0.5", True], ids=repr)
+def test_real_arguments_refuse_text_and_bools(call, name, error, value):
+    with pytest.raises(error, match=(
+            f"^{name} must be a real number, got {re.escape(repr(value))}$")):
+        call(value)
+
+
+def test_real_arguments_are_read_as_floats():
+    """A numpy float32 bracket bisects in float, not float32."""
+    got = find_crossing(P, np.float32(0.85), np.float32(0.99))
+    assert type(got) is float
+    assert got == find_crossing(P, float(np.float32(0.85)),
+                                float(np.float32(0.99)))
+    assert type(check_unit("eta", np.float32(0.5))) is float
+    assert type(SourceParams(eta_f=1).eta_f) is float
+    assert incremental_loss_db(np.float32(0.1)) == incremental_loss_db(
+        float(np.float32(0.1)))
 
 
 class TestPairCountDistribution:

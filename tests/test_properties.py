@@ -15,18 +15,15 @@ import tempfile
 from hypothesis import example, given, settings, strategies as st
 
 from photonmux.app import MAX_SWEEP_POINTS, SWEEPABLE, sweep_values
-from photonmux.config import (
-    _PARAM_KEYS,
-    _SCHEME_KEYS,
-    ConfigError,
-    parse_config,
-)
+from photonmux.config import KEYS, ConfigError, parse_config
 from photonmux.cli import build_parser, main
-from photonmux.model import DomainError
+from photonmux.model import DomainError, SchemeConfig, SourceParams
 
 BOUNDARY = settings(deadline=None, derandomize=True, database=None)
 
-KEYS = sorted(_PARAM_KEYS) + sorted(_SCHEME_KEYS)
+CONFIG_KEYS = [key for cls in (SourceParams, SchemeConfig)
+               for key in sorted(k for k, (c, _, _) in KEYS.items()
+                                 if c is cls)]
 NUMBER_TEXT = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -36,7 +33,7 @@ NUMBER_TEXT = st.one_of(
     st.text(max_size=12),
 )
 CONFIG_LINE = st.one_of(
-    st.builds("{} = {}".format, st.sampled_from(KEYS), NUMBER_TEXT),
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), NUMBER_TEXT),
     st.text(max_size=40),
 )
 PARAMETER = st.one_of(st.sampled_from(sorted(SWEEPABLE)), st.text())
