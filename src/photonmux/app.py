@@ -22,6 +22,7 @@ from .model import (
     as_integer,
     as_real,
     check_depth,
+    check_unit,
     shown,
     with_readings,
 )
@@ -214,17 +215,21 @@ def find_crossing(params: SourceParams, lo: float, hi: float,
     Bisection stops once the bracket is narrower than ``tol`` or its ends
     are adjacent floats, so any finite ``tol`` > 0 ends.  The bracket must
     satisfy 0 < lo <= hi: at eta_sw = 0 neither protocol emits.  ``lo``,
-    ``hi`` and ``tol`` are read as floats (``model.as_real``).  A zero gap
-    is a crossing only where the protocols' best efficiency is > 0; where
-    both are 0 the gap has no sign, and DomainError says so.
+    ``hi`` and ``tol`` are read as floats (``model.as_real``), and then
+    ``lo`` and ``hi``, each under its own name, as switch transmissions
+    (``model.check_unit``).  A zero gap is a crossing only where the
+    protocols' best efficiency is > 0; where both are 0 the gap has no
+    sign, and DomainError says so.
     """
     params = with_readings(params, **readings)
+    given = lo, hi
     bracket, tol_text = f"[{shown(lo)}, {shown(hi)}]", shown(tol, repr)
     lo, hi, tol = map(as_real, ("lo", "hi", "tol"), (lo, hi, tol))
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol_text}")
     if not 0.0 < lo <= hi:
         raise DomainError(f"need 0 < lo <= hi, got {bracket}")
+    lo, hi = map(check_unit, ("lo", "hi"), given)
     g_lo, g_hi = protocol_gap(params, lo), protocol_gap(params, hi)
     if g_lo and g_hi and math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise DomainError(

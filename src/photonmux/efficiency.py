@@ -19,15 +19,16 @@ process stochastically and is used as the independent cross-check.
 
 :func:`eta_curve` gives eta at many N: eta_d, D0, the D0^k table and the
 delay transmissions do not depend on N and are built once per curve.  B(r)
-is one loop per pair law with G' written inline, in the operation order of
-:func:`photonmux.model.pair_generating_derivative`, which stays the
-reference G'.  Within an octave of N (one ``switch_passes(N)`` on the
-binary tree, every N on the single delay line) a bin's chip transmission
-depends only on its delay, and so, under last-photon selection, where
-k(r) = N - r is the delay, does B(r): eta(N) is a running sum, each term
-is computed once per octave, and :func:`best_eta` reads only each octave's
-largest N.  First-photon curves evaluate every term at every N, because
-bin r's power D0^(r-1) moves with N at a fixed delay.
+is one loop, the ``terms`` of the pair law's record in
+:data:`photonmux.model.PAIR_LAWS`, with G' written inline in the operation
+order that :func:`photonmux.model.pair_generating_derivative`, the
+reference G', writes.  Within an octave of N (one ``switch_passes(N)`` on
+the binary tree, every N on the single delay line) a bin's chip
+transmission depends only on its delay, and so, under last-photon
+selection, where k(r) = N - r is the delay, does B(r): eta(N) is a running
+sum, each term is computed once per octave, and :func:`best_eta` reads
+only each octave's largest N.  First-photon curves evaluate every term at
+every N, because bin r's power D0^(r-1) moves with N at a fixed delay.
 :func:`total_efficiency` is the one-N case of the same code, and its
 breakdown's ``pic_transmission`` is the one public view of the chip frame.
 """
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 
 from .model import (
     DETECTOR_ARRAY_SIZE,
+    PAIR_LAWS,
     Detection,
     DomainError,
-    PairDistribution,
     Range,
     Selection,
     SchemeConfig,
@@ -151,10 +152,10 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
 
     eta_d, D0, q, the D0^k table and the delay table depend on the design
     but not on N, so they are built once for the whole sequence.  B(r) is
-    one comprehension per pair law over (k, t) pairs with G' written inline,
-    in the operation order of
-    :func:`photonmux.model.pair_generating_derivative`, so every value keeps
-    the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
+    the pair law's ``terms`` comprehension (``model.PAIR_LAWS``) over
+    (k, t) pairs, with G' written inline in the operation order that
+    :func:`photonmux.model.pair_generating_derivative` writes, so every
+    value keeps the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
 
     Every k(r) comes from :func:`quiet_bins`.  Each :func:`_octave` keeps
     one tuple of transmissions, in bin order of its largest N so far, whose
@@ -172,29 +173,9 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     powers = [d0_val ** k for k in range(n_max)]
     delay = delay_table(params, n_max)
     topology = scheme.topology
-    lam = params.lam
     # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one of
     # its signal photons survives the chip (see the module docstring)
-    if params.pair_dist is PairDistribution.POISSON:
-        exp = math.exp
-
-        def terms(pairs):
-            return [
-                powers[k] * (t * (lam * exp(lam * ((1.0 - t) - 1.0))
-                                  - q * (lam * exp(lam * (q * (1.0 - t)
-                                                          - 1.0)))))
-                for k, t in pairs]
-    else:
-        x = lam / 2.0
-        scale = 2.0 * x * (1.0 - x) ** 2
-
-        def terms(pairs):
-            return [
-                powers[k] * (t * (scale / (1.0 - x * (1.0 - t)) ** 3
-                                  - q * (scale / (1.0 - x * (q * (1.0 - t)))
-                                         ** 3)))
-                for k, t in pairs]
-
+    terms = PAIR_LAWS[params.pair_dist].terms(params.lam, q, powers)
     selection = scheme.selection
     last = selection is Selection.LAST_PHOTON
     by_octave = {}

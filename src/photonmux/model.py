@@ -6,7 +6,9 @@ efficiencies of the pumped pair source and the chip, :class:`SchemeConfig`
 selects the multiplexing topology and detection protocol.  Both are frozen, so
 instances can be shared freely between worker threads.  Each field's kind and
 range are its annotation, read by :func:`check_fields` (which stores a float
-field as a Python float) and by ``config``.
+field as a Python float) and by ``config``.  Each pair-number law is one
+:class:`PairLaw` record in :data:`PAIR_LAWS`, the one place that writes its
+pmf, G, G', sampler, B(r) terms and lam bound; every reader asks it.
 """
 import functools
 import math
@@ -212,9 +214,9 @@ class SourceParams:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.pair_dist is PairDistribution.THERMAL_APPROX and self.lam >= 2:
-            raise DomainError(
-                f"thermal pair distribution requires lam < 2, got {self.lam}")
+        if self.lam >= (bound := PAIR_LAWS[self.pair_dist].lam_below):
+            raise DomainError(f"{self.pair_dist.value} pair distribution "
+                              f"requires lam < {bound:g}, got {self.lam}")
 
     @classmethod
     def table_defaults(cls, detection: Detection = Detection.SINGLE_DETECTOR,
@@ -306,60 +308,101 @@ class SchemeConfig:
                 "allow_mismatched_selection=True to override")
 
 
-def pair_count_distribution(params: SourceParams, n: int) -> float:
-    """Probability of generating exactly ``n`` photon pairs in one bin.
+class PairLaw(NamedTuple):
+    """One pair-number law, the one writer of its formulas; each field is a
+    function of lam (given first) or a constant.  :data:`PAIR_LAWS` holds
+    one per :class:`PairDistribution` member."""
+    pmf: Callable  # (lam, n): P(n)
+    generating: Callable  # (lam, z): G(z)
+    derivative: Callable  # lam: G' as a function of z alone
+    # (lam, q, powers): a function of (k, t) pairs giving each B(r) =
+    # powers[k] t [G'(1-t) - q G'(q(1-t))], G' written inline (efficiency)
+    terms: Callable
+    sample: Callable  # (lam, rng, size): int64 pair counts
+    lam_below: float  # lam must lie below it
 
-    The Poisson branch is the textbook pmf.  The thermal branch renormalizes
-    the approximate pair-number form (n+1)(lam/2)^n e^-lam, whose closed-form
-    sum is e^-lam / (1 - lam/2)^2, so that the distribution is exactly
-    normalized and can be sampled.
-    """
-    n = as_integer("pair count", n, 0)
-    lam = params.lam
+
+def _poisson_pmf(lam, n):
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
-    if params.pair_dist is PairDistribution.POISSON:
-        return math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1))
+    return math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1))
+
+
+def _poisson_terms(lam, q, powers):
+    exp = math.exp
+    return lambda pairs: [
+        powers[k] * (t * (lam * exp(lam * ((1.0 - t) - 1.0))
+                          - q * (lam * exp(lam * (q * (1.0 - t) - 1.0)))))
+        for k, t in pairs]
+
+
+def _thermal_derivative(lam):
     x = lam / 2.0
-    # (n+1) x^n e^-lam divided by e^-lam / (1-x)^2
-    return (n + 1) * x**n * (1.0 - x) ** 2
+    scale = 2.0 * x * (1.0 - x) ** 2
+    return lambda z: scale / (1.0 - x * z) ** 3
+
+
+def _thermal_terms(lam, q, powers):
+    x = lam / 2.0
+    scale = 2.0 * x * (1.0 - x) ** 2
+    return lambda pairs: [
+        powers[k] * (t * (scale / (1.0 - x * (1.0 - t)) ** 3
+                          - q * (scale / (1.0 - x * (q * (1.0 - t))) ** 3)))
+        for k, t in pairs]
+
+
+#: The pair laws: Poisson, and the approximate thermal form (n+1)(lam/2)^n
+#: e^-lam renormalized to sum to 1 so that it can be sampled, which needs
+#: lam < 2.  Thermal pairs are a negative-binomial draw with 2 successes; at
+#: lam = 0 it takes the Poisson draw, which gives zeros and consumes nothing.
+PAIR_LAWS = {
+    PairDistribution.POISSON: PairLaw(
+        pmf=_poisson_pmf,
+        generating=lambda lam, z: math.exp(lam * (z - 1.0)),
+        derivative=lambda lam: lambda z: lam * math.exp(lam * (z - 1.0)),
+        terms=_poisson_terms,
+        sample=lambda lam, rng, size: rng.poisson(lam, size),
+        lam_below=math.inf),
+    PairDistribution.THERMAL_APPROX: PairLaw(
+        # (n+1) x^n e^-lam divided by its sum e^-lam / (1-x)^2, x = lam/2
+        pmf=lambda lam, n: (n + 1) * (lam / 2.0) ** n * (1.0 - lam / 2.0) ** 2,
+        generating=lambda lam, z: (
+            (1.0 - lam / 2.0) / (1.0 - lam / 2.0 * z)) ** 2,
+        derivative=_thermal_derivative,
+        terms=_thermal_terms,
+        sample=lambda lam, rng, size: rng.negative_binomial(
+            2, 1.0 - lam / 2.0, size) if lam else rng.poisson(lam, size),
+        lam_below=2.0),
+}
+
+
+def pair_count_distribution(params: SourceParams, n: int) -> float:
+    """Probability of generating exactly ``n`` photon pairs in one bin."""
+    return PAIR_LAWS[params.pair_dist].pmf(params.lam,
+                                           as_integer("pair count", n, 0))
 
 
 def pair_generating_function(params: SourceParams, z: float) -> float:
     """G(z) = sum_n P(n) z^n: e^{lam (z-1)} for Poisson pairs and
     (1-x)^2 / (1-x z)^2 with x = lam/2 for renormalized thermal pairs."""
-    lam = params.lam
-    if params.pair_dist is PairDistribution.POISSON:
-        return math.exp(lam * (z - 1.0))
-    x = lam / 2.0
-    return ((1.0 - x) / (1.0 - x * z)) ** 2
+    return PAIR_LAWS[params.pair_dist].generating(params.lam, z)
 
 
 def pair_generating_derivative(params: SourceParams
                                ) -> Callable[[float], float]:
     """G'(z) = sum_n n P(n) z^(n-1) as a function of z alone, with the pair
     law's constants bound once: lam e^{lam (z-1)} for Poisson pairs and
-    2x (1-x)^2 / (1-x z)^3 with x = lam/2 for renormalized thermal pairs."""
-    lam = params.lam
-    if params.pair_dist is PairDistribution.POISSON:
-        exp = math.exp
-        return lambda z: lam * exp(lam * (z - 1.0))
-    x = lam / 2.0
-    scale = 2.0 * x * (1.0 - x) ** 2
-    return lambda z: scale / (1.0 - x * z) ** 3
+    2x (1-x)^2 / (1-x z)^3 with x = lam/2 for renormalized thermal pairs.
+    Each law's B(r) terms write it inline in this operation order."""
+    return PAIR_LAWS[params.pair_dist].derivative(params.lam)
 
 
 def sample_pairs(params: SourceParams, rng, size: int):
-    """``size`` int64 pair counts drawn with the numpy Generator ``rng``.
-    Thermal pairs are negative-binomial with 2 successes; at lam = 0 either
-    law takes the Poisson draw, which gives zeros and consumes nothing."""
-    lam = params.lam
-    if params.pair_dist is PairDistribution.POISSON or lam == 0.0:
-        return rng.poisson(lam, size)
-    return rng.negative_binomial(2, 1.0 - lam / 2.0, size)
+    """``size`` int64 pair counts drawn with the numpy Generator ``rng``."""
+    return PAIR_LAWS[params.pair_dist].sample(params.lam, rng, size)
 
 
 def pair_pmf_array(params: SourceParams) -> list[float]:
     """pmf values for n = 0..MAX_PAIRS, summed over by the Monte Carlo tables."""
-    return [pair_count_distribution(params, n) for n in range(MAX_PAIRS + 1)]
-
+    pmf, lam = PAIR_LAWS[params.pair_dist].pmf, params.lam
+    return [pmf(lam, n) for n in range(MAX_PAIRS + 1)]

@@ -15,7 +15,11 @@ emission chances by quiet count) are built on an estimate's first use.
 sampling the selected bin directly from its geometric law and the outcome
 from the law of the literal process summed over the selected bin's heralded
 pair count; the joint law of (selected bin, outcome) is identical to the
-literal per-bin process, which the test suite checks statistically.
+literal per-bin process, which the test suite checks statistically.  The
+pair law reaches the oracle only through its pmf and its sampler, the
+fields of its record in :data:`photonmux.model.PAIR_LAWS` that
+:func:`photonmux.model.pair_pmf_array` and ``sample_pairs`` read; the
+closed form reads the same record's G and B(r) terms.
 
 Trials are independent.  ``n_trials`` is split into fixed-size chunks, each
 driven by its own generator spawned from the master seed, and chunk tallies

@@ -342,6 +342,15 @@ class TestCrossing:
         with pytest.raises(DomainError, match="need 0 < lo <= hi"):
             find_crossing(SourceParams(), lo, 0.5)
 
+    @pytest.mark.parametrize("lo,hi,message", [
+        (0.85, 2.0, "hi must be in [0, 1], got 2.0"),
+        (1.5, 2.0, "lo must be in [0, 1], got 1.5"),
+    ], ids=["hi", "lo-and-hi"])
+    def test_bracket_end_above_one_is_named(self, lo, hi, message):
+        # not as the eta_sw it would become; lo is read first
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            find_crossing(SourceParams(), lo, hi)
+
     @pytest.mark.parametrize("field", ["lam", "eta_c", "eta_conv"])
     def test_no_crossing_where_neither_protocol_emits(self, field):
         params = SourceParams(**{field: 0.0})

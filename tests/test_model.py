@@ -19,7 +19,9 @@ from photonmux.montecarlo import estimate_avg_lin, estimate_eta
 from photonmux.model import (
     DEFAULT_ALPHA_INC,
     MAX_BINS,
+    MAX_PAIRS,
     NONNEGATIVE,
+    PAIR_LAWS,
     POSITIVE,
     UNIT,
     Detection,
@@ -119,11 +121,18 @@ class TestSourceParams:
             SourceParams(eta_f="0.9")
 
     def test_thermal_pumping_bounded_at_construction(self):
-        SourceParams(lam=1.9999, pair_dist=PairDistribution.THERMAL_APPROX)
-        SourceParams(lam=2.5)  # Poisson pumping has no upper bound
-        for lam in (2.0, 2.5):
-            with pytest.raises(DomainError, match="lam < 2"):
-                SourceParams(lam=lam, pair_dist=PairDistribution.THERMAL_APPROX)
+        # each law's bound is its record's lam_below; Poisson has none
+        for dist, law in PAIR_LAWS.items():
+            bound = law.lam_below
+            if bound == math.inf:
+                SourceParams(lam=1e300, pair_dist=dist)
+                continue
+            SourceParams(lam=math.nextafter(bound, 0.0), pair_dist=dist)
+            for lam in (bound, bound + 0.5):
+                message = (f"{dist.value} pair distribution requires "
+                           f"lam < {bound:g}, got {lam}")
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    SourceParams(lam=lam, pair_dist=dist)
         # a string is refused before the bound, whatever the pair law it names
         with pytest.raises(DomainError, match="^pair_dist must be a Pair"):
             SourceParams(lam=2.5, pair_dist="thermal")
@@ -131,6 +140,9 @@ class TestSourceParams:
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SourceParams().lam = 0.5
+
+    def test_every_pair_law_has_a_record(self):
+        assert set(PAIR_LAWS) == set(PairDistribution)
 
 
 class TestSchemeConfig:
@@ -261,13 +273,14 @@ P, S = SourceParams(), SchemeConfig(n_bins=31)
     (lambda: SourceParams(eta_f=BIG), "eta_f", DomainError),
     (lambda: SourceParams(alpha_inc=-BIG), "alpha_inc", DomainError),
     (lambda: find_crossing(P, 0.85, 0.99, BIG), "tol", DomainError),
+    (lambda: find_crossing(P, 0.85, BIG), "hi", DomainError),
     (lambda: estimate_eta(P, S, BIG, 0), "n_trials", DomainError),
     (lambda: check_unit("eta", BIG), "eta", DomainError),
     (lambda: incremental_loss_db(BIG), "loss", DomainError),
     (lambda: occupied_bins(8, BIG), "lam", DomainError),
     (lambda: sweep_values("eta_sw", None, 0.5, BIG, 0.1), "max", ConfigError),
     (lambda: optimize_bins(P, S, 1, BIG), "n_max", DomainError),
-], ids=["n_bins", "lam", "eta_f", "alpha_inc", "tol", "n_trials",
+], ids=["n_bins", "lam", "eta_f", "alpha_inc", "tol", "hi", "n_trials",
         "check_unit", "loss", "occupied_bins", "sweep_values", "n_max"])
 def test_int_too_long_to_print_is_named_by_size(call, name, error):
     """Python refuses to print an int of more than 4,300 digits; the
@@ -364,6 +377,10 @@ class TestPairCountDistribution:
                 SourceParams(lam=2.0, pair_dist=PairDistribution.THERMAL_APPROX), 0)
 
 
+#: (law, lam) of each sampler check, the family of its Bonferroni threshold.
+SAMPLER_CASES = [(dist, lam) for dist in PairDistribution for lam in (0.3, 1.5)]
+
+
 class TestSamplePairs:
     @pytest.mark.parametrize("dist", list(PairDistribution))
     def test_no_pumping_gives_zeros_and_draws_nothing(self, dist):
@@ -374,6 +391,25 @@ class TestSamplePairs:
         assert pairs.dtype == np.int64
         assert pairs.tolist() == [0] * 9
         assert rng.random() == np.random.default_rng(7).random()
+
+    @pytest.mark.parametrize("dist,lam", SAMPLER_CASES)
+    def test_draws_follow_the_pmf(self, dist, lam):
+        # chi-square of 200k draws against pair_count_distribution, the tail
+        # from the first cell expected below 5 pooled into one cell (into
+        # the cell before it if it is still below 5), Bonferroni-corrected
+        scipy_stats = pytest.importorskip("scipy.stats")
+        p, n = SourceParams(lam=lam, pair_dist=dist), 200_000
+        counts = np.bincount(sample_pairs(p, np.random.default_rng(5), n),
+                             minlength=MAX_PAIRS + 1).tolist()
+        expected = [n * pair_count_distribution(p, k)
+                    for k in range(MAX_PAIRS + 1)]
+        cut = next(k for k, e in enumerate(expected) if e < 5)
+        if n - math.fsum(expected[:cut]) < 5:
+            cut -= 1
+        observed = counts[:cut] + [n - sum(counts[:cut])]
+        expected = expected[:cut] + [n - math.fsum(expected[:cut])]
+        _, p_value = scipy_stats.chisquare(observed, expected)
+        assert p_value > 0.001 / len(SAMPLER_CASES), p_value
 
 
 class TestPairGeneratingFunction:
