@@ -70,9 +70,6 @@ class CircuitElement:
             raise ValueError(f"{label}: element is not unitary "
                              f"(deviation {deviation:.2e})")
 
-    def __repr__(self) -> str:
-        return f"CircuitElement({self.label!r}, modes={self.modes})"
-
 
 def polarization_rotator(port: int, angle: float) -> CircuitElement:
     """Rotate the polarization of one spatial port by ``angle``."""
@@ -124,15 +121,6 @@ class FockState:
     @classmethod
     def from_occupation(cls, occupation: tuple[int, ...]) -> "FockState":
         return cls(len(occupation), {tuple(occupation): 1.0 + 0j})
-
-    def norm_squared(self) -> float:
-        return math.fsum(abs(a) ** 2 for a in self.amplitudes.values())
-
-    def photon_number(self) -> int:
-        totals = {sum(occ) for occ in self.amplitudes}
-        if len(totals) != 1:
-            raise ValueError("state mixes photon-number sectors")
-        return totals.pop()
 
     def apply(self, element: CircuitElement) -> "FockState":
         """Transform by the element's creation-operator substitution."""

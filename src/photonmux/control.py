@@ -24,54 +24,21 @@ from .model import DomainError, as_integer, check_depth, switch_passes
 PHASE_PI = math.pi
 
 
-def _frame_depth(n_bins) -> int:
-    """``n_bins`` as the int :func:`check_depth` returns; DomainError
-    unless it is a power of two >= 2."""
-    n = check_depth(n_bins)
-    if n < 2 or n & (n - 1):
-        raise DomainError(
-            f"switch phases need a power-of-two n_bins >= 2, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class PhaseSchedule:
     """Per-bin, per-stage switch phases for one frame of ``n_bins`` bins.
 
     Row r-1 holds the phases applied while bin r's photon traverses the
     chain; entries are 0 or pi.  Stage 0 is the coarsest (entry) switch,
-    stage ``stage_count - 1`` the exit switch.
+    the last stage the exit switch.
     """
 
     n_bins: int
     phases: tuple[tuple[float, ...], ...]
 
-    @property
-    def stage_count(self) -> int:
-        return len(self.phases[0])
-
     def row(self, bin_index: int) -> tuple[float, ...]:
         i = as_integer("bin index", bin_index, 1, self.n_bins)
         return self.phases[i - 1]
-
-    def decode_delay(self, bin_index: int) -> int:
-        """Recover the delay (in bins) encoded by one row of phases.
-
-        Inverts the routing convention stage by stage and checks that the
-        exit-stage phase is consistent with the recovered path.
-        """
-        row = self.row(bin_index)
-        m = self.stage_count - 1
-        bits = [0] * m
-        bits[0] = int(row[0] == PHASE_PI)
-        if m >= 2:
-            bits[1] = 1 - int(row[1] == PHASE_PI)
-        for s in range(2, m):
-            bits[s] = bits[s - 1] ^ int(row[s] == PHASE_PI)
-        if int(row[m] == PHASE_PI) != bits[m - 1]:
-            raise DomainError(
-                f"inconsistent exit phase in row for bin {bin_index}")
-        return sum(bits[s] << (m - 1 - s) for s in range(m))
 
 
 def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:
@@ -88,26 +55,24 @@ def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:
 
 
 def phase_schedule(n_bins: int) -> PhaseSchedule:
-    """Switch-phase matrix for a full frame; requires n_bins a power of two
-    no larger than ``MAX_BINS``.
+    """Switch-phase matrix for a full frame; ``n_bins`` is read by
+    :func:`check_depth` and must be a power of two >= 2.
 
     Bin r's row routes its photon through delay (n_bins - r) T.  Each column
-    is one stage's divided-clock drive waveform (see :func:`clock_divisions`)
-    sampled at the bin rate; :meth:`PhaseSchedule.decode_delay` inverts it.
+    is one stage's divided-clock drive waveform sampled at the bin rate: a
+    square wave whose period, the stage's clock division, is twice the half
+    period that :func:`_stage_clocks` gives.
     """
-    n_bins = _frame_depth(n_bins)
+    n_bins = check_depth(n_bins)
+    if n_bins < 2 or n_bins & (n_bins - 1):
+        raise DomainError(
+            f"switch phases need a power-of-two n_bins >= 2, got {n_bins}")
     clocks = _stage_clocks(n_bins)
     rows = tuple(
         tuple(PHASE_PI if ((r - 1 + offset) // half) % 2 else 0.0
               for half, offset in clocks)
         for r in range(1, n_bins + 1))
     return PhaseSchedule(n_bins=n_bins, phases=rows)
-
-
-def clock_divisions(n_bins: int) -> tuple[int, ...]:
-    """Clock division factor per stage: the full period, in bins, of each
-    stage's drive square wave."""
-    return tuple(2 * half for half, _ in _stage_clocks(_frame_depth(n_bins)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +90,11 @@ class HeraldFrame:
 
     @classmethod
     def from_string(cls, text: str) -> "HeraldFrame":
-        return cls(tuple(int(c) for c in text))
+        """The frame whose bit r-1 is character r-1 of ``text``; DomainError
+        unless each character is "0" or "1"."""
+        if not set(text) <= {"0", "1"}:
+            raise DomainError(f"herald bits must be 0 or 1, got {text!r}")
+        return cls(tuple(map(int, text)))
 
 
 def select_first(frame: HeraldFrame) -> int | None:

@@ -20,11 +20,10 @@ process stochastically and is used as the independent cross-check.
 :func:`eta_curve` gives eta at many N: eta_d, D0, the D0^k table and the
 delay transmissions do not depend on N and are built once per curve.  B(r)
 is one loop, the ``terms`` of the pair law's record in
-:data:`photonmux.model.PAIR_LAWS`, with G' written inline in the operation
-order that :func:`photonmux.model.pair_generating_derivative`, the
-reference G', writes.  Within an octave of N (one ``switch_passes(N)`` on
-the binary tree, every N on the single delay line) a bin's chip
-transmission depends only on its delay, and so, under last-photon
+:data:`photonmux.model.PAIR_LAWS`, with G' written inline; those terms are
+the package's one writer of G'.  Within an octave of N (one
+``switch_passes(N)`` on the binary tree, every N on the single delay line) a
+bin's chip transmission depends only on its delay, and so, under last-photon
 selection, where k(r) = N - r is the delay, does B(r): eta(N) is a running
 sum, each term is computed once per octave, and :func:`best_eta` reads
 only each octave's largest N.  First-photon curves evaluate every term at
@@ -153,9 +152,9 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     eta_d, D0, q, the D0^k table and the delay table depend on the design
     but not on N, so they are built once for the whole sequence.  B(r) is
     the pair law's ``terms`` comprehension (``model.PAIR_LAWS``) over
-    (k, t) pairs, with G' written inline in the operation order that
-    :func:`photonmux.model.pair_generating_derivative` writes, so every
-    value keeps the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``.
+    (k, t) pairs, with G' written inline in one operation order, so every
+    value keeps the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``
+    with G' written in that order (the tests' reference G').
 
     Every k(r) comes from :func:`quiet_bins`.  Each :func:`_octave` keeps
     one tuple of transmissions, in bin order of its largest N so far, whose

@@ -8,7 +8,8 @@ instances can be shared freely between worker threads.  Each field's kind and
 range are its annotation, read by :func:`check_fields` (which stores a float
 field as a Python float) and by ``config``.  Each pair-number law is one
 :class:`PairLaw` record in :data:`PAIR_LAWS`, the one place that writes its
-pmf, G, G', sampler, B(r) terms and lam bound; every reader asks it.
+pmf, G, sampler, B(r) terms (the package's one G') and lam bound; every
+reader asks it.
 """
 import functools
 import math
@@ -310,11 +311,12 @@ class SchemeConfig:
 
 class PairLaw(NamedTuple):
     """One pair-number law, the one writer of its formulas; each field is a
-    function of lam (given first) or a constant.  :data:`PAIR_LAWS` holds
-    one per :class:`PairDistribution` member."""
+    function of lam (given first) or a constant.  G' has no field of its
+    own: ``terms`` writes it inline, and is its one writer.
+    :data:`PAIR_LAWS` holds one record per :class:`PairDistribution`
+    member."""
     pmf: Callable  # (lam, n): P(n)
     generating: Callable  # (lam, z): G(z)
-    derivative: Callable  # lam: G' as a function of z alone
     # (lam, q, powers): a function of (k, t) pairs giving each B(r) =
     # powers[k] t [G'(1-t) - q G'(q(1-t))], G' written inline (efficiency)
     terms: Callable
@@ -329,6 +331,7 @@ def _poisson_pmf(lam, n):
 
 
 def _poisson_terms(lam, q, powers):
+    # G'(z) = lam e^{lam (z-1)}
     exp = math.exp
     return lambda pairs: [
         powers[k] * (t * (lam * exp(lam * ((1.0 - t) - 1.0))
@@ -336,13 +339,8 @@ def _poisson_terms(lam, q, powers):
         for k, t in pairs]
 
 
-def _thermal_derivative(lam):
-    x = lam / 2.0
-    scale = 2.0 * x * (1.0 - x) ** 2
-    return lambda z: scale / (1.0 - x * z) ** 3
-
-
 def _thermal_terms(lam, q, powers):
+    # G'(z) = 2x (1-x)^2 / (1-x z)^3 with x = lam/2
     x = lam / 2.0
     scale = 2.0 * x * (1.0 - x) ** 2
     return lambda pairs: [
@@ -359,7 +357,6 @@ PAIR_LAWS = {
     PairDistribution.POISSON: PairLaw(
         pmf=_poisson_pmf,
         generating=lambda lam, z: math.exp(lam * (z - 1.0)),
-        derivative=lambda lam: lambda z: lam * math.exp(lam * (z - 1.0)),
         terms=_poisson_terms,
         sample=lambda lam, rng, size: rng.poisson(lam, size),
         lam_below=math.inf),
@@ -368,7 +365,6 @@ PAIR_LAWS = {
         pmf=lambda lam, n: (n + 1) * (lam / 2.0) ** n * (1.0 - lam / 2.0) ** 2,
         generating=lambda lam, z: (
             (1.0 - lam / 2.0) / (1.0 - lam / 2.0 * z)) ** 2,
-        derivative=_thermal_derivative,
         terms=_thermal_terms,
         sample=lambda lam, rng, size: rng.negative_binomial(
             2, 1.0 - lam / 2.0, size) if lam else rng.poisson(lam, size),
@@ -386,15 +382,6 @@ def pair_generating_function(params: SourceParams, z: float) -> float:
     """G(z) = sum_n P(n) z^n: e^{lam (z-1)} for Poisson pairs and
     (1-x)^2 / (1-x z)^2 with x = lam/2 for renormalized thermal pairs."""
     return PAIR_LAWS[params.pair_dist].generating(params.lam, z)
-
-
-def pair_generating_derivative(params: SourceParams
-                               ) -> Callable[[float], float]:
-    """G'(z) = sum_n n P(n) z^(n-1) as a function of z alone, with the pair
-    law's constants bound once: lam e^{lam (z-1)} for Poisson pairs and
-    2x (1-x)^2 / (1-x z)^3 with x = lam/2 for renormalized thermal pairs.
-    Each law's B(r) terms write it inline in this operation order."""
-    return PAIR_LAWS[params.pair_dist].derivative(params.lam)
 
 
 def sample_pairs(params: SourceParams, rng, size: int):

@@ -308,31 +308,3 @@ def estimate_eta(params: SourceParams, scheme: SchemeConfig, n_trials: int,
         n_multi=n_multi,
         n_vacuum=n_trials - n_single - n_multi,
     )
-
-
-def estimate_avg_lin(params: SourceParams, n_bins: int, lam: float,
-                     n_trials: int, seed) -> float:
-    """Empirical mean delay-line transmission under last-photon selection.
-
-    Exactly :func:`efficiency.occupied_bins` photons occupy bins drawn
-    uniformly without replacement (the order-statistics reading checked
-    against the closed-form weights).
-    """
-    n_trials = as_integer("n_trials", n_trials, 1, MAX_TRIALS)
-    n_occ = efficiency.occupied_bins(n_bins, lam)
-    rng = _as_rng(seed)
-    # an oracle for avg_linear_transmission keeps its own delay-loss formula
-    exponent = -params.alpha_inc * (n_bins - np.arange(1, n_bins + 1))
-    trans = 10.0 ** (exponent if params.literal_exponent else exponent / 10.0)
-
-    total = 0.0
-    chunk = max(1, min(n_trials, 4_000_000 // n_bins))
-    remaining = n_trials
-    while remaining:
-        m = min(chunk, remaining)
-        remaining -= m
-        keys = rng.random((m, n_bins))
-        occupied = np.argpartition(keys, n_occ - 1, axis=1)[:, :n_occ]
-        last = occupied.max(axis=1)
-        total += float(trans[last].sum())
-    return total / n_trials

@@ -23,6 +23,15 @@ from photonmux.bell import (
 )
 
 
+def norm_squared(state):
+    return math.fsum(abs(a) ** 2 for a in state.amplitudes.values())
+
+
+def photon_numbers(state):
+    """The total photon number of each occupation the state holds."""
+    return {sum(occ) for occ in state.amplitudes}
+
+
 def single_photon(port, pol, n_modes=8):
     occ = [0] * n_modes
     occ[mode_index(port, pol)] = 1
@@ -84,7 +93,7 @@ class TestCircuitElements:
         state = single_photon(0, H, 4).apply(nonpolarizing_coupler(0, 1))
         mags = sorted(abs(a) for a in state.amplitudes.values())
         assert mags == pytest.approx([1 / math.sqrt(2)] * 2)
-        assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFockState:
@@ -92,8 +101,8 @@ class TestFockState:
         state = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0))
         for element in hbs_circuit():
             state = state.apply(element)
-            assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
-            assert state.photon_number() == 4
+            assert norm_squared(state) == pytest.approx(1.0, abs=1e-10)
+            assert photon_numbers(state) == {4}
 
     def test_two_photons_one_mode_normalization(self):
         # both photons into one coupler port: amplitudes keep norm 1
@@ -101,17 +110,12 @@ class TestFockState:
         occ[0] = 2
         state = FockState.from_occupation(tuple(occ)).apply(
             nonpolarizing_coupler(0, 1))
-        assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_element_beyond_the_modes_rejected(self):
         # polarizing_coupler(0, 1) acts on modes 0..3; the state has two
         with pytest.raises(ValueError, match="mode out of range"):
             FockState(2, {(1, 0): 1.0}).apply(polarizing_coupler(0, 1))
-
-    def test_mixed_photon_numbers_have_no_photon_number(self):
-        state = FockState(2, {(1, 0): 0.6, (1, 1): 0.8})
-        with pytest.raises(ValueError, match="mixes photon-number sectors"):
-            state.photon_number()
 
 
 class TestHeraldedBellCircuit:
@@ -144,7 +148,7 @@ class TestHeraldedBellCircuit:
     def test_all_detection_patterns_sum_to_unity(self):
         state = FockState.from_occupation((1, 0, 1, 0, 1, 0, 1, 0))
         final = state.apply_all(hbs_circuit())
-        assert final.norm_squared() == pytest.approx(1.0, abs=1e-10)
+        assert norm_squared(final) == pytest.approx(1.0, abs=1e-10)
 
     def test_removing_middle_rotation_changes_the_distribution(self):
         # the circuit without the rotators around the middle coupler
@@ -238,5 +242,5 @@ class TestTwoSourceCircuit:
         coincidence = sum(abs(a) ** 2 for occ, a in final.amplitudes.items()
                           if occ[0] + occ[1] == 1 and occ[2] + occ[3] == 1)
         assert coincidence == pytest.approx(0.0, abs=1e-10)
-        assert final.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert norm_squared(final) == pytest.approx(1.0, abs=1e-12)
 

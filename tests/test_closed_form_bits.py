@@ -26,8 +26,9 @@ from photonmux.model import (
     Selection,
     SourceParams,
     Topology,
-    pair_generating_derivative,
 )
+
+from generating_derivative import pair_generating_derivative
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "closed_form_bits.json")
@@ -38,9 +39,8 @@ N_VALUES = (1, 31, 128, 1024)
 
 def _designs():
     for dist, topology, detection, selection, d0, literal, n in (
-            itertools.product(PairDistribution, Topology, Detection,
-                              Selection, (True, False), (False, True),
-                              N_VALUES)):
+            itertools.product(LAMBDAS, Topology, Detection, Selection,
+                              (True, False), (False, True), N_VALUES)):
         key = (f"{dist.value}/{topology.value}/{detection.value}/"
                f"{selection.value}/d0={d0}/literal={literal}/N={n}")
         params = SourceParams.table_defaults(
@@ -70,6 +70,10 @@ def recorded() -> dict:
 
 def test_every_design_is_recorded(recorded):
     assert sorted(recorded) == sorted(DESIGNS)
+
+
+def test_every_pair_law_has_a_pump_strength():
+    assert set(LAMBDAS) == set(PairDistribution)
 
 
 @pytest.mark.parametrize("key", list(DESIGNS))
@@ -103,7 +107,7 @@ EDGE_PARAMS = {
 def test_per_bin_success_is_the_model_derivative_expression(
         key, topology, selection):
     # B(r) writes G' inline; it must keep the bits of the expression built
-    # on the model's G'
+    # on the reference G'
     params = EDGE_PARAMS[key]
     g1 = pair_generating_derivative(params)
     for n in (1, 7, 64):

@@ -34,8 +34,8 @@ LAMBDAS = {PairDistribution.POISSON: 0.3, PairDistribution.THERMAL_APPROX: 0.7}
 
 def _designs():
     for dist, topology, detection, selection, d0, literal in (
-            itertools.product(PairDistribution, Topology, Detection,
-                              Selection, (True, False), (False, True))):
+            itertools.product(LAMBDAS, Topology, Detection, Selection,
+                              (True, False), (False, True))):
         key = (f"{dist.value}/{topology.value}/{detection.value}/"
                f"{selection.value}/d0={d0}/literal={literal}")
         params = SourceParams.table_defaults(
@@ -62,6 +62,10 @@ def _hex_points(params, scheme, n_values) -> list[str]:
 
 def test_every_combination_is_covered():
     assert len(DESIGNS) == 64
+
+
+def test_every_pair_law_has_a_pump_strength():
+    assert set(LAMBDAS) == set(PairDistribution)
 
 
 @pytest.mark.parametrize("key", list(DESIGNS))

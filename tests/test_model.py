@@ -15,7 +15,7 @@ from photonmux.efficiency import (
     occupied_bins,
     total_efficiency,
 )
-from photonmux.montecarlo import estimate_avg_lin, estimate_eta
+from photonmux.montecarlo import estimate_eta
 from photonmux.model import (
     DEFAULT_ALPHA_INC,
     MAX_BINS,
@@ -35,10 +35,11 @@ from photonmux.model import (
     field_kinds,
     incremental_loss_db,
     pair_count_distribution,
-    pair_generating_derivative,
     pair_generating_function,
     sample_pairs,
 )
+
+from generating_derivative import pair_generating_derivative
 
 #: Every float field of SourceParams, in field order.
 FLOAT_FIELDS = [name for name, kind, _, _ in field_kinds(SourceParams)
@@ -295,7 +296,6 @@ def test_int_too_long_to_print_is_named_by_size(call, name, error):
     (lambda v: no_herald_probability(P, v), "eta_d", DomainError),
     (lambda v: occupied_bins(8, v), "lam", DomainError),
     (lambda v: avg_linear_transmission(P, 8, v), "lam", DomainError),
-    (lambda v: estimate_avg_lin(P, 8, v, 10, 0), "lam", DomainError),
     (lambda v: incremental_loss_db(v), "alpha_lin_db_per_cm", DomainError),
     (lambda v: incremental_loss_db(0.1, v), "group_index", DomainError),
     (lambda v: find_crossing(P, v, 0.99), "lo", DomainError),
@@ -303,9 +303,8 @@ def test_int_too_long_to_print_is_named_by_size(call, name, error):
     (lambda v: find_crossing(P, 0.85, 0.99, tol=v), "tol", DomainError),
     (lambda v: sweep_values("eta_sw", None, v, 1, 0.1), "min", ConfigError),
     (lambda v: sweep_values("eta_sw", None, 0, 1, v), "step", ConfigError),
-], ids=["check_unit", "no_herald", "occupied_bins", "avg_lin",
-        "estimate_avg_lin", "loss", "group_index", "lo", "hi", "tol",
-        "sweep_min", "sweep_step"])
+], ids=["check_unit", "no_herald", "occupied_bins", "avg_lin", "loss",
+        "group_index", "lo", "hi", "tol", "sweep_min", "sweep_step"])
 @pytest.mark.parametrize("value", ["0.5", True], ids=repr)
 def test_real_arguments_refuse_text_and_bools(call, name, error, value):
     with pytest.raises(error, match=(
