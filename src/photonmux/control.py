@@ -13,32 +13,25 @@ delay.  After the coarsest stage the rails merge onto the delay-side input of
 the second switch (a pi there *skips* the next delay); the remaining stages
 form a two-rail chain where the phase is the XOR of consecutive delay bits,
 and the exit switch folds the final rail onto the output port.
+
+:func:`phase_schedule` gives each bin's row of switch phases.  The decision
+logic reads one :class:`HeraldFrame` and gives the bin whose photon the
+chain delays: :func:`select_first` the earliest herald, :func:`select_last`
+the latest, each None for an idle frame.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .model import DomainError, as_integer, check_depth, switch_passes
+from .model import DomainError, check_depth, switch_passes
 
 PHASE_PI = math.pi
 
-
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Per-bin, per-stage switch phases for one frame of ``n_bins`` bins.
-
-    Row r-1 holds the phases applied while bin r's photon traverses the
-    chain; entries are 0 or pi.  Stage 0 is the coarsest (entry) switch,
-    the last stage the exit switch.
-    """
-
-    n_bins: int
-    phases: tuple[tuple[float, ...], ...]
-
-    def row(self, bin_index: int) -> tuple[float, ...]:
-        i = as_integer("bin index", bin_index, 1, self.n_bins)
-        return self.phases[i - 1]
+#: What a herald frame reads its bits from: ``bytes()`` would read an int as
+#: a length and a numpy array's memory as bytes.
+_BIT_SEQUENCES = (bytearray, bytes, tuple, list)
 
 
 def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:
@@ -54,11 +47,14 @@ def _stage_clocks(n_bins: int) -> tuple[tuple[int, int], ...]:
     return tuple(clocks)
 
 
-def phase_schedule(n_bins: int) -> PhaseSchedule:
-    """Switch-phase matrix for a full frame; ``n_bins`` is read by
-    :func:`check_depth` and must be a power of two >= 2.
+def phase_schedule(n_bins: int) -> tuple[tuple[float, ...], ...]:
+    """Switch phases for a full frame, one row per bin, bin r at index
+    r - 1; ``n_bins`` is read by :func:`check_depth` and must be a power of
+    two >= 2.
 
-    Bin r's row routes its photon through delay (n_bins - r) T.  Each column
+    Bin r's row holds the phases, 0 or pi, applied while its photon
+    traverses the chain, entry (coarsest) stage first and the exit switch
+    last, and routes the photon through delay (n_bins - r) T.  Each column
     is one stage's divided-clock drive waveform sampled at the bin rate: a
     square wave whose period, the stage's clock division, is twice the half
     period that :func:`_stage_clocks` gives.
@@ -68,25 +64,32 @@ def phase_schedule(n_bins: int) -> PhaseSchedule:
         raise DomainError(
             f"switch phases need a power-of-two n_bins >= 2, got {n_bins}")
     clocks = _stage_clocks(n_bins)
-    rows = tuple(
+    return tuple(
         tuple(PHASE_PI if ((r - 1 + offset) // half) % 2 else 0.0
               for half, offset in clocks)
         for r in range(1, n_bins + 1))
-    return PhaseSchedule(n_bins=n_bins, phases=rows)
 
 
 @dataclass(frozen=True)
 class HeraldFrame:
     """One frame of heralding-detector outcomes; bit r-1 is set when the
-    detector fired in bin r."""
+    detector fired in bin r.  A tuple, list, bytes or bytearray of integers
+    0 and 1 (a bool or numpy integer too) is stored as a tuple of ints."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.bits:
+        bits = self.bits
+        try:
+            packed = bytes(bits) if isinstance(bits, _BIT_SEQUENCES) else None
+        except (TypeError, ValueError):
+            packed = None
+        if packed is None or packed.translate(None, b"\0\1"):
+            raise DomainError("herald bits must be a tuple, list or bytes "
+                              f"of 0s and 1s, got {bits!r}")
+        if not packed:
             raise DomainError("herald frame must contain at least one bin")
-        if not set(self.bits) <= {0, 1}:
-            raise DomainError("herald bits must be 0 or 1")
+        object.__setattr__(self, "bits", tuple(packed))
 
     @classmethod
     def from_string(cls, text: str) -> "HeraldFrame":
@@ -99,25 +102,12 @@ class HeraldFrame:
 
 def select_first(frame: HeraldFrame) -> int | None:
     """Bin index of the earliest herald, or None for an idle frame."""
-    for i, bit in enumerate(frame.bits):
-        if bit:
-            return i + 1
-    return None
+    bits = frame.bits
+    return bits.index(1) + 1 if 1 in bits else None
 
 
-def select_last(frame: HeraldFrame) -> tuple[tuple[int, ...], int | None]:
-    """Lookup-table last-photon selection.
-
-    Returns the one-hot output frame driving the decision switch together
-    with the selected bin index; an all-zero input yields an all-zero output
-    (the source idles that frame).
-    """
-    selected = None
-    for i in range(len(frame.bits) - 1, -1, -1):
-        if frame.bits[i]:
-            selected = i + 1
-            break
-    out = [0] * len(frame.bits)
-    if selected is not None:
-        out[selected - 1] = 1
-    return tuple(out), selected
+def select_last(frame: HeraldFrame) -> int | None:
+    """Bin index of the latest herald, or None for an idle frame (the
+    source idles that frame)."""
+    bits = frame.bits
+    return len(bits) - operator.indexOf(reversed(bits), 1) if 1 in bits else None

@@ -98,31 +98,10 @@ def as_real(name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def incremental_loss_db(alpha_lin_db_per_cm: float = 0.1,
-                        group_index: float = 4.0,
-                        period: float = 40e-12) -> float:
-    """Waveguide loss in dB accumulated over one pump period of delay.
-
-    One time bin of delay corresponds to a waveguide length of
-    ``c * period / group_index``; the linear propagation loss over that length
-    is the per-bin increment used by the transmission model.  Each argument
-    is read by :func:`as_real`.
-    """
-    args = (alpha_lin_db_per_cm, group_index, period)
-    alpha, index, period = map(
-        as_real, ("alpha_lin_db_per_cm", "group_index", "period"), args)
-    if not all(map(math.isfinite, (alpha, index, period))):
-        raise DomainError("loss, group index and period must be finite, "
-                          f"got ({', '.join(shown(a, repr) for a in args)})")
-    if alpha < 0 or index <= 0 or period <= 0:
-        raise DomainError("loss, group index and period must be positive")
-    length_cm = SPEED_OF_LIGHT * period / index * 100.0
-    return alpha * length_cm
-
-
-#: Default per-bin delay loss: 0.1 dB/cm ridge waveguide, group index 4,
-#: 40 ps bins -> about 0.03 dB per bin of delay.
-DEFAULT_ALPHA_INC = incremental_loss_db()
+#: Default per-bin delay loss in dB, about 0.03: a 0.1 dB/cm ridge
+#: waveguide's loss over the c T / n_g cm (about 0.3 cm, group index n_g = 4)
+#: that delay a photon by one bin of T = 40 ps.
+DEFAULT_ALPHA_INC = 0.1 * (SPEED_OF_LIGHT * 40e-12 / 4.0 * 100.0)
 
 
 class Range(NamedTuple):

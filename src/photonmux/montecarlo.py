@@ -7,10 +7,12 @@ uniforms falls below eta_d; after policy selection, when the filter can
 veto, one uniform per quiet bin, the frame vetoed when any is at or above
 eta_f; then the binomial number of the selected bin's signal photons that
 survive the chip.  Everything that depends only on the design (the readings,
-eta_d, the closed form's transmission frame and k(r), and the policy) is
-built once per design into a cached plan, the one place that reads the
-design; its ``chunk_tables`` (the herald probability, and the single and
-emission chances by quiet count) are built on an estimate's first use.
+eta_d, the closed form's transmission frame and k(r)) is built once per
+design into a cached plan; its ``chunk_tables`` (the herald probability, and
+the single and emission chances by quiet count) are built on an estimate's
+first use.  A frame's selection is the control plane's own
+(:func:`photonmux.control.select_first` or ``select_last``, as the scheme's
+policy says).
 :func:`estimate_eta` runs the same process vectorized over many trials,
 sampling the selected bin directly from its geometric law and the outcome
 from the law of the literal process summed over the selected bin's heralded
@@ -119,16 +121,15 @@ class _Plan:
     design: the params with the readings merged, eta_d, the transmission
     frame (the ``pic_transmission`` of :func:`efficiency.total_efficiency`)
     and the quiet counts k(r) (:func:`efficiency.quiet_bins`), both bin r at
-    index r - 1, the policy, and the chance that one quiet bin
-    passes the filter (:func:`efficiency.quiet_bin_pass`), below 1 only
-    where the filter can veto.  Its :attr:`chunk_tables` are the law
+    index r - 1, and the chance that one quiet bin passes the filter
+    (:func:`efficiency.quiet_bin_pass`), below 1 only where the filter can
+    veto.  Its :attr:`chunk_tables` are the law
     :func:`_chunk_counts` draws from."""
 
     params: SourceParams
     eta_d: float
     pic: tuple[float, ...]
     quiet: tuple[int, ...]
-    first: bool
     filter_pass: float
 
     @functools.cached_property
@@ -177,7 +178,6 @@ def _plan(params: SourceParams, scheme: SchemeConfig, **readings) -> _Plan:
         eta_d=efficiency.detection_efficiency(params, scheme),
         pic=efficiency.total_efficiency(params, scheme).pic_transmission,
         quiet=tuple(efficiency.quiet_bins(scheme.selection, scheme.n_bins)),
-        first=scheme.selection is Selection.FIRST_PHOTON,
         filter_pass=efficiency.quiet_bin_pass(params),
     )
 
@@ -205,18 +205,15 @@ def run_frame(params: SourceParams, scheme: SchemeConfig, rng_seed,
     idlers = rng.random(sum(pair_counts)).tolist()
     eta_d = plan.eta_d
     # only bins with pairs take idler uniforms, in bin order
-    bits, start = [0] * scheme.n_bins, 0
+    bits, start = bytearray(scheme.n_bins), 0
     for r in pairs.nonzero()[0].tolist():
         stop = start + pair_counts[r]
         if min(idlers[start:stop]) < eta_d:
             bits[r] = 1
         start = stop
-    frame = HeraldFrame(tuple(bits))
-
-    if plan.first:
-        selected = select_first(frame)
-    else:
-        _, selected = select_last(frame)
+    frame = HeraldFrame(bits)
+    selected = (select_first if scheme.selection is Selection.FIRST_PHOTON
+                else select_last)(frame)
 
     survivors = 0
     if selected is not None:

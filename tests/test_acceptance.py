@@ -170,17 +170,19 @@ def test_criterion_07_control_logic_conformance():
     sched = phase_schedule(8)
     entries_checked = 0
     for bin_index, phases in EIGHT_BIN_TABLE.items():
-        row = sched.row(bin_index)
+        row = sched[bin_index - 1]
         assert row == pytest.approx(phases)
         entries_checked += len(row)
     assert entries_checked == 32
 
+    # each lookup row's output sets one bit: the bin the frame selects
     for text, expected in LOOKUP_ROWS:
-        out, _ = select_last(HeraldFrame.from_string(text))
-        assert out == tuple(int(c) for c in expected)
+        assert expected.count("1") == 1
+        selected = select_last(HeraldFrame.from_string(text))
+        assert selected == expected.index("1") + 1
 
     for bits in itertools.product((0, 1), repeat=8):
-        _, selected = select_last(HeraldFrame(bits))
+        selected = select_last(HeraldFrame(bits))
         expected = max((i + 1 for i, b in enumerate(bits) if b), default=None)
         assert selected == expected
     report(7, True, "32 schedule entries verbatim; lookup rows and all 256 "

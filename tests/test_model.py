@@ -33,7 +33,6 @@ from photonmux.model import (
     SourceParams,
     check_unit,
     field_kinds,
-    incremental_loss_db,
     pair_count_distribution,
     pair_generating_function,
     sample_pairs,
@@ -64,29 +63,8 @@ class TestSourceParams:
 
     def test_default_alpha_inc_near_0p03_db(self):
         assert DEFAULT_ALPHA_INC == pytest.approx(0.03, abs=2e-4)
-        assert incremental_loss_db(0.1, 4.0, 40e-12) == DEFAULT_ALPHA_INC
-
-    @pytest.mark.parametrize("args,message", [
-        ((math.nan, 4.0, 40e-12), "must be finite"),
-        ((math.inf, 4.0, 40e-12), "must be finite"),
-        ((0.1, math.inf, 40e-12), "must be finite"),
-        ((0.1, math.nan, 40e-12), "must be finite"),
-        ((0.1, 4.0, math.inf), "must be finite"),
-        ((0.1, 4.0, -math.inf), "must be finite"),
-        ((10**400, 4.0, 40e-12), "must be finite"),
-        ((0.1, 10**400, 40e-12), "must be finite"),
-        ((0.1, 4.0, 10**400), "must be finite"),
-        ((-0.1, 4.0, 40e-12), "must be positive"),
-        ((0.1, 0.0, 40e-12), "must be positive"),
-        ((0.1, 4.0, -40e-12), "must be positive")],
-        ids=["nan-loss", "inf-loss", "inf-index", "nan-index", "inf-period",
-             "-inf-period", "huge-int-loss", "huge-int-index",
-             "huge-int-period", "negative-loss", "zero-index", "negative-period"])
-    def test_incremental_loss_rejects_bad_arguments(self, args, message):
-        with pytest.raises(
-                DomainError,
-                match=f"^loss, group index and period {message}"):
-            incremental_loss_db(*args)
+        # 0.1 dB/cm over c * 40 ps / 4 of waveguide, in that operation order
+        assert DEFAULT_ALPHA_INC.hex() == "0x1.eb2e121143820p-6"
 
     @pytest.mark.parametrize("field,value", [
         ("lam", -0.1), ("period", 0.0), ("alpha_inc", -1e-3),
@@ -277,12 +255,11 @@ P, S = SourceParams(), SchemeConfig(n_bins=31)
     (lambda: find_crossing(P, 0.85, BIG), "hi", DomainError),
     (lambda: estimate_eta(P, S, BIG, 0), "n_trials", DomainError),
     (lambda: check_unit("eta", BIG), "eta", DomainError),
-    (lambda: incremental_loss_db(BIG), "loss", DomainError),
     (lambda: occupied_bins(8, BIG), "lam", DomainError),
     (lambda: sweep_values("eta_sw", None, 0.5, BIG, 0.1), "max", ConfigError),
     (lambda: optimize_bins(P, S, 1, BIG), "n_max", DomainError),
 ], ids=["n_bins", "lam", "eta_f", "alpha_inc", "tol", "hi", "n_trials",
-        "check_unit", "loss", "occupied_bins", "sweep_values", "n_max"])
+        "check_unit", "occupied_bins", "sweep_values", "n_max"])
 def test_int_too_long_to_print_is_named_by_size(call, name, error):
     """Python refuses to print an int of more than 4,300 digits; the
     message gives its size instead."""
@@ -296,15 +273,13 @@ def test_int_too_long_to_print_is_named_by_size(call, name, error):
     (lambda v: no_herald_probability(P, v), "eta_d", DomainError),
     (lambda v: occupied_bins(8, v), "lam", DomainError),
     (lambda v: avg_linear_transmission(P, 8, v), "lam", DomainError),
-    (lambda v: incremental_loss_db(v), "alpha_lin_db_per_cm", DomainError),
-    (lambda v: incremental_loss_db(0.1, v), "group_index", DomainError),
     (lambda v: find_crossing(P, v, 0.99), "lo", DomainError),
     (lambda v: find_crossing(P, 0.85, v), "hi", DomainError),
     (lambda v: find_crossing(P, 0.85, 0.99, tol=v), "tol", DomainError),
     (lambda v: sweep_values("eta_sw", None, v, 1, 0.1), "min", ConfigError),
     (lambda v: sweep_values("eta_sw", None, 0, 1, v), "step", ConfigError),
-], ids=["check_unit", "no_herald", "occupied_bins", "avg_lin", "loss",
-        "group_index", "lo", "hi", "tol", "sweep_min", "sweep_step"])
+], ids=["check_unit", "no_herald", "occupied_bins", "avg_lin", "lo", "hi",
+        "tol", "sweep_min", "sweep_step"])
 @pytest.mark.parametrize("value", ["0.5", True], ids=repr)
 def test_real_arguments_refuse_text_and_bools(call, name, error, value):
     with pytest.raises(error, match=(
@@ -320,8 +295,6 @@ def test_real_arguments_are_read_as_floats():
                                 float(np.float32(0.99)))
     assert type(check_unit("eta", np.float32(0.5))) is float
     assert type(SourceParams(eta_f=1).eta_f) is float
-    assert incremental_loss_db(np.float32(0.1)) == incremental_loss_db(
-        float(np.float32(0.1)))
 
 
 class TestPairCountDistribution:

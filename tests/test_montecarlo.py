@@ -339,7 +339,7 @@ def _reference_frame(params, scheme, rng):
     if scheme.selection is Selection.FIRST_PHOTON:
         selected = select_first(frame)
     else:
-        _, selected = select_last(frame)
+        selected = select_last(frame)
 
     survivors = 0
     if selected is not None:

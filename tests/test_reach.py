@@ -35,13 +35,11 @@ ALLOWED = {
     "cli.run": "the console script and python -m photonmux.cli",
     "control.HeraldFrame.__post_init__": "perfbench's run_frame batch",
     "control.HeraldFrame.from_string": "the acceptance tests' frames",
-    "control.PhaseSchedule.row": "the acceptance tests' schedule",
     "control._stage_clocks": "the acceptance tests' schedule",
     "control.phase_schedule": "the acceptance tests' schedule",
     "control.select_first": "perfbench's run_frame batch",
     "control.select_last": "perfbench's run_frame batch",
     "model.field_kinds": "import time only (config.KEYS); then its cache",
-    "model.incremental_loss_db": "import time only (DEFAULT_ALPHA_INC)",
     "model.pair_count_distribution": "the acceptance tests' pair law",
     "model.sample_pairs": "perfbench's run_frame batch",
     "montecarlo._as_rng": "perfbench's run_frame batch",
