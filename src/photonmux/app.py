@@ -261,22 +261,23 @@ FIG3AB_ETA_SW = (0.87, 0.98)
 FIG3C_LAMBDAS = (0.02, 0.06, 0.10)
 #: Files that ``emit_fig3`` writes, in the order it returns them.
 _FIG3_FILES = ("fig3a.csv", "fig3b.csv", "fig3c.csv", "fig3_metadata.json")
-_FIG3AB_COLUMNS = ("N", "eta_binary_single", "eta_binary_array",
-                   "eta_singleline_single", "eta_singleline_array")
 _FIG3C_COLUMNS = ("N", *(f"avglin_lambda{lam:g}" for lam in FIG3C_LAMBDAS),
                   "avglin_control")
 #: (topology, detection) of each fig3a/fig3b efficiency column, in order.
-_FIG3AB_PROTOCOLS = (
-    (Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR),
-    (Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY),
-    (Topology.SINGLE_DELAY_LINE, Detection.SINGLE_DETECTOR),
-    (Topology.SINGLE_DELAY_LINE, Detection.DETECTOR_ARRAY),
-)
+_FIG3AB_PROTOCOLS = {
+    "eta_binary_single": (Topology.BINARY_DELAY, Detection.SINGLE_DETECTOR),
+    "eta_binary_array": (Topology.BINARY_DELAY, Detection.DETECTOR_ARRAY),
+    "eta_singleline_single": (Topology.SINGLE_DELAY_LINE,
+                              Detection.SINGLE_DETECTOR),
+    "eta_singleline_array": (Topology.SINGLE_DELAY_LINE,
+                             Detection.DETECTOR_ARRAY),
+}
 
 
 def _fig3ab_rows(params: SourceParams, eta_sw: float):
     return zip(N_RANGE, *(eta_curve(*_protocol_design(params, eta_sw, *p),
-                                    N_RANGE) for p in _FIG3AB_PROTOCOLS))
+                                    N_RANGE)
+                          for p in _FIG3AB_PROTOCOLS.values()))
 
 
 def _fig3c_rows(params: SourceParams):
@@ -327,7 +328,7 @@ def emit_fig3(out_dir, params: SourceParams, **readings) -> list[str]:
     written = [os.path.join(out_dir, name) for name in _FIG3_FILES]
     *ab_paths, c_path, meta_path = written
     for path, eta_sw in zip(ab_paths, FIG3AB_ETA_SW):
-        write_csv(path, _FIG3AB_COLUMNS, _fig3ab_rows(params, eta_sw))
+        write_csv(path, ("N", *_FIG3AB_PROTOCOLS), _fig3ab_rows(params, eta_sw))
     write_csv(c_path, _FIG3C_COLUMNS, _fig3c_rows(params))
 
     parameters = {key: getattr(params, name) for key, (cls, name, _)

@@ -23,7 +23,7 @@ the polarizing coupler transmits horizontal and reflects vertical with no
 extra phase (the convention fixes state signs, not probabilities).
 
 ``photonmux bell --eta`` composes these two enumerated probabilities with
-the source efficiency, one factor eta per photon each circuit consumes.
+the source efficiency: eta to the power of the circuit's source count.
 """
 from __future__ import annotations
 
@@ -201,6 +201,9 @@ def _click_table(start: tuple[int, ...], circuit, detector_modes,
 #: detectors, in the four-source circuit.
 HBS_OUTPUT_PORTS = (0, 3)
 HBS_DETECTOR_PORTS = (1, 2)
+#: Single-photon sources each circuit takes, one horizontal photon per port.
+HBS_SOURCES = 4
+POST_SELECTED_SOURCES = 2
 
 #: Reference Bell amplitudes over (output-1 pol, output-2 pol).
 BELL_STATES = {
@@ -210,21 +213,15 @@ BELL_STATES = {
     "psi_minus": {(H, V): 1 / math.sqrt(2), (V, H): -1 / math.sqrt(2)},
 }
 
-#: Detector labels: D1 sees port 1 of the coupler stage (H and V split),
-#: D2 the other.  The four cross-port coincidences announce Bell states.
+#: Each herald pattern's clicks on (D1H, D1V, D2H, D2V), D1 seeing port 1
+#: and D2 port 2, and the Bell state it announces (None: a false herald).
 HERALD_PATTERNS = {
-    "D1H,D2H": (1, 0, 1, 0),
-    "D1V,D2V": (0, 1, 0, 1),
-    "D1H,D2V": (1, 0, 0, 1),
-    "D1V,D2H": (0, 1, 1, 0),
-    "D1H,D1V": (1, 1, 0, 0),
-    "D2H,D2V": (0, 0, 1, 1),
-}
-BELL_PATTERN_LABELS = {
-    "D1H,D2H": "phi_plus",
-    "D1V,D2V": "phi_plus",
-    "D1H,D2V": "psi_plus",
-    "D1V,D2H": "psi_plus",
+    "D1H,D2H": ((1, 0, 1, 0), "phi_plus"),
+    "D1V,D2V": ((0, 1, 0, 1), "phi_plus"),
+    "D1H,D2V": ((1, 0, 0, 1), "psi_plus"),
+    "D1V,D2H": ((0, 1, 1, 0), "psi_plus"),
+    "D1H,D1V": ((1, 1, 0, 0), None),
+    "D2H,D2V": ((0, 0, 1, 1), None),
 }
 
 
@@ -278,14 +275,13 @@ def hbs_enumeration(number_resolving: bool = True) -> HbsEnumeration:
     detector_modes = [mode_index(port, pol) for port in HBS_DETECTOR_PORTS
                       for pol in (H, V)]
     probability, pairs = _click_table(
-        (1, 0) * 4, hbs_circuit(), detector_modes, HBS_OUTPUT_PORTS,
+        (1, 0) * HBS_SOURCES, hbs_circuit(), detector_modes, HBS_OUTPUT_PORTS,
         number_resolving)
 
     patterns: dict[str, PatternOutcome] = {}
     bell_yield = 0.0
-    for name, clicks in HERALD_PATTERNS.items():
+    for name, (clicks, label) in HERALD_PATTERNS.items():
         prob = probability.get(clicks, 0.0)
-        label = BELL_PATTERN_LABELS.get(name)
         if label is None:
             patterns[name] = PatternOutcome(probability=prob)
             continue
@@ -306,7 +302,7 @@ def hbs_enumeration(number_resolving: bool = True) -> HbsEnumeration:
         patterns=patterns,
         bell_yield=bell_yield,
         false_herald_probability=herald_probability - math.fsum(
-            patterns[n].probability for n in BELL_PATTERN_LABELS),
+            p.probability for p in patterns.values() if p.bell_label),
     )
 
 
@@ -324,7 +320,8 @@ def two_source_enumeration():
     Both photons enter horizontal, so after the pi/2 rotation they are
     orthogonal at the coupler and a coincidence leaves the singlet.
     """
-    _, pairs = _click_table((1, 0, 1, 0), two_source_circuit(), (), (0, 1),
+    _, pairs = _click_table((1, 0) * POST_SELECTED_SOURCES,
+                            two_source_circuit(), (), (0, 1),
                             number_resolving=True)
     cond = pairs.get((), {})
     probability = math.fsum(abs(a) ** 2 for a in cond.values())

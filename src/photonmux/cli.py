@@ -190,10 +190,9 @@ def _cmd_bell(args, params, scheme) -> tuple[dict, list[str]]:
         f"two-source coincidence           {two_prob:.6f}",
     ]
     if eta is not None:
-        # each circuit's enumerated probability times eta per photon it
-        # consumes: four for the heralded circuit, two for the post-selected
-        hbs = enum.herald_probability * eta**4
-        ps2 = two_prob * eta**2
+        # each circuit's enumerated probability times eta per source it takes
+        hbs = enum.herald_probability * eta**bell.HBS_SOURCES
+        ps2 = two_prob * eta**bell.POST_SELECTED_SOURCES
         payload["composed"] = {"eta": eta, "hbs4": hbs, "post_selected2": ps2}
         lines.append(f"composed at eta={eta}: hbs4={hbs:.6f} "
                      f"post-selected2={ps2:.6f}")

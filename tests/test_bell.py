@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from photonmux.bell import (
-    BELL_PATTERN_LABELS,
     BELL_STATES,
+    HBS_DETECTOR_PORTS,
     HERALD_PATTERNS,
     CircuitElement,
     FockState,
@@ -129,10 +129,11 @@ class TestHeraldedBellCircuit:
         for name, outcome in enum.patterns.items():
             assert outcome.probability == pytest.approx(1 / 32, abs=1e-10)
         # the four cross patterns herald the matching Bell state exactly
-        for name, label in BELL_PATTERN_LABELS.items():
+        for name, (_, label) in HERALD_PATTERNS.items():
             outcome = enum.patterns[name]
             assert outcome.bell_label == label
-            assert outcome.fidelity == pytest.approx(1.0, abs=1e-10)
+            if label is not None:
+                assert outcome.fidelity == pytest.approx(1.0, abs=1e-10)
         assert enum.patterns["D1H,D2H"].bell_label == "phi_plus"
         assert enum.patterns["D1V,D2V"].bell_label == "phi_plus"
         assert enum.patterns["D1H,D2V"].bell_label == "psi_plus"
@@ -163,7 +164,7 @@ class TestHeraldedBellCircuit:
             it leaves with one photon in each output port (0 and 3)."""
             prob, pair = 0.0, {}
             for occ, amp in final.amplitudes.items():
-                if (occ[2], occ[3], occ[4], occ[5]) != HERALD_PATTERNS[name]:
+                if (occ[2], occ[3], occ[4], occ[5]) != HERALD_PATTERNS[name][0]:
                     continue
                 prob += abs(amp) ** 2
                 if occ[0] + occ[1] == 1 and occ[6] + occ[7] == 1:
@@ -222,6 +223,35 @@ class TestHeraldedBellCircuit:
         resolved = hbs_enumeration(number_resolving=True)
         bucket = hbs_enumeration(number_resolving=False)
         assert bucket.herald_probability > resolved.herald_probability
+
+
+#: Each heralding detector's name, in detector-mode order: D1 is port 1 and
+#: D2 port 2, each split into H and V.
+DETECTOR_NAMES = [f"D{port}{'HV'[pol]}" for port in HBS_DETECTOR_PORTS
+                  for pol in (H, V)]
+
+
+class TestHeraldTable:
+    def test_detector_names_follow_the_mode_order(self):
+        modes = [mode_index(port, pol) for port in HBS_DETECTOR_PORTS
+                 for pol in (H, V)]
+        assert modes == sorted(modes)
+
+    @pytest.mark.parametrize("name", list(HERALD_PATTERNS))
+    def test_name_lists_exactly_the_detectors_that_click(self, name):
+        clicks, _ = HERALD_PATTERNS[name]
+        fired = name.split(",")
+        assert clicks == tuple(int(d in fired) for d in DETECTOR_NAMES)
+        assert fired == sorted(fired, key=DETECTOR_NAMES.index)
+
+    @pytest.mark.parametrize("name", list(HERALD_PATTERNS))
+    def test_cross_port_rows_and_only_they_announce_a_bell_state(self, name):
+        _, label = HERALD_PATTERNS[name]
+        first, second = (d[:2] for d in name.split(","))
+        if first != second:
+            assert label in BELL_STATES
+        else:
+            assert label is None
 
 
 class TestTwoSourceCircuit:

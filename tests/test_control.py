@@ -23,23 +23,11 @@ from photonmux.model import (
     switch_passes,
 )
 
+from test_acceptance import EIGHT_BIN_TABLE
+
 PI = math.pi
 #: Every frame size the switch phases support.
 POWERS_OF_TWO = [2 ** m for m in range(1, MAX_BINS.bit_length())]
-
-# Reference phase table for an 8-bin frame: bin, delay (in pump periods),
-# stage phases entry-to-exit.  This is the conformance oracle for the
-# schedule generator.
-EIGHT_BIN_TABLE = [
-    (1, 7, (PI, 0., 0., PI)),
-    (2, 6, (PI, 0., PI, 0.)),
-    (3, 5, (PI, PI, PI, PI)),
-    (4, 4, (PI, PI, 0., 0.)),
-    (5, 3, (0., 0., 0., PI)),
-    (6, 2, (0., 0., PI, 0.)),
-    (7, 1, (0., PI, PI, PI)),
-    (8, 0, (0., PI, 0., 0.)),
-]
 
 
 def decode_delay(schedule, bin_index):
@@ -69,9 +57,9 @@ class TestPhaseSchedule:
         assert len(sched[0]) == 4
         # a numpy-integer depth gives the same schedule
         assert phase_schedule(np.int64(8)) == sched
-        for bin_index, delay, phases in EIGHT_BIN_TABLE:
+        for bin_index, phases in EIGHT_BIN_TABLE.items():
             assert sched[bin_index - 1] == pytest.approx(phases)
-            assert decode_delay(sched, bin_index) == delay
+            assert decode_delay(sched, bin_index) == 8 - bin_index
 
     @pytest.mark.parametrize("n", POWERS_OF_TWO)
     def test_round_trip_delay(self, n):

@@ -6,7 +6,6 @@ The answers read from curves (``find_crossing`` and the fig3 files) are
 pinned to the values they had before ``eta_curve`` existed.
 """
 import hashlib
-import itertools
 import math
 from dataclasses import replace
 
@@ -17,37 +16,11 @@ from photonmux.app import emit_fig3, find_crossing, optimize_bins
 from photonmux.config import parse_config
 from photonmux.efficiency import (avg_linear_transmission, eta_curve,
                                   total_efficiency)
-from photonmux.model import (
-    MAX_BINS,
-    Detection,
-    DomainError,
-    PairDistribution,
-    SchemeConfig,
-    Selection,
-    SourceParams,
-    Topology,
-)
+from photonmux.model import MAX_BINS, DomainError, SchemeConfig, SourceParams
 
-#: Pump strength of each pair law, as in ``test_closed_form_bits``.
-LAMBDAS = {PairDistribution.POISSON: 0.3, PairDistribution.THERMAL_APPROX: 0.7}
+from test_closed_form_bits import design_grid
 
-
-def _designs():
-    for dist, topology, detection, selection, d0, literal in (
-            itertools.product(LAMBDAS, Topology, Detection, Selection,
-                              (True, False), (False, True))):
-        key = (f"{dist.value}/{topology.value}/{detection.value}/"
-               f"{selection.value}/d0={d0}/literal={literal}")
-        params = SourceParams.table_defaults(
-            detection, lam=LAMBDAS[dist], pair_dist=dist,
-            include_filter_in_d0=d0, literal_exponent=literal)
-        scheme = SchemeConfig(n_bins=1, topology=topology,
-                              detection=detection, selection=selection,
-                              allow_mismatched_selection=True)
-        yield key, (params, scheme)
-
-
-DESIGNS = dict(_designs())
+DESIGNS = {key: (params, scheme) for key, params, scheme in design_grid()}
 
 
 def _hex_curve(params, scheme, n_values) -> list[str]:
@@ -62,10 +35,6 @@ def _hex_points(params, scheme, n_values) -> list[str]:
 
 def test_every_combination_is_covered():
     assert len(DESIGNS) == 64
-
-
-def test_every_pair_law_has_a_pump_strength():
-    assert set(LAMBDAS) == set(PairDistribution)
 
 
 @pytest.mark.parametrize("key", list(DESIGNS))
