@@ -15,12 +15,12 @@ Brute-force Fock-space enumeration of two small linear-optics circuits:
   (probability 1/2) post-selects the polarization singlet.
 
 Both circuits read one click table, :func:`_click_table` (the two-source
-circuit has no detectors, so its table is one empty pattern).  Amplitudes
-are evolved by direct substitution of creation operators, not by
-permanents, and every element is checked unitary at construction.  Coupler
-convention: symmetric, a factor i on the cross path of the 50/50 coupler;
-the polarizing coupler transmits horizontal and reflects vertical with no
-extra phase (the convention fixes state signs, not probabilities).
+circuit has no detectors, so its table is one empty pattern).  :func:`evolve`
+gives its amplitudes by substituting creation operators, not by permanents,
+and every element is checked unitary, on distinct modes, at construction.
+Coupler convention: symmetric, a factor i on the cross path of the 50/50
+coupler; the polarizing coupler transmits horizontal and reflects vertical
+with no extra phase (the convention fixes state signs, not probabilities).
 
 ``photonmux bell --eta`` composes these two enumerated probabilities with
 the source efficiency: eta to the power of the circuit's source count.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 H, V = 0, 1
@@ -52,6 +53,10 @@ class CircuitElement:
         self.label = label
         self.modes = tuple(modes)
         k = len(self.modes)
+        if not (all(isinstance(m, numbers.Integral) and m >= 0
+                    for m in self.modes) and len(set(self.modes)) == k):
+            raise ValueError(f"{label}: modes {self.modes!r} are not "
+                             f"distinct integers >= 0")
         shape_error = f"{label}: matrix is not {k} rows of {k} numbers"
         try:
             self.matrix = tuple(tuple(complex(u) for u in row) for row in matrix)
@@ -104,32 +109,19 @@ def nonpolarizing_coupler(p: int, q: int) -> CircuitElement:
          [0, r, 0, t]])
 
 
-class FockState:
-    """Sparse photon-number state over ``n_modes`` polarization-resolved
-    modes: a map from occupation tuples to complex amplitudes."""
-
-    def __init__(self, n_modes: int, amplitudes: dict[tuple[int, ...], complex]):
-        self.n_modes = n_modes
-        self.amplitudes = {}
-        for occ, a in amplitudes.items():
-            a = complex(a)
-            if not cmath.isfinite(a):
-                raise ValueError(f"amplitude of {occ} is not finite: {a}")
-            if abs(a) > _PRUNE:
-                self.amplitudes[occ] = a
-
-    @classmethod
-    def from_occupation(cls, occupation: tuple[int, ...]) -> "FockState":
-        return cls(len(occupation), {tuple(occupation): 1.0 + 0j})
-
-    def apply(self, element: CircuitElement) -> "FockState":
-        """Transform by the element's creation-operator substitution."""
-        if any(m >= self.n_modes for m in element.modes):
+def evolve(start: tuple[int, ...], circuit) -> dict[tuple[int, ...], complex]:
+    """Amplitude of each occupation once the photons of ``start`` have
+    passed each element of ``circuit`` in turn, by substitution of creation
+    operators; amplitudes within ``_PRUNE`` of 0 go after each element.
+    ValueError if an element acts on a mode beyond ``start``."""
+    state = {tuple(start): 1.0 + 0j}
+    for element in circuit:
+        if any(m >= len(start) for m in element.modes):
             raise ValueError(f"{element.label}: mode out of range")
         U = element.matrix
         k = len(element.modes)
         out: dict[tuple[int, ...], complex] = {}
-        for occ, amp in self.amplitudes.items():
+        for occ, amp in state.items():
             inside = [occ[m] for m in element.modes]
             # expand prod_j (sum_i U[i][j] a_i^dag)^(n_j) as monomials
             poly: dict[tuple[int, ...], complex] = {(0,) * k: 1.0 + 0j}
@@ -153,13 +145,8 @@ class FockState:
                 norm_out = math.prod(math.factorial(n) for n in mono)
                 value = amp * coef * math.sqrt(norm_out / norm_in)
                 out[key] = out.get(key, 0j) + value
-        return FockState(self.n_modes, out)
-
-    def apply_all(self, elements) -> "FockState":
-        state = self
-        for element in elements:
-            state = state.apply(element)
-        return state
+        state = {occ: a for occ, a in out.items() if abs(a) > _PRUNE}
+    return state
 
 
 def _output_pair(occ: tuple[int, ...], ports: tuple[int, int]
@@ -181,9 +168,8 @@ def _click_table(start: tuple[int, ...], circuit, detector_modes,
     amplitudes by click pattern (each detector mode's photon count, or 0/1
     for bucket detectors): each pattern's probability, and its amplitudes
     with one photon in each output port keyed by :func:`_output_pair`."""
-    state = FockState.from_occupation(start).apply_all(circuit)
     probability, pairs = {}, {}
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in evolve(start, circuit).items():
         clicks = tuple(occ[m] for m in detector_modes)
         if not number_resolving:
             clicks = tuple(int(k >= 1) for k in clicks)
