@@ -5,8 +5,10 @@ stdout, stderr) of in-process ``cli.main`` runs of ``eval``, ``sweep``,
 ``optimize``, ``crossing`` and ``bell``, each as text and as ``--json``,
 and of the four files that ``fig3`` writes.  Each command runs on the
 default configuration and on a thermal, detector-array, single-line,
-N = 63 configuration with both reading flags.  A change that moves one
-byte of one answer, exit code or message fails here.  ``mc`` is left out:
+N = 63 configuration with both reading flags.  One ``n_bins`` sweep takes
+its depths out of order, with a repeat, and one ``optimize`` scans up to
+N = 1024, so the closed form's per-octave tables are read unsorted and
+deep.  A change that moves one byte of one answer, exit code or message fails here.  ``mc`` is left out:
 its sampler goes through ``np.log``, whose last bit may differ between
 CPUs.  Re-record only at a commit whose outputs are known to be right:
 ``PYTHONPATH=src python tests/test_output_digests.py``, which prints each
@@ -41,7 +43,9 @@ COMMANDS = {
     "sweep-eta_sw": ["sweep", "--param", "eta_sw",
                      "--values", "0.8,0.87,0.9,0.95,0.98,1.0"],
     "sweep-n_bins": ["sweep"],
+    "sweep-n_bins-unsorted": ["sweep", "--values", "64,3,1024,3,1,17"],
     "optimize": ["optimize"],
+    "optimize-1024": ["optimize", "--n-max", "1024"],
     "crossing": ["crossing"],
     "bell": ["bell", "--eta", "0.59"],
 }
