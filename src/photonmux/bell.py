@@ -113,7 +113,10 @@ def evolve(start: tuple[int, ...], circuit) -> dict[tuple[int, ...], complex]:
     """Amplitude of each occupation once the photons of ``start`` have
     passed each element of ``circuit`` in turn, by substitution of creation
     operators; amplitudes within ``_PRUNE`` of 0 go after each element.
-    ValueError if an element acts on a mode beyond ``start``."""
+    ValueError if a count of ``start`` is not an integer >= 0, or if an
+    element acts on a mode beyond ``start``."""
+    if not all(isinstance(n, numbers.Integral) and n >= 0 for n in start):
+        raise ValueError(f"start {start!r}: counts are not integers >= 0")
     state = {tuple(start): 1.0 + 0j}
     for element in circuit:
         if any(m >= len(start) for m in element.modes):

@@ -23,13 +23,15 @@ is one loop, the ``terms`` of the pair law's record in
 :data:`photonmux.model.PAIR_LAWS`, with G' written inline; those terms are
 the package's one writer of G'.  Within an octave of N (one
 ``switch_passes(N)`` on the binary tree, every N on the single delay line) a
-bin's chip transmission depends only on its delay, and so, under last-photon
-selection, where k(r) = N - r is the delay, does B(r): eta(N) is a running
-sum, each term is computed once per octave, and :func:`best_eta` reads
+bin's chip transmission depends only on its delay d = N - r, and so, under
+last-photon selection, where k(r) is the delay, does B(r).  Each octave
+keeps them in lists by delay that a larger N extends: eta(N) sums the first
+N terms, each term is computed once per octave, and :func:`best_eta` reads
 only each octave's largest N.  First-photon curves evaluate every term at
 every N, because bin r's power D0^(r-1) moves with N at a fixed delay.
-:func:`total_efficiency` is the one-N case of the same code, and its
-breakdown's ``pic_transmission`` is the one public view of the chip frame.
+:func:`total_efficiency` is the one-N case of the same code and the one
+place that puts the lists in bin order; its breakdown's
+``pic_transmission`` is the one public view of the chip frame.
 """
 from __future__ import annotations
 
@@ -146,24 +148,18 @@ def quiet_bins(selection: Selection, n: int) -> range:
 
 
 def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
-    """(D0, chip transmissions, B(r)) of every N in ``n_values``, in order;
-    ``scheme.n_bins`` is not read.
+    """(D0, chip transmissions, B(r)) of every N in ``n_values``, in order,
+    both lists by delay d = N - r; ``scheme.n_bins`` is not read.
 
-    eta_d, D0, q, the D0^k table and the delay table depend on the design
-    but not on N, so they are built once for the whole sequence.  B(r) is
-    the pair law's ``terms`` comprehension (``model.PAIR_LAWS``) over
-    (k, t) pairs, with G' written inline in one operation order, so every
-    value keeps the bits of ``D0 ** k * (t * (G'(1-t) - q * G'(q(1-t))))``
-    with G' written in that order (the tests' reference G').
-
-    Every k(r) comes from :func:`quiet_bins`.  Each :func:`_octave` keeps
-    one tuple of transmissions, in bin order of its largest N so far, whose
-    last N entries serve each N of it; a larger N computes only its new
-    delays, which go in front.  Under last-photon selection k(r) is the
-    delay, so B(r) depends only on the delay too: the octave keeps its
-    terms beside, and only the new leading bins are zipped with their k(r).
-    First-photon terms are evaluated afresh for each N.  Nothing outlives
-    the call.
+    eta_d, D0, q, the D0^k table and the delay table do not depend on N, so
+    they are built once for the whole sequence.  Each B(r) is the pair
+    law's ``terms`` (``model.PAIR_LAWS``) of one (k, t) pair, k from
+    :func:`quiet_bins`.  Each :func:`_octave` keeps its transmissions in a
+    list by delay, and, under last-photon selection, where k(r) is the
+    delay, its terms beside; a larger N appends its new delays, and each N
+    reads the first N entries: the octave's own lists where they hold just
+    N, so a caller reads each N's lists before the next N extends them.
+    First-photon terms are evaluated for each N.
     """
     eta_d = detection_efficiency(params, scheme)
     d0_val = no_herald_probability(params, eta_d)
@@ -175,36 +171,33 @@ def _success_terms(params: SourceParams, scheme: SchemeConfig, n_values):
     # t [G'(1-t) - q G'(q(1-t))]: a herald fires in bin r and exactly one of
     # its signal photons survives the chip (see the module docstring)
     terms = PAIR_LAWS[params.pair_dist].terms(params.lam, q, powers)
-    selection = scheme.selection
-    last = selection is Selection.LAST_PHOTON
+    last = scheme.selection is Selection.LAST_PHOTON
     by_octave = {}
     for n in n_values:
-        key = _octave(n, topology)
-        quiet = quiet_bins(selection, n)
-        pic, per_bin = by_octave.get(key, ((), ()))
+        pic, per_delay = by_octave.setdefault(_octave(n, topology), ([], []))
+        k = quiet_bins(scheme.selection, n)  # by bin; reversed, by delay
         if len(pic) < n:
-            # the new delays, which lead in bin order; zip stops at them
-            new = _frame(params, topology, n, delay,
-                         range(n - 1, len(pic) - 1, -1))
-            pic = tuple(new) + pic
+            new = _frame(params, topology, n, delay, range(len(pic), n))
             if last:
-                per_bin = tuple(terms(zip(quiet, new))) + per_bin
-            by_octave[key] = pic, per_bin
-        pic = pic[-n:]
-        yield d0_val, pic, (per_bin[-n:] if last else terms(zip(quiet, pic)))
+                # the new delays are those of bins 1..N - len(pic)
+                per_delay += terms(zip(reversed(k[:n - len(pic)]), new))
+            pic += new
+        elif len(pic) > n:
+            pic, per_delay = pic[:n], per_delay[:n]
+        yield d0_val, pic, per_delay if last else terms(zip(reversed(k), pic))
 
 
 def total_efficiency(params: SourceParams, scheme: SchemeConfig,
                      **readings) -> EfficiencyBreakdown:
-    """Generation efficiency eta with its full per-bin decomposition; B(r) is
-    ``per_bin_success[r - 1]``."""
+    """Generation efficiency eta with its full per-bin decomposition, in bin
+    order: B(r) is ``per_bin_success[r - 1]``."""
     params = with_readings(params, **readings)
     d0_val, pic, per_bin = next(
         _success_terms(params, scheme, (scheme.n_bins,)))
     return EfficiencyBreakdown(
         eta_total=math.fsum(per_bin),
-        per_bin_success=tuple(per_bin),
-        pic_transmission=tuple(pic),
+        per_bin_success=tuple(per_bin[::-1]),
+        pic_transmission=tuple(pic[::-1]),
         d0=d0_val,
     )
 

@@ -176,6 +176,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="mode out of range"):
             evolve((1, 0), [polarizing_coupler(0, 1)])
 
+    @pytest.mark.parametrize("start", [
+        # the rotator acts on modes 0, 1 and would carry the -1 through
+        (1, 0, -1, 0),
+        (-1, 0),
+        (0.5, 0),
+    ], ids=["negative-outside-element", "negative", "non-integer"])
+    def test_start_that_is_not_a_photon_count_rejected(self, start):
+        with pytest.raises(ValueError,
+                           match="counts are not integers >= 0") as exc:
+            evolve(start, [polarization_rotator(0, 0.3)])
+        assert str(exc.value).startswith(f"start {start!r}: ")
+
     def test_random_circuits_match_the_permanent_formula(self):
         rng = np.random.default_rng(20011)
         bunched = 0

@@ -11,12 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonmux.app import emit_fig3, find_crossing, optimize_bins
 from photonmux.config import parse_config
 from photonmux.efficiency import (avg_linear_transmission, eta_curve,
                                   total_efficiency)
-from photonmux.model import MAX_BINS, DomainError, SchemeConfig, SourceParams
+from photonmux.model import (MAX_BINS, DomainError, SchemeConfig,
+                             SourceParams, Topology, switch_passes)
 
 from test_closed_form_bits import design_grid
 
@@ -65,6 +67,31 @@ def test_unsorted_and_repeated_depths(key):
     n_values = (64, 3, MAX_BINS, 3, 1, 64, 17, 1)
     assert _hex_curve(params, scheme, n_values) == _hex_points(
         params, scheme, n_values)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(key=st.sampled_from(sorted(DESIGNS)),
+       losses=st.fixed_dictionaries({name: st.floats(0.5, 1.0) for name
+                                     in ("eta_f", "eta_c", "eta_sw")}),
+       alpha_inc=st.floats(0.0, 0.05), lam=st.floats(0.0, 1.5),
+       n_values=st.lists(st.integers(1, MAX_BINS), min_size=1, max_size=12))
+def test_random_design_at_unsorted_depths(key, losses, alpha_inc, lam,
+                                          n_values):
+    # the octave tables are kept by delay; a breakdown reads them in bin
+    # order, so its chip frame rises to the undelayed bin N
+    params, scheme = DESIGNS[key]
+    params = replace(params, alpha_inc=alpha_inc, lam=lam, **losses)
+    curve = eta_curve(params, scheme, n_values)
+    for n, eta in zip(n_values, curve):
+        result = total_efficiency(params, replace(scheme, n_bins=n))
+        assert float.hex(eta) == float.hex(result.eta_total)
+        pic = result.pic_transmission
+        assert len(result.per_bin_success) == len(pic) == n
+        assert all(a <= b for a, b in zip(pic, pic[1:]))
+        undelayed = params.eta_f * params.eta_c
+        if scheme.topology is Topology.BINARY_DELAY:
+            undelayed *= params.eta_sw ** switch_passes(n)
+        assert pic[-1] == undelayed
 
 
 def test_scheme_depth_is_not_read():
